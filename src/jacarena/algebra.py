@@ -310,11 +310,19 @@ class Polynomial:
         return max((m.exponent(i) for m in self.terms), default=-1)
 
     def _key(self):
+        """Hash key that ignores the order of ``vars`` and unused names in it.
+
+        Equality aligns variable lists by name, so each monomial is keyed by
+        its (name, exponent) pairs with nonzero exponent, sorted by name.
+        """
         if self._key_cache is None:
+            vars = self.vars
             self._key_cache = (
                 self.ring,
-                self.vars,
-                frozenset(self.terms.items()),
+                frozenset(
+                    (tuple(sorted((vars[i], e) for i, e in enumerate(m.exps) if e)), c)
+                    for m, c in self.terms.items()
+                ),
             )
         return self._key_cache
 

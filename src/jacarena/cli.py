@@ -12,7 +12,7 @@ import csv
 import itertools
 import sys
 
-from .errors import EngineError, RingSyntaxError
+from .errors import EngineError, MalformedTranscript, RingSyntaxError
 from .game import Transcript, referee_play, verify_transcript
 from .oracle import enumerate_finite, minimal_alpha, minimal_alpha_ring
 from .parsing import parse_ring
@@ -254,7 +254,12 @@ def cmd_alpha(args):
 
 def cmd_verify(args):
     with open(args.path) as fh:
-        transcript = Transcript.from_json(fh.read())
+        text = fh.read()
+    try:
+        transcript = Transcript.from_json(text)
+    except MalformedTranscript as exc:
+        print(f"invalid: {exc}")
+        return 1
     result = verify_transcript(transcript, replay=args.replay)
     if result:
         print("valid")

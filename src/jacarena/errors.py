@@ -27,6 +27,10 @@ class InvalidCertificate(EngineError):
     """A nilpotency certificate failed its identity check."""
 
 
+class MalformedTranscript(EngineError):
+    """Transcript JSON with a missing field, a wrong type or an out-of-range index."""
+
+
 class NotAUnit(EngineError):
     """The claimed inverse pair does not multiply to one."""
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .algebra import Polynomial
-from .errors import EngineError, IllegalMove, NotInJacobsonRadical
+from .errors import EngineError, IllegalMove, MalformedTranscript, NotInJacobsonRadical
 from .ideals import NilCertificate
 from .parsing import parse_polynomial, parse_ring
 from .rings import nil_member
@@ -85,41 +85,83 @@ class Transcript:
 
     @classmethod
     def from_json(cls, text):
-        obj = json.loads(text)
-        ring = parse_ring(obj["ring"])
-        x = ring.element(obj["x"])
+        """Parse transcript JSON; MalformedTranscript names the first bad field."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MalformedTranscript(f"not JSON: {exc}") from None
+        ring_text = _field(obj, "ring", str)
+        x_text = _field(obj, "x", str)
+        xprime_text = _field(obj, "xPrime", str)
+        budget = _field(obj, "budget", int)
+        raw_rounds = _field(obj, "rounds", list)
+        winner = _field(obj, "winner", str)
+        ring = parse_ring(ring_text)
+        x = ring.element(x_text)
 
-        def elem(s):
-            return ring.element(s)
-
-        rounds = [
-            Round([elem(m) for m in r["moves"]], [elem(b) for b in r["replies"]], r["nextBudget"])
-            for r in obj["rounds"]
-        ]
+        rounds = []
+        for i, r in enumerate(raw_rounds):
+            where = f"round {i}"
+            rounds.append(Round(
+                [ring.element(m) for m in _strings(r, "moves", where)],
+                [ring.element(b) for b in _strings(r, "replies", where)],
+                _field(r, "nextBudget", int, where),
+            ))
         cert = None
         if obj.get("certificate") is not None:
+            raw = obj["certificate"]
+            e = _field(raw, "e", int, "certificate")
+            if e < 0:
+                raise MalformedTranscript(f"certificate exponent {e} is negative")
             gens = list(ring.relations)
             for r in rounds:
                 for a, b in zip(r.moves, r.replies):
                     gens.append((ring.one() - b * (ring.one() - a * x)).poly)
-            xprime = ring.element(obj["xPrime"])
+            xprime = ring.element(xprime_text)
             cofactors = [Polynomial.zero(ring.base, ring.vars) for _ in gens]
-            for key, val in obj["certificate"]["cofactors"].items():
+            for key, val in _field(raw, "cofactors", dict, "certificate").items():
+                if not (key.isascii() and key.isdigit() and int(key) < len(gens)):
+                    raise MalformedTranscript(
+                        f"certificate cofactor key {key!r} is not a generator index"
+                        f" in [0, {len(gens)})"
+                    )
+                if not isinstance(val, str):
+                    raise MalformedTranscript(f"certificate cofactor {key!r} is not a string")
                 cofactors[int(key)] = parse_polynomial(val, ring.base, ring.vars)
-            cert = NilCertificate(
-                xprime.poly, obj["certificate"]["e"], tuple(gens), tuple(cofactors)
-            )
+            cert = NilCertificate(xprime.poly, e, tuple(gens), tuple(cofactors))
         return cls(
-            obj["ring"],
-            obj["x"],
-            obj["xPrime"],
-            obj["budget"],
+            ring_text,
+            x_text,
+            xprime_text,
+            budget,
             rounds,
-            obj["winner"],
+            winner,
             cert,
-            obj.get("prover", "?"),
-            obj.get("delayer", "?"),
+            _field(obj, "prover", str) if "prover" in obj else "?",
+            _field(obj, "delayer", str) if "delayer" in obj else "?",
         )
+
+
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _field(obj, key, kind, where="transcript"):
+    """obj[key], checked to be present and of JSON type kind."""
+    if not isinstance(obj, dict):
+        raise MalformedTranscript(f"{where} is not an object")
+    if key not in obj:
+        raise MalformedTranscript(f"{where} has no {key!r} field")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise MalformedTranscript(f"{where} field {key!r} is not {_TYPE_NAMES[kind]}")
+    return value
+
+
+def _strings(obj, key, where):
+    values = _field(obj, key, list, where)
+    if not all(isinstance(v, str) for v in values):
+        raise MalformedTranscript(f"{where} field {key!r} is not a list of strings")
+    return values
 
 
 def _constraint(ring, x, a, b):

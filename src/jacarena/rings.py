@@ -343,7 +343,19 @@ def minimal_polynomial(x, var="T"):
     """Monic minimal polynomial of x in a finite-dimensional algebra over QQ or GF(p).
 
     Computed by scanning powers 1, x, x^2, ... expressed on the staircase
-    basis for the first linear dependency.
+    basis for the first linear dependency.  ``zero_dim_witness`` reuses the
+    scanned powers through ``_minimal_polynomial_scan``.
+    """
+    return _minimal_polynomial_scan(x, var)[0]
+
+
+def _minimal_polynomial_scan(x, var="T"):
+    """(minimal polynomial of x, normal forms of 1, x, ..., x^(d-1)), d its degree.
+
+    The powers are the ones the scan reduces anyway.  Over a field a normal
+    form is a combination of staircase monomials, so any linear combination
+    of them is again a normal form: a polynomial of degree below d evaluated
+    at x needs no further multiplication or reduction.
     """
     ring = x.ring
     base = ring.base
@@ -362,6 +374,7 @@ def minimal_polynomial(x, var="T"):
         return v
 
     pivots = []
+    powers = []
     power = ring.one()
     for k in range(dim + 1):
         v = vector(power.poly)
@@ -380,9 +393,10 @@ def minimal_polynomial(x, var="T"):
             for j, cj in enumerate(combo):
                 if cj != base.zero():
                     terms[Monomial((j,))] = base.neg(cj)
-            return Polynomial(base, (var,), terms)
+            return Polynomial(base, (var,), terms), powers
         coords = [base.neg(c) for c in combo] + [base.one()]
         pivots.append((nonzero, v, coords))
+        powers.append(power.poly)
         power = power * x
     raise AssertionError("dependency must appear within dim+1 powers")
 
@@ -392,6 +406,9 @@ def zero_dim_witness(x):
 
     Field algebras factor the minimal polynomial as T^e * g(T) with
     g(0) != 0 and return a = -g(0)^(-1) * r(x) for g = g(0) + T*r(T).
+    r has degree below that of the minimal polynomial, so a is summed from
+    the normal forms of the powers of x that the minimal polynomial scan
+    kept; a linear combination of normal forms over a field is a normal form.
     Finite ZZ-based rings detect a power cycle x^i = x^j and return
     (i, x^(j-i-1)).
     """
@@ -399,19 +416,17 @@ def zero_dim_witness(x):
     base = ring.base
     if base.kind in ("QQ", "GF"):
         try:
-            mu = minimal_polynomial(x)
+            mu, powers = _minimal_polynomial_scan(x)
         except NotFiniteDimensional as exc:
             raise NotZeroDimensional(str(exc)) from None
         by_deg = {m.exponent(0): c for m, c in mu.terms.items()}
-        degree = max(by_deg)
-        e = next(j for j in range(degree + 1) if by_deg.get(j, base.zero()) != base.zero())
-        g0 = by_deg[e]
-        r_of_x = ring.zero()
-        for j in range(e + 1, degree + 1):
-            cj = by_deg.get(j, base.zero())
-            if cj != base.zero():
-                r_of_x = r_of_x + ring.element(cj) * x ** (j - e - 1)
-        a = -(ring.element(base.invert(g0)) * r_of_x)
+        e = min(by_deg)
+        factor = base.neg(base.invert(by_deg[e]))
+        a_poly = Polynomial.zero(base, ring.vars)
+        for j, cj in by_deg.items():
+            if j > e:
+                a_poly = a_poly + powers[j - e - 1].scale(base.mul(factor, cj))
+        a = RingElement(ring, a_poly)
     elif not ring.vars:
         e, a = _modular_witness(x)
     else:

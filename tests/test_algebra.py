@@ -190,3 +190,21 @@ def test_print_parse_round_trip(data):
     p = data.draw(polynomials(ring=ring, max_vars=2))
     text = p.to_text()
     assert parse_polynomial(text, ring, p.vars) == p
+
+
+def test_hash_agrees_with_equality_across_variable_lists():
+    short = Polynomial.variable(QQ, "x", ("x",))
+    long = Polynomial.variable(QQ, "x", ("x", "y"))
+    assert short == long and hash(short) == hash(long)
+    assert len({short, long}) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equal_polynomials_over_permuted_or_extended_vars_hash_equal(data):
+    p = data.draw(polynomials(max_vars=3))
+    extra = data.draw(st.lists(st.sampled_from(["u", "v", "w"]), unique=True))
+    new_vars = data.draw(st.permutations(p.vars + tuple(extra)))
+    q = p.remap(new_vars)
+    assert q == p
+    assert hash(q) == hash(p)

@@ -4,6 +4,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from jacarena.cli import main
 
 
@@ -79,6 +81,39 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     code, text, _ = run(["verify", str(out)], capsys)
     assert code == 1
     assert "invalid" in text
+
+
+def _rename_cofactor(obj, new_key):
+    cofactors = obj["certificate"]["cofactors"]
+    cofactors[new_key] = cofactors.pop("1")
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda obj: _rename_cofactor(obj, "99"), "cofactor key '99'"),
+        (lambda obj: _rename_cofactor(obj, "-1"), "cofactor key '-1'"),
+        (lambda obj: obj.pop("winner"), "no 'winner' field"),
+        (lambda obj: obj.update(rounds={"0": obj["rounds"][0]}), "'rounds' is not a list"),
+        (lambda obj: obj["certificate"].update(e=-1), "exponent -1 is negative"),
+    ],
+    ids=["key-out-of-range", "key-negative", "missing-winner", "rounds-not-list", "negative-e"],
+)
+def test_verify_rejects_malformed_transcript(tmp_path, capsys, mutate, message):
+    out = tmp_path / "t.json"
+    code, _, _ = run(
+        ["play", "--ring", "QQ[X]", "--x", "X", "--budget", "2",
+         "--delayer", "random:3", "--out", str(out)],
+        capsys,
+    )
+    obj = json.loads(out.read_text())
+    assert code == 0 and set(obj["certificate"]["cofactors"]) == {"0", "1"}
+    mutate(obj)
+    out.write_text(json.dumps(obj))
+    code, text, err = run(["verify", str(out)], capsys)
+    assert code == 1
+    assert text.count("\n") == 1 and text.startswith("invalid: ") and message in text
+    assert err == ""
 
 
 def test_alpha_csv(capsys):

@@ -169,6 +169,56 @@ def test_zero_dim_witness_identity(ring_text, x_text, expected_e):
     assert (x ** e * (ring.one() - a * x)).is_zero()
 
 
+def _witness_by_power_formula(x):
+    """(e, a) with a = -g(0)^(-1) * sum_j c_j * x^(j-e-1), each power taken in the ring."""
+    ring = x.ring
+    by_deg = {m.exponent(0): c for m, c in minimal_polynomial(x).terms.items()}
+    e = min(by_deg)
+    r = ring.zero()
+    for j, cj in by_deg.items():
+        if j > e:
+            r = r + ring.element(cj) * x ** (j - e - 1)
+    return e, -(ring.element(ring.base.invert(by_deg[e])) * r)
+
+
+def _random_univariate_cases(base, seed):
+    rng = random.Random(seed)
+    ring = parse_ring(f"{base!r}[X]")
+    cases = []
+    for _ in range(4):
+        deg = rng.randint(1, 12)
+        nil = rng.randint(0, min(deg, 3))
+        terms = {(nil + i,): rng.randint(-5, 5) for i in range(deg - nil)}
+        terms[(deg,)] = 1
+        m = Polynomial(base, ("X",), terms)
+        x_terms = {(i,): rng.randint(-3, 3) for i in range(rng.randint(1, deg + 1))}
+        if rng.random() < 0.5:
+            x_terms = {(i + 1,): c for (i,), c in x_terms.items()}
+        quotient = ring.quotient_extend([m])
+        cases.append(quotient.element(Polynomial(base, ("X",), x_terms)))
+    return cases
+
+
+def _assert_witness_matches_power_formula(x):
+    e, a = zero_dim_witness(x)
+    assert (e, a) == _witness_by_power_formula(x), x
+    assert (x ** e * (x.ring.one() - a * x)).is_zero()
+
+
+@pytest.mark.parametrize("base", [QQ, GF(2), GF(7)], ids=repr)
+@pytest.mark.parametrize("seed", range(4))
+def test_zero_dim_witness_matches_power_formula(base, seed):
+    for x in _random_univariate_cases(base, seed):
+        _assert_witness_matches_power_formula(x)
+
+
+@pytest.mark.parametrize("ring_text", ["QQ[X,Y]/(X^2+Y, Y^3)", "GF(3)[X,Y]/(X^2-Y, Y^2+X)"])
+def test_zero_dim_witness_matches_power_formula_multivariate(ring_text):
+    ring = parse_ring(ring_text)
+    for text in ["X", "X+Y", "Y+1", "X*Y-1", "2*X-3"]:
+        _assert_witness_matches_power_formula(ring.element(text))
+
+
 def test_zero_dim_witness_huge_modulus_is_fast():
     ring = parse_ring("ZZ").quotient_extend([parse_ring("ZZ").element(2 ** 90 * 3)])
     x = ring.element(6)
