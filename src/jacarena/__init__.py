@@ -14,21 +14,18 @@ from .ideals import GroebnerBasis, NilCertificate, groebner, ideal_member, radic
 from .parsing import parse_polynomial, parse_ring
 from .rings import (
     IntegralRelation,
-    LocalizedElement,
     MonogenicExtension,
     RingElement,
     RingPresentation,
     UnitDecomposition,
     integral_dependence,
     invert_in_integral_quotient,
-    is_trivial,
     key_elementary_transfer,
     loc_key_clear,
     member_in,
     minimal_polynomial,
     nil_exponent_search,
     nil_member,
-    quotient_extend,
     unit_poly_decompose,
     zero_dim_witness,
 )
@@ -72,8 +69,3 @@ from .strategies import (
 )
 
 __version__ = "0.1.0"
-
-
-def parse_expr(text, ring):
-    """Parse an expression into a normal-form element of the presented ring."""
-    return ring.element(text)

@@ -214,9 +214,6 @@ class MonomialOrder:
         self._cache[mono] = result
         return result
 
-    def greater(self, a, b):
-        return self.key(a) > self.key(b)
-
     def leading(self, terms):
         """Leading (monomial, coefficient) of a nonzero term dict."""
         m = max(terms, key=self.key)

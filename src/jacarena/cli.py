@@ -16,7 +16,7 @@ from .errors import EngineError, MalformedTranscript, RingSyntaxError
 from .game import Transcript, referee_play, verify_transcript
 from .oracle import enumerate_finite, minimal_alpha, minimal_alpha_ring
 from .parsing import parse_ring
-from .rings import nil_member
+from .rings import nil_member, saturation_cap
 from .strategies import (
     DiagonalRefuterZ,
     delayer_from_spec,
@@ -280,6 +280,7 @@ def main(argv=None):
         "verify": cmd_verify,
     }
     try:
+        saturation_cap()
         return handlers[args.command](args)
     except (RingSyntaxError, FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -249,6 +249,13 @@ class VerificationResult:
 def verify_transcript(transcript, replay=False):
     """Independently re-check a transcript: rules, outcome, certificate.
 
+    A Prover claim is settled by its certificate alone: the identity
+    x'^e = sum c_i g_i over the relations and the game constraints, checked
+    by expansion in the ambient polynomial ring, proves that a power of x'
+    lies in their ideal, which is all a recomputation could establish.  A
+    Delayer claim carries no certificate, so the nilpotency test is rerun
+    and must find no power of x' in that ideal.
+
     With replay=True the named prover and delayer are reconstructed and the
     match re-run; any divergence from the recorded rounds is reported.  This
     only works for the deterministic built-in agent specs.
@@ -285,26 +292,22 @@ def verify_transcript(transcript, replay=False):
             problems.append("no rounds played despite positive budget")
 
     if not problems:
-        recomputed = nil_member(xprime, constraints)
-        expected_winner = "prover" if recomputed is not None else "delayer"
-        if transcript.winner != expected_winner:
-            problems.append(
-                f"recorded winner {transcript.winner!r}, recomputation says {expected_winner!r}"
-            )
         cert = transcript.certificate
-        if transcript.winner == "prover":
-            if cert is None:
-                problems.append("prover win recorded without certificate")
-            else:
-                gens = list(ring.relations) + [c.poly for c in constraints]
-                if list(cert.generators) != gens:
-                    problems.append("certificate generators differ from relations + constraints")
-                elif cert.element != xprime.poly:
-                    problems.append("certificate is not about xPrime")
-                elif not cert.verify():
-                    problems.append("certificate identity fails")
-        elif cert is not None:
-            problems.append("delayer win recorded with a certificate")
+        if transcript.winner == "delayer":
+            if nil_member(xprime, constraints) is not None:
+                problems.append("recorded winner 'delayer', recomputation says 'prover'")
+            if cert is not None:
+                problems.append("delayer win recorded with a certificate")
+        elif transcript.winner != "prover":
+            problems.append(f"unknown winner {transcript.winner!r}")
+        elif cert is None:
+            problems.append("prover win recorded without certificate")
+        elif list(cert.generators) != list(ring.relations) + [c.poly for c in constraints]:
+            problems.append("certificate generators differ from relations + constraints")
+        elif cert.element != xprime.poly:
+            problems.append("certificate is not about xPrime")
+        elif not cert.verify():
+            problems.append("certificate identity fails")
 
     if replay and not problems:
         from .strategies import delayer_from_spec, prover_from_spec

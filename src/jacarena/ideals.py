@@ -181,7 +181,7 @@ class GroebnerBasis:
     def lead_terms(self):
         return [(r.lm, r.lc) for r in self._rows]
 
-    def staircase(self, limit=None):
+    def staircase(self):
         """Monomials not under any leading monomial, or None if infinite.
 
         Over ZZ only rows with unit leading coefficient block a monomial
@@ -191,10 +191,10 @@ class GroebnerBasis:
             blockers = [r.lm for r in self._rows if r.lc == 1]
         else:
             blockers = [r.lm for r in self._rows]
-        return _staircase_of(blockers, len(self.order.vars), limit)
+        return _staircase_of(blockers, len(self.order.vars))
 
 
-def _staircase_of(lead_monos, nvars, limit=None):
+def _staircase_of(lead_monos, nvars):
     if any(m.is_one() for m in lead_monos):
         return []
     bounds = []
@@ -220,8 +220,6 @@ def _staircase_of(lead_monos, nvars, limit=None):
         for e in range(bounds[i]):
             stack.append(prefix + (e,))
     out.sort(key=lambda m: (m.degree(), m.padded(nvars)))
-    if limit is not None and len(out) > limit:
-        return out[:limit]
     return out
 
 

@@ -101,15 +101,7 @@ def enumerate_finite(ring):
 def brute_nil(table, x, constraints=()):
     """Exhaustive check: some power of x lies in the ideal of the constraints."""
     ideal = table.ideal_closure([table.idx(u) for u in constraints])
-    power = table.idx(table.ring.one())
-    xi = table.idx(x)
-    seen = set()
-    while power not in seen:
-        if power in ideal:
-            return True
-        seen.add(power)
-        power = table.mul(power, xi)
-    return power in ideal
+    return _nil_from_ideal(table, table.idx(x), ideal)
 
 
 def brute_jac(table, x, constraints=()):

@@ -30,13 +30,22 @@ from .ideals import NilCertificate, groebner, ideal_member
 
 def saturation_cap():
     """Bounded-search cap for denominator clearing; env-overridable."""
-    return int(os.environ.get("JACARENA_SATURATION_CAP", "16"))
+    text = os.environ.get("JACARENA_SATURATION_CAP", "16")
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(
+            f"JACARENA_SATURATION_CAP must be a nonnegative integer, not {text!r}"
+        )
+    return cap
 
 
 class RingPresentation:
     """Computable ring: coefficient base + variables + relation ideal."""
 
-    __slots__ = ("base", "vars", "relations", "order", "_gb")
+    __slots__ = ("base", "vars", "relations", "order", "_gb", "_parent")
 
     def __init__(self, base, vars=(), relations=(), order_kind="DEGREVLEX"):
         self.base = base
@@ -51,13 +60,18 @@ class RingPresentation:
         self.relations = tuple(rels)
         self.order = MonomialOrder(order_kind, self.vars)
         self._gb = None
+        self._parent = None
 
     @property
     def gb(self):
         if self._gb is None:
-            self._gb = groebner(
-                list(self.relations), self.order, ring=self.base, track=False
-            )
+            gens = list(self.relations)
+            parent = self._parent
+            if parent is not None and parent.relations:
+                # the parent's reduced basis spans its relations: a head start
+                gens = list(parent.gb.basis) + gens[len(parent.relations):]
+            self._gb = groebner(gens, self.order, ring=self.base, track=False)
+            self._parent = None
         return self._gb
 
     def normal_form(self, poly):
@@ -91,20 +105,18 @@ class RingPresentation:
         return self.gb.contains_one
 
     def quotient_extend(self, extra):
-        """New presentation with the extra elements adjoined to the relations."""
-        polys = []
-        for x in extra:
-            if isinstance(x, RingElement):
-                if x.ring != self:
-                    raise IncompatibleRings(f"{x} does not belong to this ring")
-                polys.append(x.poly)
-            elif isinstance(x, Polynomial):
-                polys.append(x.remap(self.vars))
-            else:
-                polys.append(Polynomial.constant(self.base, x, self.vars))
-        return RingPresentation(
-            self.base, self.vars, self.relations + tuple(polys), self.order.kind
+        """New presentation with the extra elements adjoined to the relations.
+
+        When this ring has relations, the child's basis is completed from
+        this ring's reduced basis plus the new generators.  The child's
+        ``relations`` keep the raw list, which certificates index.
+        """
+        polys = tuple(_as_poly(x, self) for x in extra)
+        child = RingPresentation(
+            self.base, self.vars, self.relations + polys, self.order.kind
         )
+        child._parent = self
+        return child
 
     def to_text(self):
         if self.base.kind == "GF":
@@ -198,14 +210,6 @@ class RingElement:
         return f"<{self.poly.to_text()} in {self.ring.to_text()}>"
 
 
-def quotient_extend(ring, extra):
-    return ring.quotient_extend(extra)
-
-
-def is_trivial(ring):
-    return ring.is_trivial()
-
-
 def _as_poly(x, ring):
     if isinstance(x, RingElement):
         if x.ring != ring:
@@ -225,22 +229,6 @@ def member_in(ring, target, extra=()):
     target = _as_poly(target, ring)
     gens = list(ring.relations) + [_as_poly(g, ring) for g in extra]
     return ideal_member(target, gens, MonomialOrder(ring.order.kind, ring.vars))
-
-
-def membership_basis(ring, extra=()):
-    """Untracked basis for relations + extra; cheap repeated membership tests.
-
-    Starts from the ring's cached reduced basis, which generates the same
-    ideal as the raw relation list but gives the completion a head start.
-    """
-    gens = list(ring.gb.basis) + [_as_poly(g, ring) for g in extra]
-    return groebner(
-        gens, MonomialOrder(ring.order.kind, ring.vars), ring=ring.base, track=False
-    )
-
-
-def in_ideal(ring, target, extra=()):
-    return membership_basis(ring, extra).is_member(_as_poly(target, ring))
 
 
 def _fresh_var(vars, stem="T"):
@@ -490,25 +478,6 @@ def _modular_witness(x):
     return e, a
 
 
-@dataclass(frozen=True)
-class LocalizedElement:
-    """numerator / a^exponent in the localization of a ring at a."""
-
-    numerator: RingElement
-    denominator_exponent: int
-
-    def equal_with_saturation(self, other, a, bound):
-        """Equality after cross multiplication, up to a caller-supplied a-power."""
-        e1, e2 = self.denominator_exponent, other.denominator_exponent
-        diff = self.numerator * a ** e2 - other.numerator * a ** e1
-        probe = diff
-        for _ in range(bound + 1):
-            if probe.is_zero():
-                return True
-            probe = probe * a
-        return False
-
-
 class MonogenicExtension:
     """B = A[X]/(relation, A-relations) with X-leading coefficient a.
 
@@ -567,39 +536,6 @@ class IntegralRelation:
         return self
 
 
-class _LocPoly:
-    """numerator / a^exp with polynomial numerator; plain pair arithmetic."""
-
-    __slots__ = ("num", "exp")
-
-    def __init__(self, num, exp=0):
-        self.num = num
-        self.exp = exp
-
-    @staticmethod
-    def lift(a_poly, entry, target_exp):
-        num, exp = entry.num, entry.exp
-        while exp < target_exp:
-            num = num * a_poly
-            exp += 1
-        return num
-
-    def add(self, other, a_poly):
-        e = max(self.exp, other.exp)
-        return _LocPoly(
-            _LocPoly.lift(a_poly, self, e) + _LocPoly.lift(a_poly, other, e), e
-        )
-
-    def sub(self, other, a_poly):
-        e = max(self.exp, other.exp)
-        return _LocPoly(
-            _LocPoly.lift(a_poly, self, e) - _LocPoly.lift(a_poly, other, e), e
-        )
-
-    def mul(self, other):
-        return _LocPoly(self.num * other.num, self.exp + other.exp)
-
-
 def _reduce_in_extension(poly, ext):
     """Rewrite a polynomial of B as (vector over 1..X^(k-1), a-power exponent).
 
@@ -640,27 +576,19 @@ def _reduce_in_extension(poly, ext):
     return vec[:k] if k else [], exp
 
 
-def _det(matrix, a_poly):
-    n = len(matrix)
-    if n == 0:
-        one = Polynomial.constant(a_poly.ring, 1, a_poly.vars)
-        return _LocPoly(one, 0)
-    if n == 1:
+def _det(matrix):
+    """Determinant of a nonempty polynomial matrix by cofactor expansion
+    along the first row, skipping zero entries."""
+    if len(matrix) == 1:
         return matrix[0][0]
-    total = None
-    for col in range(n):
-        entry = matrix[0][col]
-        if entry.num.is_zero():
+    first = matrix[0][0]
+    total = Polynomial.zero(first.ring, first.vars)
+    for col, entry in enumerate(matrix[0]):
+        if entry.is_zero():
             continue
-        minor = [
-            [row[c] for c in range(n) if c != col] for row in matrix[1:]
-        ]
-        term = entry.mul(_det(minor, a_poly))
-        if col % 2 == 1:
-            term = _LocPoly(-term.num, term.exp)
-        total = term if total is None else total.add(term, a_poly)
-    if total is None:
-        return _LocPoly(Polynomial.zero(a_poly.ring, a_poly.vars), 0)
+        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
+        term = entry * _det(minor)
+        total = total - term if col % 2 else total + term
     return total
 
 
@@ -704,13 +632,14 @@ def integral_dependence(b, ext, cap=None):
         for i in range(k):
             vec, exp = columns[i]
             diag = tpoly * a_poly ** exp if i == j else Polynomial.zero(base.base, cvars)
-            row.append(_LocPoly(diag - vec[j], exp))
+            row.append(diag - vec[j])
         matrix.append(row)
 
-    char = _det(matrix, a_poly)
-    by_t = char.num.coefficients_in(tvar)
+    # a term takes one entry per column, the diagonal term is nonzero: a-power = column sum
+    char_exp = sum(exp for _, exp in columns)
+    by_t = _det(matrix).coefficients_in(tvar)
     lead_coeff = by_t.get(k, Polynomial.zero(base.base, base.vars)).remap(base.vars)
-    if lead_coeff != ext.rel_coeffs[k] ** char.exp:
+    if lead_coeff != ext.rel_coeffs[k] ** char_exp:
         raise AssertionError("characteristic polynomial lost monicity")
 
     g = [
@@ -718,7 +647,7 @@ def integral_dependence(b, ext, cap=None):
         for j in range(k)
     ]
     a_in_b = ring.element(a.poly)
-    denom_exp = 0 if a.is_one() else char.exp
+    denom_exp = 0 if a.is_one() else char_exp
     value = a_in_b ** denom_exp * b ** k
     for j in range(k):
         value = value + ring.element(g[j]) * b ** j
@@ -746,7 +675,7 @@ def invert_in_integral_quotient(x, b, dep):
     x_b = ring_b.element(x.poly)
     target = ring_b.one() - ring_b.element(b.poly) * x_b
     claim = ring_b.one() - ring_b.element(a_out.poly) * x_b
-    if not in_ideal(ring_b, claim, [target]):
+    if not ring_b.quotient_extend([target]).gb.is_member(claim.poly):
         raise InvalidCertificate("1 - a*x is not in <1 - b*x>")
     return a_out
 
@@ -794,7 +723,7 @@ def key_elementary_transfer(a, a0, a1, b2, ext, cap=None):
 
     w_b = ring_b.element(w.poly)
     target = ring_b.one() - b2 * w_b
-    gb = membership_basis(ring_b, [target])
+    gb = ring_b.quotient_extend([target]).gb
     found = None
     base_probe = a ** e - a2dd * w
     for ep in range(cap + 1):

@@ -54,6 +54,18 @@ def test_play_config_error(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("command", ["play", "repl"])
+@pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
+def test_bad_saturation_cap_is_a_configuration_error(capsys, monkeypatch, command, value):
+    monkeypatch.setenv("JACARENA_SATURATION_CAP", value)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code, out, err = run([command, "--ring", "ZZ", "--x", "6", "--budget", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "JACARENA_SATURATION_CAP" in err
+
+
 def test_play_engine_error(capsys):
     code, _, err = run(
         ["play", "--ring", "QQ[X,Y]", "--x", "X", "--budget", "2",

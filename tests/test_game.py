@@ -142,6 +142,26 @@ def test_verify_rejects_flipped_winner():
     assert not verify_transcript(bad)
 
 
+@pytest.mark.parametrize(
+    "winner, problem",
+    [
+        ("delayer", "recorded winner 'delayer', recomputation says 'prover'"),
+        ("nobody", "unknown winner 'nobody'"),
+    ],
+)
+def test_verify_rejects_other_claims_on_prover_win(winner, problem):
+    Z = parse_ring("ZZ")
+    t = referee_play(Z, Z.element(6), Z.element(6), 2,
+                     euclidean_dim1_strategy(Z, Z.element(6)),
+                     ConstantDelayer(Z, 1))
+    assert t.winner == "prover"
+    obj = t.to_json_obj()
+    obj["winner"] = winner
+    obj["certificate"] = None
+    result = verify_transcript(Transcript.from_json(json.dumps(obj)))
+    assert result.problems == [problem]
+
+
 def test_extract_certificate_direct_member():
     R = parse_ring("QQ[X]")
     cert = extract_nil_from_jac(

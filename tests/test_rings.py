@@ -15,18 +15,17 @@ from jacarena.errors import (
     NotZeroDimensional,
 )
 from jacarena.parsing import parse_polynomial, parse_ring
+from jacarena import rings
 from jacarena.rings import (
     IntegralRelation,
-    LocalizedElement,
     MonogenicExtension,
+    RingPresentation,
     integral_dependence,
     invert_in_integral_quotient,
-    is_trivial,
     key_elementary_transfer,
     loc_key_clear,
     member_in,
     minimal_polynomial,
-    quotient_extend,
     unit_poly_decompose,
     zero_dim_witness,
 )
@@ -34,8 +33,8 @@ from jacarena.rings import (
 
 def test_quotient_extend_integers():
     Z = parse_ring("ZZ")
-    Z6 = quotient_extend(Z, [Z.element(6)])
-    assert not is_trivial(Z6)
+    Z6 = Z.quotient_extend([Z.element(6)])
+    assert not Z6.is_trivial()
     assert Z6.element(7) == Z6.element(1)
     assert Z6.element(-2) == Z6.element(4)
 
@@ -55,6 +54,51 @@ def test_quotient_extend_inverts_two():
     assert not Q.is_trivial()
     assert [b.to_text() for b in Q.gb.basis] == ["2*X - 1"]
     assert (Q.element(2) * Q.element("X")).is_one()
+
+
+def _random_poly(rng, ring, coeffs, max_deg):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple(rng.randint(0, max_deg) for _ in ring.vars)
+        terms[mono] = rng.choice(coeffs)
+    return Polynomial(ring.base, ring.vars, terms)
+
+
+@pytest.mark.parametrize(
+    "ring_text, coeffs, max_deg",
+    [
+        ("ZZ[X,Y]/(2*X^2 - Y)", (2, 3, -4, 6, 1), 2),
+        ("GF(2)[X,Y,Z]", (1,), 2),
+        ("QQ[X,Y]", (1, -2, 3, 5), 2),
+    ],
+)
+def test_quotient_extend_seeded_basis_matches_raw_relations(
+    monkeypatch, ring_text, coeffs, max_deg
+):
+    # a child's basis is completed from the parent's reduced basis; it must
+    # equal the basis completed from the raw relation list
+    completions = []
+    real_groebner = rings.groebner
+
+    def spy(gens, *args, **kwargs):
+        completions.append(list(gens))
+        return real_groebner(gens, *args, **kwargs)
+
+    rng = random.Random(ring_text)
+    for _ in range(6):
+        ring = parse_ring(ring_text)
+        for _ in range(3):
+            extra = _random_poly(rng, ring, coeffs, max_deg)
+            parent_basis = list(ring.gb.basis) if ring.relations else None
+            ring = ring.quotient_extend([extra])
+            monkeypatch.setattr(rings, "groebner", spy)
+            completions.clear()
+            seeded = ring.gb.basis
+            monkeypatch.setattr(rings, "groebner", real_groebner)
+            if parent_basis is not None:
+                assert completions == [parent_basis + [extra]]
+            raw = RingPresentation(ring.base, ring.vars, ring.relations, ring.order.kind)
+            assert seeded == raw.gb.basis
 
 
 def test_quotient_monotonicity():
@@ -94,9 +138,9 @@ def test_normal_form_constant_on_cosets():
 
 def test_is_trivial_cases():
     Z = parse_ring("ZZ")
-    assert is_trivial(Z.quotient_extend([Z.element(1)]))
-    assert is_trivial(parse_ring("QQ[X]/(X, X-1)"))
-    assert not is_trivial(Z)
+    assert Z.quotient_extend([Z.element(1)]).is_trivial()
+    assert parse_ring("QQ[X]/(X, X-1)").is_trivial()
+    assert not Z.is_trivial()
 
 
 def test_relations_must_match_base():
@@ -233,18 +277,6 @@ def test_zero_dim_witness_rejects_non_zero_dimensional():
         zero_dim_witness(parse_ring("QQ[X]").element("X"))
 
 
-def test_localized_element_equality():
-    Z6 = parse_ring("ZZ/6")
-    a = Z6.element(2)
-    # 2/2 equals 4/2^2 after cross multiplication and one saturation step
-    lhs = LocalizedElement(Z6.element(2), 1)
-    rhs = LocalizedElement(Z6.element(4), 2)
-    assert lhs.equal_with_saturation(rhs, a, bound=3)
-    assert not LocalizedElement(Z6.element(1), 0).equal_with_saturation(
-        LocalizedElement(Z6.element(5), 0), a, bound=3
-    )
-
-
 def test_integral_dependence_examples():
     QQb = parse_ring("QQ")
     B = parse_ring("QQ[X]/(X^2-2)")
@@ -263,6 +295,43 @@ def test_integral_dependence_examples():
     assert (dep3.l, dep3.d) == (1, 2)
     assert [c.to_text() for c in dep3.coeffs] == ["1", "0"]
     assert dep3.verify()
+
+
+# (base, ring, b, l, d, coeffs) computed by the characteristic polynomial
+# over the localization at a, before the determinant was taken over plain
+# polynomial entries
+INTEGRAL_DEPENDENCE_PINS = [
+    ("ZZ", "ZZ[X]/(2*X^3 - X - 1)", "X", 1, 3, ("1", "1", "0")),
+    ("ZZ", "ZZ[X]/(2*X^3 - X - 1)", "X^2 + 1", 2, 3, ("10", "-21", "16")),
+    ("ZZ[Y]", "ZZ[Y,X]/(Y*X^3 + X + 1)", "X + Y", 1, 3, ("Y^4 + Y - 1", "-3*Y^3 - 1", "3*Y^2")),
+    (
+        "GF(3)[Y]",
+        "GF(3)[Y,X]/((Y+1)*X^4 + Y*X + 1)",
+        "X^2 + Y*X",
+        3,
+        4,
+        (
+            "2*Y^6 + Y^5 + 2*Y^4 + Y^3 + Y^2 + 2*Y + 2",
+            "2*Y^6 + Y^5 + Y^4 + 2*Y^3",
+            "Y^2 + 2*Y + 1",
+            "0",
+        ),
+    ),
+    ("QQ[Y]", "QQ[Y,X]/(Y*X^3 - 2)", "X^2 - Y", 2, 3, ("-Y^5 + 4", "-3*Y^4", "-3*Y^3")),
+    ("ZZ", "ZZ[X]/(3*X^3 + 2*X - 1, 12)", "X + 2", 1, 3, ("29", "-38", "18")),
+    ("ZZ/4", "ZZ[X]/(4, 2*X^3 + X^2 + 1)", "X^2", 1, 3, ("0", "2", "0")),
+    ("ZZ[Y]/(Y^2)", "ZZ[Y,X]/(Y^2, 3*X^3 + Y*X + 1)", "X*Y + X", 1, 3, ("-3*Y - 1", "-Y", "0")),
+]
+
+
+@pytest.mark.parametrize("base_text, ring_text, b_text, l, d, coeffs", INTEGRAL_DEPENDENCE_PINS)
+def test_integral_dependence_pinned(base_text, ring_text, b_text, l, d, coeffs):
+    base = parse_ring(base_text)
+    B = parse_ring(ring_text)
+    relation = next(r for r in B.relations if r.degree_in("X") > 0)
+    dep = integral_dependence(B.element(b_text), MonogenicExtension(base, B, "X", relation))
+    assert (dep.l, dep.d) == (l, d)
+    assert tuple(c.to_text() for c in dep.coeffs) == coeffs
 
 
 def test_integral_relation_validates_at_construction():
@@ -410,6 +479,12 @@ def test_saturation_cap_env_override(monkeypatch):
     assert saturation_cap() == 16
     monkeypatch.setenv("JACARENA_SATURATION_CAP", "3")
     assert saturation_cap() == 3
+    monkeypatch.setenv("JACARENA_SATURATION_CAP", "0")
+    assert saturation_cap() == 0
+    for bad in ("abc", "1.5", "-1", ""):
+        monkeypatch.setenv("JACARENA_SATURATION_CAP", bad)
+        with pytest.raises(ValueError, match="JACARENA_SATURATION_CAP"):
+            saturation_cap()
 
 
 def test_unit_poly_decompose_z4():
