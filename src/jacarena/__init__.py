@@ -47,25 +47,22 @@ from .oracle import (
 )
 from .strategies import (
     ConstantDelayer,
+    CutStrategy,
     DiagonalRefuterPoly,
     DiagonalRefuterZ,
     EchoDelayer,
+    EuclideanDim1Strategy,
     FixedMovesProver,
+    ImmediateWinStrategy,
     JacWitnessDelayer,
+    PolyLiftStrategy,
     RandomDelayer,
+    ScaleStrategy,
     ScriptedDelayer,
-    cut_combinator,
-    delayer_jac_witness,
-    delayer_random,
-    diagonal_refuter_poly,
-    diagonal_refuter_Z,
-    euclidean_dim1_strategy,
+    ZeroDimStrategy,
     loc_integral_strategy,
-    poly_lift_strategy,
     quotient_push,
     ring_strategy_factory,
-    scale_combinator,
-    zero_dim_strategy,
 )
 
 __version__ = "0.1.0"

@@ -41,10 +41,6 @@ class CoefficientRing:
         self.kind = kind
         self.p = p
 
-    @property
-    def is_field(self):
-        return self.kind != "ZZ"
-
     def normalize(self, value):
         """Coerce an int/Fraction into this ring's canonical coefficient form."""
         if self.kind == "ZZ":
@@ -298,9 +294,6 @@ class Polynomial:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return self.terms.get(_ONE_MONOMIAL, self.ring.zero())
-
-    def total_degree(self):
-        return max((m.degree() for m in self.terms), default=-1)
 
     def degree_in(self, var):
         i = self.vars.index(var)

@@ -18,9 +18,9 @@ from .oracle import enumerate_finite, minimal_alpha, minimal_alpha_ring
 from .parsing import parse_ring
 from .rings import nil_member, saturation_cap
 from .strategies import (
+    DiagonalRefuterPoly,
     DiagonalRefuterZ,
     delayer_from_spec,
-    diagonal_refuter_poly,
     prover_from_spec,
 )
 
@@ -226,7 +226,7 @@ def cmd_refute(args):
     for n_moves in range(args.max_moves + 1):
         for combo in itertools.product(range(len(moves_pool)), repeat=n_moves):
             moves = [moves_pool[i] for i in combo]
-            refuter = diagonal_refuter_poly(ring)
+            refuter = DiagonalRefuterPoly(ring)
             h = refuter.forced_constraint(moves)
             if nil_member(x, [h]) is not None:
                 print(f"FAILED on {args.ring} at moves={[m.to_text() for m in moves]}")

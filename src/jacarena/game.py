@@ -96,15 +96,17 @@ class Transcript:
         budget = _field(obj, "budget", int)
         raw_rounds = _field(obj, "rounds", list)
         winner = _field(obj, "winner", str)
-        ring = parse_ring(ring_text)
-        x = ring.element(x_text)
+        ring = _parsed(parse_ring, ring_text, "field 'ring'")
+        x = _parsed(ring.element, x_text, "field 'x'")
 
         rounds = []
         for i, r in enumerate(raw_rounds):
             where = f"round {i}"
             rounds.append(Round(
-                [ring.element(m) for m in _strings(r, "moves", where)],
-                [ring.element(b) for b in _strings(r, "replies", where)],
+                [_parsed(ring.element, m, f"{where} move {j}")
+                 for j, m in enumerate(_strings(r, "moves", where))],
+                [_parsed(ring.element, b, f"{where} reply {j}")
+                 for j, b in enumerate(_strings(r, "replies", where))],
                 _field(r, "nextBudget", int, where),
             ))
         cert = None
@@ -117,7 +119,7 @@ class Transcript:
             for r in rounds:
                 for a, b in zip(r.moves, r.replies):
                     gens.append((ring.one() - b * (ring.one() - a * x)).poly)
-            xprime = ring.element(xprime_text)
+            xprime = _parsed(ring.element, xprime_text, "field 'xPrime'")
             cofactors = [Polynomial.zero(ring.base, ring.vars) for _ in gens]
             for key, val in _field(raw, "cofactors", dict, "certificate").items():
                 if not (key.isascii() and key.isdigit() and int(key) < len(gens)):
@@ -127,7 +129,10 @@ class Transcript:
                     )
                 if not isinstance(val, str):
                     raise MalformedTranscript(f"certificate cofactor {key!r} is not a string")
-                cofactors[int(key)] = parse_polynomial(val, ring.base, ring.vars)
+                cofactors[int(key)] = _parsed(
+                    lambda t: parse_polynomial(t, ring.base, ring.vars),
+                    val, f"certificate cofactor {key!r}",
+                )
             cert = NilCertificate(xprime.poly, e, tuple(gens), tuple(cofactors))
         return cls(
             ring_text,
@@ -155,6 +160,14 @@ def _field(obj, key, kind, where="transcript"):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise MalformedTranscript(f"{where} field {key!r} is not {_TYPE_NAMES[kind]}")
     return value
+
+
+def _parsed(parse, text, where):
+    """parse(text), with an engine error reported as malformed at ``where``."""
+    try:
+        return parse(text)
+    except EngineError as exc:
+        raise MalformedTranscript(f"{where}: {exc}") from None
 
 
 def _strings(obj, key, where):
@@ -326,8 +339,9 @@ def verify_transcript(transcript, replay=False):
 
 
 def extract_nil_from_jac(strategy, base_constraints):
-    """Run a winning strategy against the radical-witness Delayer and rewrite
-    the final certificate over the initial constraint set.
+    """Run a winning strategy on the diagonal match (ring, x, x) against the
+    radical-witness Delayer and rewrite the final certificate over the
+    initial constraint set.
 
     Requires x in Jac of the base set along every Prover move; the witness
     Delayer raises NotInJacobsonRadical at the first move where 1 is not in
@@ -339,10 +353,9 @@ def extract_nil_from_jac(strategy, base_constraints):
 
     ring = strategy.ring
     x = strategy.x
-    xprime = strategy.xprime
     base_constraints = [ring.element(u) for u in base_constraints]
     delayer = JacWitnessDelayer(ring, x, base_constraints)
-    transcript = referee_play(ring, x, xprime, strategy.budget, strategy, delayer)
+    transcript = referee_play(ring, x, x, strategy.budget, strategy, delayer)
     if transcript.winner != "prover":
         raise EngineError("strategy failed to win against the witness delayer")
 

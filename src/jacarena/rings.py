@@ -47,7 +47,7 @@ class RingPresentation:
 
     __slots__ = ("base", "vars", "relations", "order", "_gb", "_parent")
 
-    def __init__(self, base, vars=(), relations=(), order_kind="DEGREVLEX"):
+    def __init__(self, base, vars=(), relations=()):
         self.base = base
         self.vars = tuple(vars)
         rels = []
@@ -58,7 +58,7 @@ class RingPresentation:
                 raise IncompatibleRings(f"relation {r} not over {base}")
             rels.append(r.remap(self.vars))
         self.relations = tuple(rels)
-        self.order = MonomialOrder(order_kind, self.vars)
+        self.order = MonomialOrder("DEGREVLEX", self.vars)
         self._gb = None
         self._parent = None
 
@@ -112,9 +112,7 @@ class RingPresentation:
         ``relations`` keep the raw list, which certificates index.
         """
         polys = tuple(_as_poly(x, self) for x in extra)
-        child = RingPresentation(
-            self.base, self.vars, self.relations + polys, self.order.kind
-        )
+        child = RingPresentation(self.base, self.vars, self.relations + polys)
         child._parent = self
         return child
 
@@ -210,6 +208,21 @@ class RingElement:
         return f"<{self.poly.to_text()} in {self.ring.to_text()}>"
 
 
+def coefficient_ring(ring, var=None):
+    """The coefficient ring A of ring = A[var], var the last variable by default.
+
+    Raises UnsupportedRing when ring has no variable or a relation involves var.
+    """
+    if not ring.vars:
+        raise UnsupportedRing(f"{ring.to_text()} has no polynomial variable")
+    var = var or ring.vars[-1]
+    for r in ring.relations:
+        if r.degree_in(var) > 0:
+            raise UnsupportedRing(f"relation {r.to_text()} involves the variable {var!r}")
+    avars = tuple(name for name in ring.vars if name != var)
+    return RingPresentation(ring.base, avars, [r.remap(avars) for r in ring.relations])
+
+
 def _as_poly(x, ring):
     if isinstance(x, RingElement):
         if x.ring != ring:
@@ -228,7 +241,7 @@ def member_in(ring, target, extra=()):
     """
     target = _as_poly(target, ring)
     gens = list(ring.relations) + [_as_poly(g, ring) for g in extra]
-    return ideal_member(target, gens, MonomialOrder(ring.order.kind, ring.vars))
+    return ideal_member(target, gens, ring.order)
 
 
 def _fresh_var(vars, stem="T"):
@@ -258,7 +271,7 @@ def nil_member(x, constraints=()):
 
     t = _fresh_var(ring.vars)
     bigvars = ring.vars + (t,)
-    order = MonomialOrder(ring.order.kind, bigvars)
+    order = MonomialOrder("DEGREVLEX", bigvars)
     tpoly = Polynomial.variable(base, t, bigvars)
     rab = Polynomial.constant(base, 1, bigvars) - tpoly * xp.remap(bigvars)
     gens = [g.remap(bigvars) for g in gens_ring] + [rab]
@@ -290,7 +303,7 @@ def nil_exponent_search(x, constraints=(), cap=12):
     gens = list(ring.relations) + [_as_poly(c, ring) for c in constraints]
     power = Polynomial.constant(ring.base, 1, ring.vars)
     for e in range(cap + 1):
-        cofs = ideal_member(power, gens, MonomialOrder(ring.order.kind, ring.vars))
+        cofs = ideal_member(power, gens, ring.order)
         if cofs is not None:
             return e, NilCertificate(x.poly, e, tuple(gens), tuple(cofs)).require_valid()
         power = power * x.poly
@@ -759,19 +772,12 @@ def unit_poly_decompose(u, v, var=None):
     u_m^(deg v + 1) in the relation ideal of the coefficient ring.
     """
     ring = u.ring
-    if not ring.vars:
-        raise UnsupportedRing("the presentation has no polynomial variable")
+    coeff_ring = coefficient_ring(ring, var)
     var = var or ring.vars[-1]
-    for r in ring.relations:
-        if r.degree_in(var) > 0:
-            raise UnsupportedRing(f"relation {r.to_text()} involves {var!r}")
     if not (u * v - 1).is_zero():
         raise NotAUnit(f"({u.to_text()})*({v.to_text()}) is not 1")
 
-    avars = tuple(name for name in ring.vars if name != var)
-    coeff_ring = RingPresentation(
-        ring.base, avars, [r.remap(avars) for r in ring.relations], ring.order.kind
-    )
+    avars = coeff_ring.vars
     u_split = u.poly.coefficients_in(var)
     v_split = v.poly.coefficients_in(var)
     u0 = coeff_ring.element(u_split.get(0, Polynomial.zero(ring.base, avars)))

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .rings import (
     MonogenicExtension,
-    RingPresentation,
+    coefficient_ring,
     integral_dependence,
     key_elementary_transfer,
     member_in,
@@ -34,10 +34,9 @@ from .rings import (
 class ProverStrategy:
     """Base move generator; subclasses override propose/receive."""
 
-    def __init__(self, ring, x, xprime, budget, name):
+    def __init__(self, ring, x, budget, name):
         self.ring = ring
         self.x = x
-        self.xprime = xprime
         self.budget = budget
         self.name = name
 
@@ -58,8 +57,8 @@ class ProverStrategy:
 class ImmediateWinStrategy(ProverStrategy):
     """Never moves; relies on the leaf check already holding."""
 
-    def __init__(self, ring, x, xprime):
-        super().__init__(ring, x, xprime, 0, "immediate")
+    def __init__(self, ring, x):
+        super().__init__(ring, x, 0, "immediate")
 
 
 class ZeroDimStrategy(ProverStrategy):
@@ -70,18 +69,14 @@ class ZeroDimStrategy(ProverStrategy):
     """
 
     def __init__(self, ring, x):
-        super().__init__(ring, x, x, 1, "zeroDim")
-        self.exponent, self.move = zero_dim_witness(x)
+        super().__init__(ring, ring.element(x), 1, "zeroDim")
+        self.exponent, self.move = zero_dim_witness(self.x)
 
     def propose(self, pos):
         return [self.move]
 
     def receive(self, pos, moves, replies):
-        return self._declare(pos, 0), ImmediateWinStrategy(self.ring, self.x, self.xprime)
-
-
-def zero_dim_strategy(ring, x):
-    return ZeroDimStrategy(ring, ring.element(x))
+        return self._declare(pos, 0), ImmediateWinStrategy(self.ring, self.x)
 
 
 class EuclideanDim1Strategy(ProverStrategy):
@@ -89,7 +84,7 @@ class EuclideanDim1Strategy(ProverStrategy):
     finish with a zero-dimensional witness in the finite quotient."""
 
     def __init__(self, ring, x):
-        super().__init__(ring, x, x, 2, "euclideanDim1")
+        super().__init__(ring, ring.element(x), 2, "euclideanDim1")
         base = ring.base
         if ring.relations or (base.kind == "ZZ" and ring.vars) or (
             base.kind != "ZZ" and len(ring.vars) > 1
@@ -97,14 +92,14 @@ class EuclideanDim1Strategy(ProverStrategy):
             raise UnsupportedRing(
                 f"euclideanDim1 covers ZZ and K[X] presentations, not {ring.to_text()}"
             )
-        if x.is_zero():
+        if self.x.is_zero():
             self.move = None
             return
-        poly = x.poly
+        poly = self.x.poly
         if base.kind == "ZZ":
             n = poly.constant_value()
             if n in (1, -1):
-                self.move = x
+                self.move = self.x
             else:
                 self.move = ring.element(-1 if n > 0 else 1)
         else:
@@ -118,25 +113,20 @@ class EuclideanDim1Strategy(ProverStrategy):
 
     def receive(self, pos, moves, replies):
         if self.move is None or pos.tau <= 1:
-            return self._declare(pos, 0), ImmediateWinStrategy(self.ring, self.x, self.xprime)
+            return self._declare(pos, 0), ImmediateWinStrategy(self.ring, self.x)
         b = replies[0]
         m = self.ring.one() - b * (self.ring.one() - self.move * self.x)
         quotient = self.ring.quotient_extend([m])
-        inner = ZeroDimStrategy(quotient, quotient.element(self.x.poly))
-        cont = _Bridge(self.ring, self.x, self.xprime, 1, inner, self.name)
-        return self._declare(pos, 1), cont
-
-
-def euclidean_dim1_strategy(ring, x):
-    return EuclideanDim1Strategy(ring, ring.element(x))
+        inner = ZeroDimStrategy(quotient, self.x.poly)
+        return self._declare(pos, 1), _Bridge(self.ring, self.x, 1, inner, self.name)
 
 
 class _Bridge(ProverStrategy):
     """Play a strategy that lives over another presentation of the same
     ambient polynomials; moves and replies cross by representative."""
 
-    def __init__(self, ring, x, xprime, budget, sub, name):
-        super().__init__(ring, x, xprime, budget, name)
+    def __init__(self, ring, x, budget, sub, name):
+        super().__init__(ring, x, budget, name)
         self.sub = sub
 
     def propose(self, pos):
@@ -148,7 +138,7 @@ class _Bridge(ProverStrategy):
         declared, cont = self.sub.receive(pos, sub_moves, sub_replies)
         return (
             self._declare(pos, declared),
-            _Bridge(self.ring, self.x, self.xprime, declared, cont, self.name),
+            _Bridge(self.ring, self.x, declared, cont, self.name),
         )
 
 
@@ -156,12 +146,7 @@ def quotient_push(strategy, extra):
     """Transport a strategy along a quotient: same moves, larger relation ideal."""
     ring = strategy.ring.quotient_extend(extra)
     return _Bridge(
-        ring,
-        ring.element(strategy.x.poly),
-        ring.element(strategy.xprime.poly),
-        strategy.budget,
-        strategy,
-        strategy.name,
+        ring, ring.element(strategy.x.poly), strategy.budget, strategy, strategy.name
     )
 
 
@@ -172,18 +157,11 @@ class CutStrategy(ProverStrategy):
     splits the replies back; the declared budget is the max of the two.
     """
 
-    def __init__(self, s1, s2, x_cut, name=None):
+    def __init__(self, s1, s2, name=None):
         budget = max(s1.budget, s2.budget)
-        super().__init__(
-            s1.ring,
-            s1.x,
-            s1.ring.element(s2.xprime.poly),
-            budget,
-            name or f"cut({s1.name}|{s2.name})",
-        )
+        super().__init__(s1.ring, s1.x, budget, name or f"cut({s1.name}|{s2.name})")
         self.s1 = s1
         self.s2 = s2
-        self.x_cut = x_cut
 
     def propose(self, pos):
         lifted = [self.ring.element(m.poly) for m in self.s2.propose(pos)]
@@ -191,7 +169,7 @@ class CutStrategy(ProverStrategy):
 
     def receive(self, pos, moves, replies):
         if pos.tau <= 1:
-            return 0, ImmediateWinStrategy(self.ring, self.x, self.xprime)
+            return 0, ImmediateWinStrategy(self.ring, self.x)
         n1 = len(self.s1.propose(pos))
         b1, c1 = self.s1.receive(pos, moves[:n1], replies[:n1])
         down_m = [self.s2.ring.element(m.poly) for m in moves[n1:]]
@@ -202,28 +180,17 @@ class CutStrategy(ProverStrategy):
             raise BudgetOverflow(
                 f"cut continuation needs budget {declared} at position {pos.tau}"
             )
-        return declared, CutStrategy(c1, c2, self.x_cut, self.name)
-
-
-def cut_combinator(s1, s2, x_cut):
-    return CutStrategy(s1, s2, x_cut)
+        return declared, CutStrategy(c1, c2, self.name)
 
 
 class ScaleStrategy(ProverStrategy):
     """Turn a strategy for (A, x*y, x') into one for (A, x, x'*z) by
     multiplying every declared move by y."""
 
-    def __init__(self, sub, y, z, x=None):
-        super().__init__(
-            sub.ring,
-            x if x is not None else sub.x,
-            sub.xprime * z,
-            sub.budget,
-            sub.name,
-        )
+    def __init__(self, sub, y, x=None):
+        super().__init__(sub.ring, sub.x if x is None else x, sub.budget, sub.name)
         self.sub = sub
         self.y_factor = y
-        self.z_factor = z
 
     def propose(self, pos):
         return [m * self.y_factor for m in self.sub.propose(pos)]
@@ -231,11 +198,7 @@ class ScaleStrategy(ProverStrategy):
     def receive(self, pos, moves, replies):
         inner_moves = self.sub.propose(pos)
         declared, cont = self.sub.receive(pos, inner_moves, replies)
-        return declared, ScaleStrategy(cont, self.y_factor, self.z_factor, self.x)
-
-
-def scale_combinator(sub, y, z, x=None):
-    return ScaleStrategy(sub, y, z, x)
+        return declared, ScaleStrategy(cont, self.y_factor, self.x)
 
 
 class IntegralTransportStrategy(ProverStrategy):
@@ -248,8 +211,7 @@ class IntegralTransportStrategy(ProverStrategy):
     """
 
     def __init__(self, ring, sub, a, a0, ext):
-        x = ring.element(a0.poly)
-        super().__init__(ring, x, ring.element((a * a0).poly), sub.budget, sub.name)
+        super().__init__(ring, ring.element(a0.poly), sub.budget, sub.name)
         self.sub = sub
         self.a = a
         self.a0 = a0
@@ -262,7 +224,7 @@ class IntegralTransportStrategy(ProverStrategy):
 
     def receive(self, pos, moves, replies):
         if pos.tau <= 1:
-            return 0, ImmediateWinStrategy(self.ring, self.x, self.xprime)
+            return 0, ImmediateWinStrategy(self.ring, self.x)
         inner_moves = self.sub.propose(pos)
         inner_replies = [
             key_elementary_transfer(self.a, self.a0, a1, b2, self.ext)
@@ -293,17 +255,16 @@ def loc_integral_strategy(ring, y, rel, sub_factory, ext):
 
     def build(k, ring_k):
         y_k = ring_k.element(y.poly)
-        ay_k = ring_k.element((a.poly * y.poly))
         if k == 0:
-            return ImmediateWinStrategy(ring_k, y_k, ay_k)
+            return ImmediateWinStrategy(ring_k, y_k)
         a0 = cs[d - k]
         ext_k = MonogenicExtension(base, ring_k, ext.var, ext.relation)
         sub = sub_factory(d - k)
         transported = IntegralTransportStrategy(ring_k, sub, a, a0, ext_k)
         f_prev = ring_k.element(f_raw(k - 1))
-        rescaled = ScaleStrategy(transported, f_prev, ring_k.one(), x=y_k)
+        rescaled = ScaleStrategy(transported, f_prev, x=y_k)
         lower = build(k - 1, ring_k.quotient_extend([f_prev]))
-        return CutStrategy(rescaled, lower, f_prev, name=transported.name)
+        return CutStrategy(rescaled, lower, transported.name)
 
     return build(d, ring)
 
@@ -315,25 +276,17 @@ class PolyLiftStrategy(ProverStrategy):
     Round one declares the single move X; the reply g pins the constraint
     h = 1 - g(1 - X f), and the continuation walks the chain
     C_k = A[X]/<h, a_{k+1}, ..., a_d> over the X-coefficients a_j of h,
-    cutting on each a_k with an integral-transport strategy for (C_k, f, a_k f).
+    cutting on each nonzero a_k with an integral-transport strategy for
+    (C_k, f, a_k f); a level whose a_k already vanishes adds nothing.
     """
 
-    def __init__(self, factory, f):
-        ring = f.ring
-        if not ring.vars:
-            raise UnsupportedRing("polynomial lift needs an adjoined variable")
-        self.var = ring.vars[-1]
-        for r in ring.relations:
-            if r.degree_in(self.var) > 0:
-                raise UnsupportedRing(
-                    f"relation {r.to_text()} involves the lift variable {self.var!r}"
-                )
-        super().__init__(ring, f, f, factory.budget + 1, f"polyLift({factory.name})")
-        self.factory = factory
-        avars = ring.vars[:-1]
-        self.coeff_ring = RingPresentation(
-            ring.base, avars, [r.remap(avars) for r in ring.relations], ring.order.kind
+    def __init__(self, ring, f, factory):
+        self.coeff_ring = coefficient_ring(ring)
+        super().__init__(
+            ring, ring.element(f), factory.budget + 1, f"polyLift({factory.name})"
         )
+        self.var = ring.vars[-1]
+        self.factory = factory
 
     def propose(self, pos):
         if self.x.is_zero():
@@ -342,19 +295,16 @@ class PolyLiftStrategy(ProverStrategy):
 
     def receive(self, pos, moves, replies):
         if self.x.is_zero() or pos.tau <= 1:
-            return self._declare(pos, 0), ImmediateWinStrategy(self.ring, self.x, self.xprime)
+            return self._declare(pos, 0), ImmediateWinStrategy(self.ring, self.x)
         g = replies[0]
         h = self.ring.one() - g * (self.ring.one() - moves[0] * self.x)
         declared = self._declare(pos, self.factory.budget)
-        cont = _Bridge(
-            self.ring, self.x, self.xprime, declared, self._chain_for(h), self.name
-        )
-        return declared, cont
+        return declared, _Bridge(self.ring, self.x, declared, self._chain_for(h), self.name)
 
     def _chain_for(self, h):
         ring, f = self.ring, self.x
         if h.is_zero():
-            return ImmediateWinStrategy(ring, f, f)
+            return ImmediateWinStrategy(ring, f)
         split = h.poly.coefficients_in(self.var)
         degree = max(split)
         coeffs = {
@@ -365,82 +315,74 @@ class PolyLiftStrategy(ProverStrategy):
         def chain(k, ring_k, base_k):
             f_k = ring_k.element(f.poly)
             if k == -1:
-                return ImmediateWinStrategy(ring_k, f_k, f_k)
+                return ImmediateWinStrategy(ring_k, f_k)
             a_k = base_k.element(coeffs[k])
-            lower_ring = ring_k.quotient_extend([ring_k.element(coeffs[k].remap(ring_k.vars))])
-            lower_base = base_k.quotient_extend([a_k])
-            deeper = chain(k - 1, lower_ring, lower_base)
             if a_k.is_zero():
-                side = ImmediateWinStrategy(ring_k, f_k, ring_k.zero())
-            else:
-                rel_poly = Polynomial.zero(ring.base, ring.vars)
-                xvar = Polynomial.variable(ring.base, self.var, ring.vars)
-                for j in range(k + 1):
-                    rel_poly = rel_poly + base_k.element(coeffs[j]).poly.remap(ring.vars) * xvar ** j
-                ext_k = MonogenicExtension(base_k, ring_k, self.var, rel_poly)
-                dep = integral_dependence(f_k, ext_k)
+                return chain(k - 1, ring_k, base_k)
+            lower_ring = ring_k.quotient_extend([ring_k.element(coeffs[k].remap(ring_k.vars))])
+            deeper = chain(k - 1, lower_ring, base_k.quotient_extend([a_k]))
+            rel_poly = Polynomial.zero(ring.base, ring.vars)
+            xvar = Polynomial.variable(ring.base, self.var, ring.vars)
+            for j in range(k + 1):
+                rel_poly = rel_poly + base_k.element(coeffs[j]).poly.remap(ring.vars) * xvar ** j
+            ext_k = MonogenicExtension(base_k, ring_k, self.var, rel_poly)
+            dep = integral_dependence(f_k, ext_k)
+            extra = [
+                self.coeff_ring.element(r.remap(self.coeff_ring.vars))
+                for r in base_k.relations[len(self.coeff_ring.relations):]
+            ]
 
-                def sub_factory(idx, _base=base_k, _dep=dep):
-                    target = _dep.a * _dep.coeffs[idx]
-                    pure = self.factory(self.coeff_ring.element(target.poly))
-                    return quotient_push(pure, [self.coeff_ring.element(r.remap(self.coeff_ring.vars)) for r in _base.relations[len(self.coeff_ring.relations):]])
+            def sub_factory(idx):
+                target = dep.a * dep.coeffs[idx]
+                return quotient_push(self.factory(self.coeff_ring.element(target.poly)), extra)
 
-                side = loc_integral_strategy(ring_k, f_k, dep, sub_factory, ext_k)
-            return CutStrategy(side, deeper, a_k, name=self.name)
+            side = loc_integral_strategy(ring_k, f_k, dep, sub_factory, ext_k)
+            return CutStrategy(side, deeper, self.name)
 
         top_ring = ring.quotient_extend([h])
         return chain(degree, top_ring, self.coeff_ring)
 
 
-def poly_lift_strategy(factory, f):
-    return PolyLiftStrategy(factory, f)
+# (strategy class, budget) of each leaf spec
+_LEAVES = {"zeroDim": (ZeroDimStrategy, 1), "euclideanDim1": (EuclideanDim1Strategy, 2)}
 
 
-class _LeafFactory:
-    def __init__(self, ring, kind):
+class _Factory:
+    """Builds the strategy of one spec over one ring for any x: a leaf, or
+    the polynomial lift of the factory ``inner`` for the coefficient ring."""
+
+    def __init__(self, ring, leaf=None, inner=None):
         self.ring = ring
-        self.kind = kind
-        self.budget = 1 if kind == "zeroDim" else 2
-        self.name = kind
-
-    def __call__(self, x):
-        x = self.ring.element(x)
-        if self.kind == "zeroDim":
-            return ZeroDimStrategy(self.ring, x)
-        return EuclideanDim1Strategy(self.ring, x)
-
-
-class _LiftFactory:
-    def __init__(self, inner, ring):
         self.inner = inner
-        self.ring = ring
-        self.budget = inner.budget + 1
-        self.name = f"polyLift({inner.name})"
+        if inner is None:
+            self.leaf, self.budget = _LEAVES[leaf]
+            self.name = leaf
+        else:
+            self.budget = inner.budget + 1
+            self.name = f"polyLift({inner.name})"
 
     def __call__(self, x):
-        return PolyLiftStrategy(self.inner, self.ring.element(x))
+        if self.inner is None:
+            return self.leaf(self.ring, x)
+        return PolyLiftStrategy(self.ring, x, self.inner)
 
 
 def ring_strategy_factory(ring):
     """Strategy factory for towers base[X_1,...,X_n] with no relations.
 
     Budget is 1 for a field base, 2 for a ZZ or K[X] base, plus one per
-    additional polynomial variable.
+    additional polynomial variable: the spec polyLift(...(leaf)...).
     """
     if ring.relations:
         raise UnsupportedRing(f"{ring.to_text()} is not a pure polynomial tower")
-    base = ring.base
     n = len(ring.vars)
-    if base.kind == "ZZ":
-        if n == 0:
-            return _LeafFactory(ring, "euclideanDim1")
+    if ring.base.kind == "ZZ":
+        leaf, lifts = "euclideanDim1", n
+    elif n == 0:
+        leaf, lifts = "zeroDim", 0
     else:
-        if n == 0:
-            return _LeafFactory(ring, "zeroDim")
-        if n == 1:
-            return _LeafFactory(ring, "euclideanDim1")
-    inner_ring = RingPresentation(base, ring.vars[:-1], (), ring.order.kind)
-    return _LiftFactory(ring_strategy_factory(inner_ring), ring)
+        leaf, lifts = "euclideanDim1", n - 1
+    return _factory_from_spec("polyLift(" * lifts + leaf + ")" * lifts, ring)
 
 
 class FixedMovesProver(ProverStrategy):
@@ -449,8 +391,7 @@ class FixedMovesProver(ProverStrategy):
     def __init__(self, ring, x, rounds, index=0, budget=None):
         rounds = [list(r) for r in rounds]
         super().__init__(
-            ring, ring.element(x), ring.element(x),
-            len(rounds) if budget is None else budget, "scripted",
+            ring, ring.element(x), len(rounds) if budget is None else budget, "scripted"
         )
         self.rounds = rounds
         self.index = index
@@ -574,14 +515,6 @@ class JacWitnessDelayer(DelayerStrategy):
         return out
 
 
-def delayer_random(ring, seed, deg_le=0, abs_le=1):
-    return RandomDelayer(ring, seed, deg_le, abs_le)
-
-
-def delayer_jac_witness(ring, x, base_constraints):
-    return JacWitnessDelayer(ring, x, base_constraints)
-
-
 class DiagonalRefuterZ(DelayerStrategy):
     """Lower-bound adversary on (ZZ, N, N) at budget one.
 
@@ -633,10 +566,6 @@ class DiagonalRefuterZ(DelayerStrategy):
         return c0 > 1
 
 
-def diagonal_refuter_Z(ring, n_value):
-    return DiagonalRefuterZ(ring, n_value)
-
-
 class DiagonalRefuterPoly(DelayerStrategy):
     """Lower-bound adversary on (A[X], X, X) at budget one.
 
@@ -678,10 +607,6 @@ class DiagonalRefuterPoly(DelayerStrategy):
         return self.ring.one() - h
 
 
-def diagonal_refuter_poly(ring):
-    return DiagonalRefuterPoly(ring)
-
-
 _RANDOM_SPEC = re.compile(
     r"random\(seed=(-?\d+),degLE=(\d+),absLE=(\d+)\)$|random:(-?\d+)(?::(\d+))?(?::(\d+))?$"
 )
@@ -718,19 +643,11 @@ def _factory_from_spec(spec, ring):
     spec = spec.strip()
     if spec == "auto":
         return ring_strategy_factory(ring)
-    if spec == "zeroDim":
-        return _LeafFactory(ring, "zeroDim")
-    if spec == "euclideanDim1":
-        return _LeafFactory(ring, "euclideanDim1")
+    if spec in _LEAVES:
+        return _Factory(ring, leaf=spec)
     if spec.startswith("polyLift(") and spec.endswith(")"):
-        if not ring.vars:
-            raise UnsupportedRing("polyLift needs at least one variable")
-        inner_ring = RingPresentation(
-            ring.base, ring.vars[:-1], [r.remap(ring.vars[:-1]) for r in ring.relations],
-            ring.order.kind,
-        )
-        inner = _factory_from_spec(spec[len("polyLift(") : -1], inner_ring)
-        return _LiftFactory(inner, ring)
+        inner = _factory_from_spec(spec[len("polyLift(") : -1], coefficient_ring(ring))
+        return _Factory(ring, inner=inner)
     raise UnsupportedRing(f"unknown prover spec {spec!r}")
 
 

@@ -17,14 +17,13 @@ from jacarena.oracle import enumerate_finite, minimal_alpha_ring, oracle_nil_agr
 from jacarena.parsing import parse_ring
 from jacarena.rings import MonogenicExtension, integral_dependence, invert_in_integral_quotient, loc_key_clear, member_in, nil_member
 from jacarena.strategies import (
+    DiagonalRefuterPoly,
     DiagonalRefuterZ,
+    EuclideanDim1Strategy,
     FixedMovesProver,
     JacWitnessDelayer,
-    delayer_random,
-    diagonal_refuter_poly,
-    diagonal_refuter_Z,
-    euclidean_dim1_strategy,
-    poly_lift_strategy,
+    PolyLiftStrategy,
+    RandomDelayer,
     prover_from_spec,
     ring_strategy_factory,
 )
@@ -43,10 +42,10 @@ def test_criterion_01_integers_are_two_jacobson():
     total = 0
     for value in (-7, -2, 0, 1, 2, 6, 30, 210):
         x = Z.element(value)
-        delayers = [delayer_random(Z, seed, 0, 10 ** 6) for seed in (1, 2, 3)]
+        delayers = [RandomDelayer(Z, seed, 0, 10 ** 6) for seed in (1, 2, 3)]
         delayers.append(JacWitnessDelayer(Z, x, [x * x]))
         for delayer in delayers:
-            t = _won(Z, x, 2, euclidean_dim1_strategy(Z, x), delayer)
+            t = _won(Z, x, 2, EuclideanDim1Strategy(Z, x), delayer)
             total += 1
             wins += t.winner == "prover"
     elapsed = time.time() - start
@@ -73,7 +72,7 @@ def test_criterion_02_integers_not_one_jacobson():
                 assert DiagonalRefuterZ.check_not_nil(c, n_value), (n_value, moves)
                 if checked % 379 == 0:
                     prover = FixedMovesProver(Z, x, [[Z.element(a) for a in moves]], budget=1)
-                    t = _won(Z, x, 1, prover, diagonal_refuter_Z(Z, n_value))
+                    t = _won(Z, x, 1, prover, DiagonalRefuterZ(Z, n_value))
                     assert t.winner == "delayer"
                     refereed += 1
                 checked += 1
@@ -92,8 +91,8 @@ def test_criterion_03_univariate_over_fields():
         for x_text in ("X", "X+1", "X^2-1", "3*X^3+X"):
             x = ring.element(x_text)
             for seed in (1, 2, 3):
-                t = _won(ring, x, 2, euclidean_dim1_strategy(ring, x),
-                         delayer_random(ring, seed, 3, 5))
+                t = _won(ring, x, 2, EuclideanDim1Strategy(ring, x),
+                         RandomDelayer(ring, seed, 3, 5))
                 total += 1
                 wins += t.winner == "prover"
     elapsed = time.time() - start
@@ -110,7 +109,7 @@ def test_criterion_04_nullstellensatz_over_fields():
     for f_text in ("X", "X+2"):
         f = F5x.element(f_text)
         for seed in (1, 2):
-            t = _won(F5x, f, 2, poly_lift_strategy(fac5, f), delayer_random(F5x, seed, 1, 4))
+            t = _won(F5x, f, 2, PolyLiftStrategy(F5x, f, fac5), RandomDelayer(F5x, seed, 1, 4))
             total += 1
             wins += t.winner == "prover"
     Qxy = parse_ring("QQ[X,Y]")
@@ -118,7 +117,7 @@ def test_criterion_04_nullstellensatz_over_fields():
     for f_text in ("X", "X*Y"):
         f = Qxy.element(f_text)
         for seed in (1, 2):
-            t = _won(Qxy, f, 3, poly_lift_strategy(facQx, f), delayer_random(Qxy, seed, 1, 2))
+            t = _won(Qxy, f, 3, PolyLiftStrategy(Qxy, f, facQx), RandomDelayer(Qxy, seed, 1, 2))
             total += 1
             wins += t.winner == "prover"
     elapsed = time.time() - start
@@ -135,7 +134,7 @@ def test_criterion_05_nullstellensatz_over_integers():
     for f_text in ("X", "X+2", "2*X-1"):
         f = Zx.element(f_text)
         for seed in (1, 2):
-            t = _won(Zx, f, 3, poly_lift_strategy(facZ, f), delayer_random(Zx, seed, 1, 3))
+            t = _won(Zx, f, 3, PolyLiftStrategy(Zx, f, facZ), RandomDelayer(Zx, seed, 1, 3))
             total += 1
             wins += t.winner == "prover"
     elapsed = time.time() - start
@@ -151,7 +150,7 @@ def test_criterion_06_polynomial_rings_not_one_jacobson():
     for ring_text, bound in (("ZZ[X]", 2), ("GF(5)[X]", 4)):
         ring = parse_ring(ring_text)
         x = ring.element("X")
-        refuter = diagonal_refuter_poly(ring)
+        refuter = DiagonalRefuterPoly(ring)
         pool = {}
         for c0 in range(-bound, bound + 1):
             for c1 in range(-bound, bound + 1):
@@ -166,7 +165,7 @@ def test_criterion_06_polynomial_rings_not_one_jacobson():
             assert nil_member(x, [h]) is None, (ring_text, [m.to_text() for m in moves])
             if idx % 97 == 0:
                 prover = FixedMovesProver(ring, x, [list(moves)], budget=1)
-                t = _won(ring, x, 1, prover, diagonal_refuter_poly(ring))
+                t = _won(ring, x, 1, prover, DiagonalRefuterPoly(ring))
                 assert t.winner == "delayer"
                 refereed += 1
             refuted += 1
@@ -240,12 +239,12 @@ def test_criterion_10_certificate_extraction():
     x = R.element("X")
     for k in (1, 2, 3):
         cert = extract_nil_from_jac(
-            euclidean_dim1_strategy(R, x), [R.element(f"X^{k}")]
+            EuclideanDim1Strategy(R, x), [R.element(f"X^{k}")]
         )
         assert cert.exponent >= k
         assert cert.verify()
     with pytest.raises(NotInJacobsonRadical):
-        extract_nil_from_jac(euclidean_dim1_strategy(R, x), [R.element("X-1")])
+        extract_nil_from_jac(EuclideanDim1Strategy(R, x), [R.element("X-1")])
     print("\nACCEPTANCE 10: PASS - extraction certificates for X^k and the "
           "out-of-radical rejection")
 

@@ -76,6 +76,18 @@ def test_play_engine_error(capsys):
     assert "engine error" in err
 
 
+def test_play_poly_lift_rejects_relation_in_lift_variable(capsys):
+    code, out, err = run(
+        ["play", "--ring", "QQ[X]/(X^2)", "--x", "X", "--budget", "2",
+         "--prover", "polyLift(zeroDim)"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("engine error: ")
+    assert "relation X^2 involves the variable 'X'" in err
+
+
 def test_verify_round_trip_and_tamper(tmp_path, capsys):
     out = tmp_path / "t.json"
     code, _, _ = run(
@@ -100,6 +112,10 @@ def _rename_cofactor(obj, new_key):
     cofactors[new_key] = cofactors.pop("1")
 
 
+def _set_round_text(obj, field, text):
+    obj["rounds"][0][field][0] = text
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -108,8 +124,17 @@ def _rename_cofactor(obj, new_key):
         (lambda obj: obj.pop("winner"), "no 'winner' field"),
         (lambda obj: obj.update(rounds={"0": obj["rounds"][0]}), "'rounds' is not a list"),
         (lambda obj: obj["certificate"].update(e=-1), "exponent -1 is negative"),
+        (lambda obj: obj.update(ring="GF(4)"), "field 'ring': GF modulus must be a prime"),
+        (lambda obj: obj.update(x="Y"), "field 'x': unknown variable 'Y'"),
+        (lambda obj: obj.update(xPrime="X +"), "field 'xPrime': unexpected 'end'"),
+        (lambda obj: _set_round_text(obj, "moves", "Y"), "round 0 move 0: unknown variable"),
+        (lambda obj: _set_round_text(obj, "replies", "1/0"), "round 0 reply 0: divisor"),
+        (lambda obj: obj["certificate"]["cofactors"].update({"1": "Y"}),
+         "certificate cofactor '1': unknown variable 'Y'"),
     ],
-    ids=["key-out-of-range", "key-negative", "missing-winner", "rounds-not-list", "negative-e"],
+    ids=["key-out-of-range", "key-negative", "missing-winner", "rounds-not-list", "negative-e",
+         "ring-not-a-field", "x-unknown-variable", "xprime-unparseable", "move-unknown-variable",
+         "reply-zero-divisor", "cofactor-unknown-variable"],
 )
 def test_verify_rejects_malformed_transcript(tmp_path, capsys, mutate, message):
     out = tmp_path / "t.json"

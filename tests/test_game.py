@@ -10,18 +10,17 @@ from jacarena.parsing import parse_ring
 from jacarena.strategies import (
     ConstantDelayer,
     FixedMovesProver,
+    DiagonalRefuterZ,
+    EuclideanDim1Strategy,
     ImmediateWinStrategy,
     RandomDelayer,
-    delayer_random,
-    diagonal_refuter_Z,
-    euclidean_dim1_strategy,
 )
 
 
 def test_budget_zero_with_nilpotent_target():
     R = parse_ring("QQ[x]")
     t = referee_play(R, R.element(0), R.element(0), 0,
-                     ImmediateWinStrategy(R, R.element(0), R.element(0)),
+                     ImmediateWinStrategy(R, R.element(0)),
                      ConstantDelayer(R, 0))
     assert t.winner == "prover"
     assert t.rounds == []
@@ -31,7 +30,7 @@ def test_budget_zero_with_nilpotent_target():
 def test_euclidean_wins_budget_two_over_integers():
     Z = parse_ring("ZZ")
     x = Z.element(6)
-    t = referee_play(Z, x, x, 2, euclidean_dim1_strategy(Z, x), delayer_random(Z, 7, 0, 10))
+    t = referee_play(Z, x, x, 2, EuclideanDim1Strategy(Z, x), RandomDelayer(Z, 7, 0, 10))
     assert t.winner == "prover"
     assert t.certificate is not None and t.certificate.verify()
     assert verify_transcript(t)
@@ -40,7 +39,7 @@ def test_euclidean_wins_budget_two_over_integers():
 def test_refuter_defeats_budget_one():
     Z = parse_ring("ZZ")
     x = Z.element(2)
-    t = referee_play(Z, x, x, 1, euclidean_dim1_strategy(Z, x), diagonal_refuter_Z(Z, 2))
+    t = referee_play(Z, x, x, 1, EuclideanDim1Strategy(Z, x), DiagonalRefuterZ(Z, 2))
     assert t.winner == "delayer"
     assert t.certificate is None
     assert verify_transcript(t)
@@ -50,8 +49,8 @@ def test_budget_soundness_round_count():
     Z = parse_ring("ZZ")
     for budget in (1, 2, 3, 5):
         t = referee_play(Z, Z.element(6), Z.element(6), budget,
-                         euclidean_dim1_strategy(Z, Z.element(6)),
-                         delayer_random(Z, 3, 0, 5))
+                         EuclideanDim1Strategy(Z, Z.element(6)),
+                         RandomDelayer(Z, 3, 0, 5))
         assert len(t.rounds) <= budget
         assert t.rounds[-1].declared == 0
 
@@ -67,7 +66,7 @@ def test_illegal_move_reply_mismatch():
 
     with pytest.raises(IllegalMove) as info:
         referee_play(Z, Z.element(6), Z.element(6), 2,
-                     euclidean_dim1_strategy(Z, Z.element(6)), BadDelayer())
+                     EuclideanDim1Strategy(Z, Z.element(6)), BadDelayer())
     assert info.value.agent == "delayer"
 
 
@@ -92,8 +91,8 @@ def test_illegal_move_budget_not_decreasing():
 def test_transcript_json_round_trip_and_field_order():
     Z = parse_ring("ZZ")
     t = referee_play(Z, Z.element(6), Z.element(6), 2,
-                     euclidean_dim1_strategy(Z, Z.element(6)),
-                     delayer_random(Z, 7, 0, 10))
+                     EuclideanDim1Strategy(Z, Z.element(6)),
+                     RandomDelayer(Z, 7, 0, 10))
     obj = t.to_json_obj()
     assert list(obj.keys()) == [
         "ring", "x", "xPrime", "budget", "rounds", "winner", "certificate",
@@ -108,8 +107,8 @@ def test_transcript_json_round_trip_and_field_order():
 def test_verify_rejects_non_decreasing_budget():
     Z = parse_ring("ZZ")
     t = referee_play(Z, Z.element(6), Z.element(6), 2,
-                     euclidean_dim1_strategy(Z, Z.element(6)),
-                     delayer_random(Z, 7, 0, 10))
+                     EuclideanDim1Strategy(Z, Z.element(6)),
+                     RandomDelayer(Z, 7, 0, 10))
     obj = t.to_json_obj()
     obj["rounds"][0]["nextBudget"] = 2
     bad = Transcript.from_json(json.dumps(obj))
@@ -121,7 +120,7 @@ def test_verify_rejects_non_decreasing_budget():
 def test_verify_rejects_tampered_certificate():
     Z = parse_ring("ZZ")
     t = referee_play(Z, Z.element(6), Z.element(6), 2,
-                     euclidean_dim1_strategy(Z, Z.element(6)),
+                     EuclideanDim1Strategy(Z, Z.element(6)),
                      ConstantDelayer(Z, 1))
     assert t.winner == "prover"
     obj = t.to_json_obj()
@@ -134,8 +133,8 @@ def test_verify_rejects_tampered_certificate():
 def test_verify_rejects_flipped_winner():
     Z = parse_ring("ZZ")
     t = referee_play(Z, Z.element(2), Z.element(2), 1,
-                     euclidean_dim1_strategy(Z, Z.element(2)),
-                     diagonal_refuter_Z(Z, 2))
+                     EuclideanDim1Strategy(Z, Z.element(2)),
+                     DiagonalRefuterZ(Z, 2))
     obj = t.to_json_obj()
     obj["winner"] = "prover"
     bad = Transcript.from_json(json.dumps(obj))
@@ -152,7 +151,7 @@ def test_verify_rejects_flipped_winner():
 def test_verify_rejects_other_claims_on_prover_win(winner, problem):
     Z = parse_ring("ZZ")
     t = referee_play(Z, Z.element(6), Z.element(6), 2,
-                     euclidean_dim1_strategy(Z, Z.element(6)),
+                     EuclideanDim1Strategy(Z, Z.element(6)),
                      ConstantDelayer(Z, 1))
     assert t.winner == "prover"
     obj = t.to_json_obj()
@@ -165,7 +164,7 @@ def test_verify_rejects_other_claims_on_prover_win(winner, problem):
 def test_extract_certificate_direct_member():
     R = parse_ring("QQ[X]")
     cert = extract_nil_from_jac(
-        euclidean_dim1_strategy(R, R.element("X")), [R.element("X")]
+        EuclideanDim1Strategy(R, R.element("X")), [R.element("X")]
     )
     assert cert.exponent == 1
     assert [g.to_text() for g in cert.generators] == ["X"]
@@ -175,7 +174,7 @@ def test_extract_certificate_direct_member():
 def test_extract_certificate_square():
     R = parse_ring("QQ[X]")
     cert = extract_nil_from_jac(
-        euclidean_dim1_strategy(R, R.element("X")), [R.element("X^2")]
+        EuclideanDim1Strategy(R, R.element("X")), [R.element("X^2")]
     )
     assert cert.exponent == 2
     assert cert.verify()
@@ -186,7 +185,7 @@ def test_extract_raises_outside_radical():
     R = parse_ring("QQ[X]")
     with pytest.raises(NotInJacobsonRadical) as info:
         extract_nil_from_jac(
-            euclidean_dim1_strategy(R, R.element("X")), [R.element("X-1")]
+            EuclideanDim1Strategy(R, R.element("X")), [R.element("X-1")]
         )
     assert info.value.move == R.element(1)
 

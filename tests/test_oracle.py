@@ -15,7 +15,7 @@ from jacarena.oracle import (
 )
 from jacarena.parsing import parse_ring
 from jacarena.rings import member_in
-from jacarena.strategies import ring_strategy_factory, zero_dim_strategy
+from jacarena.strategies import ZeroDimStrategy, ring_strategy_factory
 
 
 def test_enumerate_finite_counts():
@@ -123,4 +123,4 @@ def test_strategy_budget_never_below_oracle():
         table = enumerate_finite(ring)
         for x in table.elements:
             alpha = minimal_alpha(table, x, x)
-            assert zero_dim_strategy(ring, x).budget >= alpha
+            assert ZeroDimStrategy(ring, x).budget >= alpha

@@ -97,7 +97,7 @@ def test_quotient_extend_seeded_basis_matches_raw_relations(
             monkeypatch.setattr(rings, "groebner", real_groebner)
             if parent_basis is not None:
                 assert completions == [parent_basis + [extra]]
-            raw = RingPresentation(ring.base, ring.vars, ring.relations, ring.order.kind)
+            raw = RingPresentation(ring.base, ring.vars, ring.relations)
             assert seeded == raw.gb.basis
 
 

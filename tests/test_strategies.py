@@ -1,5 +1,7 @@
 """Prover strategies, combinators, adversaries, and the soundness suite."""
 
+import hashlib
+
 import pytest
 
 from jacarena.errors import UnsupportedRing, WrongBudget
@@ -9,24 +11,24 @@ from jacarena.rings import MonogenicExtension, integral_dependence, nil_member
 from jacarena.oracle import enumerate_finite, minimal_alpha
 from jacarena.strategies import (
     ConstantDelayer,
+    CutStrategy,
+    DiagonalRefuterPoly,
+    DiagonalRefuterZ,
     EchoDelayer,
+    EuclideanDim1Strategy,
     FixedMovesProver,
     ImmediateWinStrategy,
     JacWitnessDelayer,
+    PolyLiftStrategy,
+    RandomDelayer,
+    ScaleStrategy,
     ScriptedDelayer,
-    cut_combinator,
+    ZeroDimStrategy,
     delayer_from_spec,
-    delayer_random,
-    diagonal_refuter_poly,
-    diagonal_refuter_Z,
-    euclidean_dim1_strategy,
     loc_integral_strategy,
-    poly_lift_strategy,
     prover_from_spec,
     quotient_push,
     ring_strategy_factory,
-    scale_combinator,
-    zero_dim_strategy,
 )
 
 
@@ -40,21 +42,21 @@ def play(ring, x, budget, prover, delayer, xprime=None):
 
 def test_zero_dim_unit_case_f5():
     F5 = parse_ring("GF(5)")
-    s = zero_dim_strategy(F5, F5.element(2))
+    s = ZeroDimStrategy(F5, F5.element(2))
     assert s.exponent == 0
-    for d in (delayer_random(F5, 1, 0, 4), EchoDelayer(F5), ConstantDelayer(F5, 3)):
-        t = play(F5, F5.element(2), 1, zero_dim_strategy(F5, F5.element(2)), d)
+    for d in (RandomDelayer(F5, 1, 0, 4), EchoDelayer(F5), ConstantDelayer(F5, 3)):
+        t = play(F5, F5.element(2), 1, ZeroDimStrategy(F5, F5.element(2)), d)
         assert t.winner == "prover"
 
 
 def test_zero_dim_nilpotent_case_z8():
     Z8 = parse_ring("ZZ/8")
-    s = zero_dim_strategy(Z8, Z8.element(2))
+    s = ZeroDimStrategy(Z8, Z8.element(2))
     assert s.exponent == 3
-    t = play(Z8, Z8.element(2), 1, s, delayer_random(Z8, 5, 0, 7))
+    t = play(Z8, Z8.element(2), 1, s, RandomDelayer(Z8, 5, 0, 7))
     assert t.winner == "prover"
     # a reply that keeps the quotient whole forces the full exponent 3
-    t = play(Z8, Z8.element(2), 1, zero_dim_strategy(Z8, Z8.element(2)),
+    t = play(Z8, Z8.element(2), 1, ZeroDimStrategy(Z8, Z8.element(2)),
              ScriptedDelayer(Z8, [[1]]))
     assert t.winner == "prover"
     assert t.certificate.exponent == 3
@@ -62,7 +64,7 @@ def test_zero_dim_nilpotent_case_z8():
 
 def test_zero_dim_z7():
     Z7 = parse_ring("ZZ/7")
-    t = play(Z7, Z7.element(3), 1, zero_dim_strategy(Z7, Z7.element(3)), delayer_random(Z7, 2, 0, 6))
+    t = play(Z7, Z7.element(3), 1, ZeroDimStrategy(Z7, Z7.element(3)), RandomDelayer(Z7, 2, 0, 6))
     assert t.winner == "prover"
 
 
@@ -70,7 +72,7 @@ def test_zero_dim_z7():
 
 def test_euclidean_z_scripted_reply_one():
     Z = parse_ring("ZZ")
-    t = play(Z, Z.element(6), 2, euclidean_dim1_strategy(Z, Z.element(6)),
+    t = play(Z, Z.element(6), 2, EuclideanDim1Strategy(Z, Z.element(6)),
              ScriptedDelayer(Z, [[1], [0]]))
     assert t.winner == "prover"
     assert t.rounds[0].moves[0] == Z.element(-1)
@@ -80,48 +82,46 @@ def test_euclidean_z_scripted_reply_one():
 
 def test_euclidean_unit_case():
     Z = parse_ring("ZZ")
-    t = play(Z, Z.element(1), 2, euclidean_dim1_strategy(Z, Z.element(1)),
-             delayer_random(Z, 9, 0, 3))
+    t = play(Z, Z.element(1), 2, EuclideanDim1Strategy(Z, Z.element(1)),
+             RandomDelayer(Z, 9, 0, 3))
     assert t.winner == "prover"
 
 
 def test_euclidean_polynomial_reply_zero():
     R = parse_ring("QQ[X]")
-    t = play(R, R.element("X"), 2, euclidean_dim1_strategy(R, R.element("X")),
+    t = play(R, R.element("X"), 2, EuclideanDim1Strategy(R, R.element("X")),
              ScriptedDelayer(R, [[0], [0]]))
     assert t.winner == "prover"
 
 
 def test_euclidean_rejects_other_rings():
     with pytest.raises(UnsupportedRing):
-        euclidean_dim1_strategy(parse_ring("QQ[X,Y]"), parse_ring("QQ[X,Y]").element("X"))
+        EuclideanDim1Strategy(parse_ring("QQ[X,Y]"), parse_ring("QQ[X,Y]").element("X"))
     with pytest.raises(UnsupportedRing):
-        euclidean_dim1_strategy(parse_ring("ZZ[X]"), parse_ring("ZZ[X]").element("X"))
+        EuclideanDim1Strategy(parse_ring("ZZ[X]"), parse_ring("ZZ[X]").element("X"))
 
 
 def test_euclidean_starved_budget_loses_gracefully():
     Z = parse_ring("ZZ")
-    t = play(Z, Z.element(2), 1, euclidean_dim1_strategy(Z, Z.element(2)),
-             diagonal_refuter_Z(Z, 2))
+    t = play(Z, Z.element(2), 1, EuclideanDim1Strategy(Z, Z.element(2)),
+             DiagonalRefuterZ(Z, 2))
     assert t.winner == "delayer"
 
 
 # -- combinators -----------------------------------------------------------------
 
-def test_cut_combinator_z12():
+def test_cut_strategy_z12():
     # (Z/12, 2, 6) is immediate (6^2 = 0) and (Z/12 / <3>, 2, 2) is one round;
-    # the cut wins (Z/12, 2, 2) at the oracle's exact budget.
+    # the cut on 3 wins (Z/12, 2, 2) at the oracle's exact budget.
     Z12 = parse_ring("ZZ/12")
-    x_cut = Z12.element(3)
-    s1 = ImmediateWinStrategy(Z12, Z12.element(2), Z12.element(6))
-    inner_ring = Z12.quotient_extend([x_cut])
-    s2 = zero_dim_strategy(inner_ring, inner_ring.element(2))
-    combined = cut_combinator(s1, s2, x_cut)
+    s1 = ImmediateWinStrategy(Z12, Z12.element(2))
+    inner_ring = Z12.quotient_extend([Z12.element(3)])
+    s2 = ZeroDimStrategy(inner_ring, 2)
+    combined = CutStrategy(s1, s2)
     assert combined.budget == 1
-    for d in (delayer_random(Z12, 1, 0, 11), EchoDelayer(Z12), ConstantDelayer(Z12, 5)):
-        t = play(Z12, Z12.element(2), 1, cut_combinator(
-            ImmediateWinStrategy(Z12, Z12.element(2), Z12.element(6)),
-            zero_dim_strategy(inner_ring, inner_ring.element(2)), x_cut), d)
+    for d in (RandomDelayer(Z12, 1, 0, 11), EchoDelayer(Z12), ConstantDelayer(Z12, 5)):
+        t = play(Z12, Z12.element(2), 1, CutStrategy(
+            ImmediateWinStrategy(Z12, Z12.element(2)), ZeroDimStrategy(inner_ring, 2)), d)
         assert t.winner == "prover"
     table = enumerate_finite(Z12)
     assert minimal_alpha(table, Z12.element(2), Z12.element(2)) == combined.budget
@@ -130,9 +130,9 @@ def test_cut_combinator_z12():
 def test_cut_budget_law():
     Z12 = parse_ring("ZZ/12")
     inner_ring = Z12.quotient_extend([Z12.element(3)])
-    s1 = ImmediateWinStrategy(Z12, Z12.element(2), Z12.element(6))
-    s2 = zero_dim_strategy(inner_ring, inner_ring.element(2))
-    combined = cut_combinator(s1, s2, Z12.element(3))
+    s1 = ImmediateWinStrategy(Z12, Z12.element(2))
+    s2 = ZeroDimStrategy(inner_ring, 2)
+    combined = CutStrategy(s1, s2)
     pos = GamePosition(Z12, 2, ())
     moves = combined.propose(pos)
     declared, _ = combined.receive(pos, moves, [Z12.element(1) for _ in moves])
@@ -143,69 +143,68 @@ def test_cut_budget_law():
 def test_cut_trivial_x_cases():
     Z8 = parse_ring("ZZ/8")
     x2 = Z8.element(2)
-    # x_cut = 0: the quotient view is the same ring
-    s1 = zero_dim_strategy(Z8, x2)
+    # a cut on 0: the quotient view is the same ring
+    s1 = ZeroDimStrategy(Z8, x2)
     q = Z8.quotient_extend([Z8.zero()])
-    s2 = zero_dim_strategy(q, q.element(2))
-    t = play(Z8, x2, 1, cut_combinator(s1, s2, Z8.zero()), delayer_random(Z8, 4, 0, 7))
+    s2 = ZeroDimStrategy(q, q.element(2))
+    t = play(Z8, x2, 1, CutStrategy(s1, s2), RandomDelayer(Z8, 4, 0, 7))
     assert t.winner == "prover"
-    # x_cut = 1: the quotient side lives in the trivial ring
+    # a cut on 1: the quotient side lives in the trivial ring
     q1 = Z8.quotient_extend([Z8.one()])
-    s2t = zero_dim_strategy(q1, q1.element(2))
-    t = play(Z8, x2, 1, cut_combinator(zero_dim_strategy(Z8, x2), s2t, Z8.one()),
-             delayer_random(Z8, 4, 0, 7))
+    s2t = ZeroDimStrategy(q1, q1.element(2))
+    t = play(Z8, x2, 1, CutStrategy(ZeroDimStrategy(Z8, x2), s2t),
+             RandomDelayer(Z8, 4, 0, 7))
     assert t.winner == "prover"
 
 
-def test_scale_combinator_identity_and_move_law():
+def test_scale_strategy_identity_and_move_law():
     Z8 = parse_ring("ZZ/8")
-    base = zero_dim_strategy(Z8, Z8.element(4))
-    scaled = scale_combinator(base, Z8.one(), Z8.one())
+    base = ZeroDimStrategy(Z8, Z8.element(4))
+    scaled = ScaleStrategy(base, Z8.one())
     pos = GamePosition(Z8, 1, ())
     assert [m.poly for m in scaled.propose(pos)] == [m.poly for m in base.propose(pos)]
 
     # (Z/8, 4, 4) rescaled by y = 2 plays for (Z/8, 2, 4)
-    scaled2 = scale_combinator(zero_dim_strategy(Z8, Z8.element(4)), Z8.element(2),
-                               Z8.one(), x=Z8.element(2))
+    scaled2 = ScaleStrategy(ZeroDimStrategy(Z8, Z8.element(4)), Z8.element(2), x=Z8.element(2))
     assert [m.poly for m in scaled2.propose(pos)] == [
-        (m * Z8.element(2)).poly for m in zero_dim_strategy(Z8, Z8.element(4)).propose(pos)
+        (m * Z8.element(2)).poly for m in ZeroDimStrategy(Z8, Z8.element(4)).propose(pos)
     ]
-    t = play(Z8, Z8.element(2), 1, scaled2, delayer_random(Z8, 3, 0, 7), xprime=Z8.element(4))
+    t = play(Z8, Z8.element(2), 1, scaled2, RandomDelayer(Z8, 3, 0, 7), xprime=Z8.element(4))
     assert t.winner == "prover"
 
 
 def test_scale_with_nilpotent_z_always_wins():
     Z4 = parse_ring("ZZ/4")
-    base = zero_dim_strategy(Z4, Z4.element(3))
-    scaled = scale_combinator(base, Z4.one(), Z4.element(2))
+    base = ZeroDimStrategy(Z4, Z4.element(3))
+    scaled = ScaleStrategy(base, Z4.one())
     t = play(Z4, Z4.element(3), 1, scaled, EchoDelayer(Z4), xprime=Z4.element(2) * Z4.element(3))
     assert t.winner == "prover"
 
 
 def test_quotient_push_behaviour():
     Z = parse_ring("ZZ")
-    base = euclidean_dim1_strategy(Z, Z.element(6))
+    base = EuclideanDim1Strategy(Z, Z.element(6))
     pushed = quotient_push(base, [])
     pos = GamePosition(Z, 2, ())
     assert [m.poly for m in pushed.propose(pos)] == [m.poly for m in base.propose(pos)]
 
-    pushed_trivial = quotient_push(euclidean_dim1_strategy(Z, Z.element(6)), [Z.element(1)])
+    pushed_trivial = quotient_push(EuclideanDim1Strategy(Z, Z.element(6)), [Z.element(1)])
     ring_t = pushed_trivial.ring
-    t = play(ring_t, ring_t.element(6), 2, pushed_trivial, delayer_random(ring_t, 1, 0, 5))
+    t = play(ring_t, ring_t.element(6), 2, pushed_trivial, RandomDelayer(ring_t, 1, 0, 5))
     assert t.winner == "prover"
 
-    pushed30 = quotient_push(euclidean_dim1_strategy(Z, Z.element(6)), [Z.element(30)])
+    pushed30 = quotient_push(EuclideanDim1Strategy(Z, Z.element(6)), [Z.element(30)])
     ring30 = pushed30.ring
     for seed in (1, 2, 3):
         t = play(ring30, ring30.element(6), 2,
-                 quotient_push(euclidean_dim1_strategy(Z, Z.element(6)), [Z.element(30)]),
-                 delayer_random(ring30, seed, 0, 29))
+                 quotient_push(EuclideanDim1Strategy(Z, Z.element(6)), [Z.element(30)]),
+                 RandomDelayer(ring30, seed, 0, 29))
         assert t.winner == "prover"
 
 
 # -- localization-transport strategy -------------------------------------------
 
-def _loc_strategy(ring_text, y_text, xprime_text=None):
+def _loc_strategy(ring_text, y_text):
     Zb = parse_ring("ZZ")
     B = parse_ring(ring_text)
     ext = MonogenicExtension(Zb, B, B.vars[-1], B.relations[0])
@@ -223,13 +222,13 @@ def test_loc_integral_sqrt6():
     assert s.budget == 2
     for seed in (1, 2, 3):
         B2, s2 = _loc_strategy("ZZ[Y]/(Y^2-6)", "Y")
-        t = play(B2, B2.element("Y"), 2, s2, delayer_random(B2, seed, 1, 3))
+        t = play(B2, B2.element("Y"), 2, s2, RandomDelayer(B2, seed, 1, 3))
         assert t.winner == "prover"
 
 
 def test_loc_integral_inverted_two():
     B, s = _loc_strategy("ZZ[Y]/(2*Y-1)", "Y")
-    t = play(B, B.element("Y"), 2, s, delayer_random(B, 5, 1, 3),
+    t = play(B, B.element("Y"), 2, s, RandomDelayer(B, 5, 1, 3),
              xprime=B.element("2*Y"))
     assert t.winner == "prover"
 
@@ -252,8 +251,8 @@ def test_loc_integral_degenerate_immediate():
 def test_poly_lift_zero_target():
     F5x = parse_ring("GF(5)[X]")
     fac = ring_strategy_factory(parse_ring("GF(5)"))
-    t = play(F5x, F5x.element(0), 2, poly_lift_strategy(fac, F5x.element(0)),
-             delayer_random(F5x, 1, 2, 4))
+    t = play(F5x, F5x.element(0), 2, PolyLiftStrategy(F5x, 0, fac),
+             RandomDelayer(F5x, 1, 2, 4))
     assert t.winner == "prover"
     assert t.rounds[0].moves == []
 
@@ -262,8 +261,8 @@ def test_poly_lift_f5():
     F5x = parse_ring("GF(5)[X]")
     fac = ring_strategy_factory(parse_ring("GF(5)"))
     for seed in (1, 2, 3):
-        t = play(F5x, F5x.element("X"), 2, poly_lift_strategy(fac, F5x.element("X")),
-                 delayer_random(F5x, seed, 2, 4))
+        t = play(F5x, F5x.element("X"), 2, PolyLiftStrategy(F5x, "X", fac),
+                 RandomDelayer(F5x, seed, 2, 4))
         assert t.winner == "prover"
 
 
@@ -271,8 +270,8 @@ def test_poly_lift_zz():
     Zx = parse_ring("ZZ[X]")
     fac = ring_strategy_factory(parse_ring("ZZ"))
     for seed in (1, 2):
-        t = play(Zx, Zx.element("X"), 3, poly_lift_strategy(fac, Zx.element("X")),
-                 delayer_random(Zx, seed, 1, 3))
+        t = play(Zx, Zx.element("X"), 3, PolyLiftStrategy(Zx, "X", fac),
+                 RandomDelayer(Zx, seed, 1, 3))
         assert t.winner == "prover"
         assert t.rounds[0].moves[0] == Zx.element("X")
 
@@ -299,12 +298,12 @@ def test_factory_name_round_trips_through_spec():
 
 # -- adversaries -----------------------------------------------------------------
 
-def test_delayer_random_determinism():
+def test_random_delayer_determinism():
     Z = parse_ring("ZZ")
     def run(seed):
         t = referee_play(Z, Z.element(6), Z.element(6), 2,
-                         euclidean_dim1_strategy(Z, Z.element(6)),
-                         delayer_random(Z, seed, 0, 10))
+                         EuclideanDim1Strategy(Z, Z.element(6)),
+                         RandomDelayer(Z, seed, 0, 10))
         return t.to_json()
 
     assert run(7) == run(7)
@@ -319,10 +318,10 @@ def test_refuter_z_family_small():
     Z = parse_ring("ZZ")
     for n_value in (2, 3):
         for moves in ([], [0], [1], [2, -2]):
-            c = diagonal_refuter_Z(Z, n_value).forced_constant(n_value, moves)
-            assert diagonal_refuter_Z(Z, n_value).check_not_nil(c, n_value)
+            c = DiagonalRefuterZ(Z, n_value).forced_constant(n_value, moves)
+            assert DiagonalRefuterZ(Z, n_value).check_not_nil(c, n_value)
             p = FixedMovesProver(Z, Z.element(n_value), [[Z.element(a) for a in moves]], budget=1)
-            t = play(Z, Z.element(n_value), 1, p, diagonal_refuter_Z(Z, n_value))
+            t = play(Z, Z.element(n_value), 1, p, DiagonalRefuterZ(Z, n_value))
             assert t.winner == "delayer"
 
 
@@ -330,12 +329,12 @@ def test_refuter_z_wrong_budget():
     Z = parse_ring("ZZ")
     p = FixedMovesProver(Z, Z.element(2), [[Z.element(0)], []], budget=2)
     with pytest.raises(WrongBudget):
-        referee_play(Z, Z.element(2), Z.element(2), 2, p, diagonal_refuter_Z(Z, 2))
+        referee_play(Z, Z.element(2), Z.element(2), 2, p, DiagonalRefuterZ(Z, 2))
 
 
 def test_refuter_poly_constraints_collapse():
     R = parse_ring("ZZ[X]")
-    d = diagonal_refuter_poly(R)
+    d = DiagonalRefuterPoly(R)
     moves = [R.element("X"), R.element("1+X")]
     pos = GamePosition(R, 1, ())
     replies = d.reply(pos, moves)
@@ -351,7 +350,7 @@ def test_refuter_poly_beats_fixed_prover():
         X = R.element("X")
         for moves in ([], ["0"], ["1"], ["X", "2*X-1"]):
             p = FixedMovesProver(R, X, [[R.element(m) for m in moves]], budget=1)
-            t = play(R, X, 1, p, diagonal_refuter_poly(R))
+            t = play(R, X, 1, p, DiagonalRefuterPoly(R))
             assert t.winner == "delayer"
 
 
@@ -397,7 +396,7 @@ def test_soundness_suite(ring_text, xs, budget, mode):
     assert factory.budget == budget
     for x_text in xs:
         x = ring.element(x_text)
-        delayers = [delayer_random(ring, seed, 1, 3) for seed in (1, 2, 3)]
+        delayers = [RandomDelayer(ring, seed, 1, 3) for seed in (1, 2, 3)]
         if mode == "full":
             delayers += [ConstantDelayer(ring, 0), ConstantDelayer(ring, 1), EchoDelayer(ring)]
             delayers.append(JacWitnessDelayer(ring, x, [x * x]))
@@ -406,3 +405,46 @@ def test_soundness_suite(ring_text, xs, budget, mode):
         for delayer in delayers:
             t = play(ring, x, budget, factory(x), delayer)
             assert t.winner == "prover", (ring_text, x_text, delayer.name)
+
+
+# -- pinned transcripts ------------------------------------------------------------
+
+# sha256 of to_json() for auto matches built from specs.  A change to any
+# move, declared budget or normal form changes these bytes.  In the GF(2)
+# match the reply 1 gives h = Z*X*Y, whose Z^0 coefficient is zero, so the
+# lift chain meets zero coefficients.
+PINNED_TRANSCRIPTS = [
+    ("ZZ", "12", 2, "random:5:0:1000",
+     "14e5346c9c2a867451128e887665649f09360f73dfc29f22161f9fb133fbcf14"),
+    ("ZZ", "-90", 2, "random:11:0:1000000000000",
+     "09441e7fd83e41f429bc32f81b763bd6b0753bb938ab113197fb964ae4a7b50a"),
+    ("GF(5)[X]", "X^2+1", 2, "random:3:2:4",
+     "3aeb9d19e49579ec7c9993a05d7a983741a097a468b62d3f7fb361884a73fd07"),
+    ("GF(101)[X]", "3*X^2-X+7", 2, "random:1:4:9",
+     "9570bfb017a0d72b396d40ed3bb3fb3a6e79ebd2e6344bd537b11271d8d90805"),
+    ("QQ[X,Y,Z]", "X", 4, "random:2:0:1000",
+     "e8286d846bb7555faab357d8541692561021ff1a7206efabb0da51bcb82ce027"),
+    ("QQ[X,Y,Z]", "3*Y", 4, "random:8:0:1000",
+     "48f60a8c086969ccfac7680a3f66afb67bc80ebd1dad0b59b00429043522d3d5"),
+    ("ZZ[X,Y]", "X-Y", 4, "random:1:0:2",
+     "82898a6491336def126c952699eaf8b77fb1177ae353e3eedfbf36b62df609e2"),
+    ("ZZ[X,Y]", "X*Y+1", 4, "random:1:0:1",
+     "25ba3ea2fa901696524e58f4bb08bc62d172a6203e9bf84ba4354596c55d7447"),
+    ("GF(2)[X,Y,Z]", "X*Y", 4, "random:1:0:1",
+     "566df09834137ba316bef4a63ec49481b4fc07010aa7f03817149871d97b7f30"),
+    ("QQ[X,Y]", "X+Y", 3, "random:1:1:1",
+     "42372f99fa812c616529034d961063cf7935ce21406d80e482c2531853cdedbe"),
+]
+
+
+@pytest.mark.parametrize(
+    "ring_text,x_text,budget,delayer_spec,digest", PINNED_TRANSCRIPTS,
+    ids=[f"{case[0]}:{case[1]}" for case in PINNED_TRANSCRIPTS],
+)
+def test_auto_transcript_bytes_are_pinned(ring_text, x_text, budget, delayer_spec, digest):
+    ring = parse_ring(ring_text)
+    x = ring.element(x_text)
+    prover = prover_from_spec("auto", ring, x, x, budget)
+    t = referee_play(ring, x, x, budget, prover, delayer_from_spec(delayer_spec, ring, x))
+    assert t.winner == "prover"
+    assert hashlib.sha256(t.to_json().encode()).hexdigest() == digest
