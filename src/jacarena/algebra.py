@@ -1,13 +1,20 @@
 """Exact multivariate polynomial arithmetic over ZZ, QQ, and prime fields.
 
-Coefficients are plain ``int`` (ZZ and GF(p), the latter stored as residues
-in [0, p)) or ``fractions.Fraction`` (QQ, always reduced with positive
-denominator).  No floating point appears anywhere.
+Coefficients are plain ``int`` over ZZ and GF(p), the latter stored as
+residues in [0, p).  A QQ coefficient is an ``int`` when it is an integer and
+a reduced ``fractions.Fraction`` otherwise; arithmetic may leave an integral
+``Fraction`` behind, which equals, hashes and prints like its ``int``.  No
+floating point appears anywhere.
+
+Arithmetic builds its results canonical by construction (stripped exponent
+vectors, reduced nonzero coefficients) through the unchecked ``_raw``
+constructors; input from outside goes through the checking ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import IncompatibleRings
 
@@ -42,7 +49,11 @@ class CoefficientRing:
         self.p = p
 
     def normalize(self, value):
-        """Coerce an int/Fraction into this ring's canonical coefficient form."""
+        """Coerce an int/Fraction into this ring's canonical coefficient form.
+
+        Over QQ an integral value becomes an ``int``; any other value goes
+        through ``Fraction``, so a float is converted exactly, never truncated.
+        """
         if self.kind == "ZZ":
             if isinstance(value, Fraction):
                 if value.denominator != 1:
@@ -50,7 +61,10 @@ class CoefficientRing:
                 return int(value)
             return int(value)
         if self.kind == "QQ":
-            return value if type(value) is Fraction else Fraction(value)
+            if type(value) is int:
+                return value
+            value = value if type(value) is Fraction else Fraction(value)
+            return value.numerator if value.denominator == 1 else value
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {value} vanishes mod {self.p}")
@@ -58,10 +72,10 @@ class CoefficientRing:
         return int(value) % self.p
 
     def zero(self):
-        return Fraction(0) if self.kind == "QQ" else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.kind == "QQ" else 1
+        return 1
 
     def add(self, a, b):
         c = a + b
@@ -147,12 +161,23 @@ class Monomial:
     def exponent(self, i):
         return self.exps[i] if i < len(self.exps) else 0
 
+    @classmethod
+    def _raw(cls, exps):
+        """Unchecked constructor for a stripped tuple of nonnegative exponents."""
+        obj = object.__new__(cls)
+        obj.exps = exps
+        obj._hash = hash(exps)
+        return obj
+
     def padded(self, n):
         return self.exps + (0,) * (n - len(self.exps))
 
     def mul(self, other):
-        n = max(len(self.exps), len(other.exps))
-        return Monomial(a + b for a, b in zip(self.padded(n), other.padded(n)))
+        # The sum and the max of two stripped nonnegative vectors are stripped.
+        a, b = self.exps, other.exps
+        if len(a) < len(b):
+            a, b = b, a
+        return Monomial._raw(tuple(map(add, a, b)) + a[len(b):])
 
     def divides(self, other):
         return all(a <= b for a, b in zip(self.exps, other.padded(len(self.exps))))
@@ -162,8 +187,10 @@ class Monomial:
         return Monomial(a - b for a, b in zip(self.padded(n), other.padded(n)))
 
     def lcm(self, other):
-        n = max(len(self.exps), len(other.exps))
-        return Monomial(max(a, b) for a, b in zip(self.padded(n), other.padded(n)))
+        a, b = self.exps, other.exps
+        if len(a) < len(b):
+            a, b = b, a
+        return Monomial._raw(tuple(map(max, a, b)) + a[len(b):])
 
     def is_one(self):
         return not self.exps
@@ -189,7 +216,7 @@ class MonomialOrder:
     monomial with the smaller exponent in the last differing slot is larger).
     """
 
-    __slots__ = ("kind", "vars", "_cache")
+    __slots__ = ("kind", "vars", "_cache", "_heap_cache")
 
     def __init__(self, kind, vars):
         if kind not in ("LEX", "DEGREVLEX"):
@@ -197,6 +224,7 @@ class MonomialOrder:
         self.kind = kind
         self.vars = tuple(vars)
         self._cache = {}
+        self._heap_cache = {}
 
     def key(self, mono):
         cached = self._cache.get(mono)
@@ -208,6 +236,19 @@ class MonomialOrder:
         else:
             result = (sum(exps), tuple(-e for e in reversed(exps)))
         self._cache[mono] = result
+        return result
+
+    def heap_key(self, mono):
+        """``key`` with every entry negated, so a min-heap pops the largest first."""
+        cached = self._heap_cache.get(mono)
+        if cached is not None:
+            return cached
+        exps = mono.padded(len(self.vars))
+        if self.kind == "LEX":
+            result = tuple(-e for e in exps)
+        else:
+            result = (-sum(exps), exps[::-1])
+        self._heap_cache[mono] = result
         return result
 
     def leading(self, terms):
@@ -340,6 +381,8 @@ class Polynomial:
                 idx.append(new_vars.index(name))
             else:
                 idx.append(None)
+        # The renaming is one-to-one on the used variables, so distinct
+        # monomials stay distinct and the coefficients stay canonical.
         terms = {}
         for mono, coeff in self.terms.items():
             exps = [0] * len(new_vars)
@@ -351,8 +394,10 @@ class Polynomial:
                         f"variable {self.vars[i]!r} used in {self} but absent from {new_vars}"
                     )
                 exps[idx[i]] = e
-            terms[Monomial(exps)] = coeff
-        return Polynomial(self.ring, new_vars, terms)
+            while exps and exps[-1] == 0:
+                exps.pop()
+            terms[Monomial._raw(tuple(exps))] = coeff
+        return Polynomial._raw(self.ring, new_vars, terms)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -400,16 +445,18 @@ class Polynomial:
             return NotImplemented
         a, b = align(self, other)
         ring = a.ring
-        zero = ring.zero()
         terms = {}
+        get = terms.get
+        b_terms = b.terms.items()
         for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
+            for m2, c2 in b_terms:
                 m = m1.mul(m2)
-                c = ring.add(terms.get(m, zero), ring.mul(c1, c2))
-                if c == zero:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = c
+                terms[m] = get(m, 0) + c1 * c2
+        if ring.kind == "GF":
+            p = ring.p
+            terms = {m: r for m, c in terms.items() if (r := c % p)}
+        else:
+            terms = {m: c for m, c in terms.items() if c}
         return Polynomial._raw(ring, a.vars, terms)
 
     __rmul__ = __mul__

@@ -54,10 +54,6 @@ def _combine_cofs(ring, vars, base, quots, rows):
     return out
 
 
-def _neg_key(k):
-    return tuple(_neg_key(x) for x in k) if isinstance(k, tuple) else -k
-
-
 def _reduce_full(p, rows, order, track):
     """Fully reduce p by the rows; returns (normal form, quotient polys).
 
@@ -73,14 +69,11 @@ def _reduce_full(p, rows, order, track):
     remainder = {}
     quots = [{} for _ in rows] if track else None
     integer = ring.kind == "ZZ"
+    heap_key = order.heap_key
     heap = []
-    neg_keys = {}
 
     def push(m):
-        k = neg_keys.get(m)
-        if k is None:
-            k = neg_keys[m] = _neg_key(order.key(m))
-        heapq.heappush(heap, (k, m))
+        heapq.heappush(heap, (heap_key(m), m))
 
     for m in work:
         push(m)
@@ -128,7 +121,8 @@ def _reduce_full(p, rows, order, track):
             work.pop(m, None)
         if track:
             quots[idx][shift] = ring.add(quots[idx].get(shift, zero), q)
-    nf = Polynomial(ring, vars, remainder)
+    # Every remainder coefficient is already canonical and nonzero.
+    nf = Polynomial._raw(ring, vars, remainder)
     if track:
         return nf, [Polynomial(ring, vars, q) for q in quots]
     return nf, None

@@ -29,6 +29,10 @@ class _Token:
 
 _PUNCT = set("+-*/^(),[]")
 
+# Deepest parenthesis nesting an expression may have; the recursive descent
+# below needs a few stack frames per level.
+MAX_NESTING = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -63,6 +67,7 @@ class _Parser:
     def __init__(self, text, ring, vars):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.ring = ring
         self.vars = tuple(vars)
 
@@ -114,13 +119,11 @@ class _Parser:
         return lhs.scale(inv)
 
     def parse_signed(self):
-        if self.peek().kind == "-":
-            self.take()
-            return -self.parse_signed()
-        if self.peek().kind == "+":
-            self.take()
-            return self.parse_signed()
-        return self.parse_power()
+        negate = False
+        while self.peek().kind in ("+", "-"):
+            negate ^= self.take().kind == "-"
+        result = self.parse_power()
+        return -result if negate else result
 
     def parse_power(self):
         base = self.parse_atom()
@@ -142,8 +145,12 @@ class _Parser:
             return Polynomial.variable(self.ring, tok.text, self.vars)
         if tok.kind == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise RingSyntaxError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
             inner = self.parse_poly()
             self.take(")")
+            self.depth -= 1
             return inner
         raise RingSyntaxError(f"unexpected {tok.text or 'end'!r}", tok.pos)
 

@@ -210,8 +210,8 @@ class IntegralTransportStrategy(ProverStrategy):
     constraint.
     """
 
-    def __init__(self, ring, sub, a, a0, ext):
-        super().__init__(ring, ring.element(a0.poly), sub.budget, sub.name)
+    def __init__(self, ring, x, sub, a, a0, ext):
+        super().__init__(ring, x, sub.budget, sub.name)
         self.sub = sub
         self.a = a
         self.a0 = a0
@@ -232,7 +232,7 @@ class IntegralTransportStrategy(ProverStrategy):
         ]
         declared, cont = self.sub.receive(pos, inner_moves, inner_replies)
         return declared, IntegralTransportStrategy(
-            self.ring, cont, self.a, self.a0, self.ext
+            self.ring, self.x, cont, self.a, self.a0, self.ext
         )
 
 
@@ -260,9 +260,9 @@ def loc_integral_strategy(ring, y, rel, sub_factory, ext):
         a0 = cs[d - k]
         ext_k = MonogenicExtension(base, ring_k, ext.var, ext.relation)
         sub = sub_factory(d - k)
-        transported = IntegralTransportStrategy(ring_k, sub, a, a0, ext_k)
+        transported = IntegralTransportStrategy(ring_k, y_k, sub, a, a0, ext_k)
         f_prev = ring_k.element(f_raw(k - 1))
-        rescaled = ScaleStrategy(transported, f_prev, x=y_k)
+        rescaled = ScaleStrategy(transported, f_prev)
         lower = build(k - 1, ring_k.quotient_extend([f_prev]))
         return CutStrategy(rescaled, lower, transported.name)
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacarena.algebra import GF, QQ, ZZ, Monomial, MonomialOrder, Polynomial
+from jacarena.algebra import GF, QQ, ZZ, Monomial, MonomialOrder, Polynomial, merge_vars
 from jacarena.errors import IncompatibleRings, RingSyntaxError, UnknownVariable
-from jacarena.parsing import parse_polynomial, parse_ring
+from jacarena.parsing import MAX_NESTING, parse_polynomial, parse_ring
 
 
 def poly(text, ring=ZZ, vars=("x", "y")):
@@ -93,6 +93,23 @@ def test_parse_unknown_variable():
         parse_polynomial("x + z", ZZ, ("x", "y"))
 
 
+def test_parse_long_sign_runs_without_recursion():
+    x = ("x",)
+    assert parse_polynomial("-" * 5001 + "x", ZZ, x) == poly("-x", vars=x)
+    assert parse_polynomial("+-" * 3000 + "2", ZZ, x) == poly("2", vars=x)
+    assert parse_polynomial("x*-+-x", ZZ, x) == poly("x^2", vars=x)
+
+
+def test_parse_rejects_parentheses_nested_too_deep():
+    x = ("x",)
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(deepest, ZZ, x) == poly("x", vars=x)
+    assert parse_polynomial(f"{deepest}*{deepest}", ZZ, x) == poly("x^2", vars=x)
+    with pytest.raises(RingSyntaxError) as info:
+        parse_polynomial("(" + deepest + ")", ZZ, x)
+    assert info.value.position == MAX_NESTING
+
+
 def test_rational_coefficients_round_trip():
     p = parse_polynomial("1/2*x - 3/4", QQ, ("x",))
     assert p.terms[Monomial((1,))] == Fraction(1, 2)
@@ -120,6 +137,24 @@ def test_monomial_trailing_zero_normalization():
     assert hash(Monomial((2, 1, 0))) == hash(Monomial((2, 1)))
     with pytest.raises(ValueError):
         Monomial((1, -1))
+
+
+def test_checked_constructor_rejects_bad_terms():
+    with pytest.raises(ValueError):
+        Polynomial(ZZ, ("x",), {(-1,): 1})
+    with pytest.raises(ValueError):
+        Polynomial(ZZ, ("x",), {(1, 1): 1})
+    with pytest.raises(ValueError):
+        Polynomial(ZZ, ("x",), {(1,): Fraction(1, 2)})
+    with pytest.raises(ZeroDivisionError):
+        Polynomial(GF(5), ("x",), {(1,): Fraction(1, 5)})
+
+
+def test_qq_normalize_keeps_integers_as_int():
+    assert type(QQ.normalize(Fraction(6, 2))) is int
+    assert type(QQ.normalize(4)) is int
+    assert QQ.normalize(Fraction(3, 6)) == Fraction(1, 2)
+    assert QQ.normalize(2.5) == Fraction(5, 2)
 
 
 def test_ring_text_round_trip():
@@ -208,3 +243,111 @@ def test_equal_polynomials_over_permuted_or_extended_vars_hash_equal(data):
     q = p.remap(new_vars)
     assert q == p
     assert hash(q) == hash(p)
+
+
+# -- the unchecked fast paths against the checking constructors ---------------
+
+# Operands over their own variable lists, so products go through align.
+VAR_LISTS = st.permutations(["x", "y", "z"]).flatmap(
+    lambda names: st.integers(0, 3).map(lambda n: tuple(names[:n]))
+)
+DIFF_RINGS = st.sampled_from([ZZ, QQ, GF(7)])
+
+
+@st.composite
+def operands(draw, ring):
+    vars = draw(VAR_LISTS)
+    if ring == QQ:
+        coeffs = st.fractions(-4, 4, max_denominator=6)
+    else:
+        coeffs = st.integers(-9, 9)
+    exps = st.tuples(*[st.integers(0, 3)] * len(vars))
+    return Polynomial(ring, vars, draw(st.dictionaries(exps, coeffs, max_size=4)))
+
+
+def _reference_product(a, b):
+    """a*b summed from single-term products built by the checking constructor."""
+    vars = merge_vars(a.vars, b.vars)
+    out = Polynomial.zero(a.ring, vars)
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            exps = [0] * len(vars)
+            for p, m in ((a, m1), (b, m2)):
+                for i, e in enumerate(m.exps):
+                    exps[vars.index(p.vars[i])] += e
+            out = out + Polynomial(a.ring, vars, {tuple(exps): c1 * c2})
+    return out
+
+
+def _is_canonical(p):
+    return all(not m.exps or m.exps[-1] for m in p.terms) and Polynomial(
+        p.ring, p.vars, p.terms
+    ).terms == p.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_matches_checked_reference(data):
+    ring = data.draw(DIFF_RINGS)
+    a = data.draw(operands(ring))
+    b = data.draw(operands(ring))
+    product = a * b
+    reference = _reference_product(a, b)
+    assert product.vars == reference.vars
+    assert product.terms == reference.terms
+    assert product.to_text() == reference.to_text()
+    assert _is_canonical(product)
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=MONOS, v=MONOS)
+def test_monomial_mul_and_lcm_match_checked_constructor(u, v):
+    n = max(len(u.exps), len(v.exps))
+    pairs = list(zip(u.padded(n), v.padded(n)))
+    for fast, checked in (
+        (u.mul(v), Monomial([a + b for a, b in pairs])),
+        (u.lcm(v), Monomial([max(a, b) for a, b in pairs])),
+    ):
+        assert fast.exps == checked.exps
+        assert hash(fast) == hash(checked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_remap_matches_checked_constructor(data):
+    p = data.draw(operands(data.draw(DIFF_RINGS)))
+    extra = data.draw(st.lists(st.sampled_from(["u", "v", "w"]), unique=True))
+    new_vars = tuple(data.draw(st.permutations(p.vars + tuple(extra))))
+    terms = {
+        tuple(m.exponent(p.vars.index(v)) if v in p.vars else 0 for v in new_vars): c
+        for m, c in p.terms.items()
+    }
+    q = p.remap(new_vars)
+    assert q.vars == new_vars
+    assert q.terms == Polynomial(p.ring, new_vars, terms).terms
+    assert _is_canonical(q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["LEX", "DEGREVLEX"]),
+    monos=st.lists(MONOS, max_size=8, unique=True),
+)
+def test_heap_key_sorts_in_reverse_of_key(kind, monos):
+    order = MonomialOrder(kind, ("x", "y", "z"))
+    assert sorted(monos, key=order.heap_key) == sorted(monos, key=order.key, reverse=True)
+
+
+@pytest.mark.parametrize("value", [0, 3, -7, Fraction(1, 2)])
+def test_qq_int_and_fraction_coefficients_agree(value):
+    vars, monos = ("x",), [(1,), ()]
+    plain = Polynomial(QQ, vars, dict.fromkeys(monos, value))
+    as_fraction = Polynomial(QQ, vars, dict.fromkeys(monos, Fraction(value)))
+    # 1/2 * (2*value) leaves an integral Fraction in the product's term dict
+    by_arithmetic = Polynomial.constant(QQ, Fraction(1, 2), vars) * Polynomial(
+        QQ, vars, dict.fromkeys(monos, 2 * value)
+    )
+    for p in (as_fraction, by_arithmetic):
+        assert p == plain
+        assert hash(p) == hash(plain)
+        assert p.to_text() == plain.to_text()

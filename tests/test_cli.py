@@ -66,6 +66,17 @@ def test_bad_saturation_cap_is_a_configuration_error(capsys, monkeypatch, comman
     assert "JACARENA_SATURATION_CAP" in err
 
 
+def test_play_deeply_nested_relation_is_a_configuration_error(capsys):
+    relation = "(" * 3000 + "X" + ")" * 3000
+    code, out, err = run(
+        ["play", "--ring", f"ZZ[X]/({relation})", "--x", "X", "--budget", "1"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("configuration error: ")
+    assert "parentheses nest deeper than" in err
+
+
 def test_play_engine_error(capsys):
     code, _, err = run(
         ["play", "--ring", "QQ[X,Y]", "--x", "X", "--budget", "2",
@@ -127,13 +138,17 @@ def _set_round_text(obj, field, text):
         (lambda obj: obj.update(ring="GF(4)"), "field 'ring': GF modulus must be a prime"),
         (lambda obj: obj.update(x="Y"), "field 'x': unknown variable 'Y'"),
         (lambda obj: obj.update(xPrime="X +"), "field 'xPrime': unexpected 'end'"),
+        (lambda obj: obj.update(x="(" * 3000 + "X" + ")" * 3000),
+         "field 'x': parentheses nest deeper than"),
+        (lambda obj: obj.update(x="-" * 5000 + "Y"), "field 'x': unknown variable 'Y'"),
         (lambda obj: _set_round_text(obj, "moves", "Y"), "round 0 move 0: unknown variable"),
         (lambda obj: _set_round_text(obj, "replies", "1/0"), "round 0 reply 0: divisor"),
         (lambda obj: obj["certificate"]["cofactors"].update({"1": "Y"}),
          "certificate cofactor '1': unknown variable 'Y'"),
     ],
     ids=["key-out-of-range", "key-negative", "missing-winner", "rounds-not-list", "negative-e",
-         "ring-not-a-field", "x-unknown-variable", "xprime-unparseable", "move-unknown-variable",
+         "ring-not-a-field", "x-unknown-variable", "xprime-unparseable", "x-deep-parentheses",
+         "x-long-sign-run", "move-unknown-variable",
          "reply-zero-divisor", "cofactor-unknown-variable"],
 )
 def test_verify_rejects_malformed_transcript(tmp_path, capsys, mutate, message):

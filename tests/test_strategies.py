@@ -422,6 +422,14 @@ PINNED_TRANSCRIPTS = [
      "3aeb9d19e49579ec7c9993a05d7a983741a097a468b62d3f7fb361884a73fd07"),
     ("GF(101)[X]", "3*X^2-X+7", 2, "random:1:4:9",
      "9570bfb017a0d72b396d40ed3bb3fb3a6e79ebd2e6344bd537b11271d8d90805"),
+    # QQ[X] at high reply degree: the rational branch of zero_dim_witness,
+    # each transcript carrying a fraction
+    ("QQ[X]", "3*X^3-X+5", 2, "random:7:12:9",
+     "cc704cefd577b6ceec1ac41f72eb6b05e7d3ceaa1827cc11dd802c0db2129ad3"),
+    ("QQ[X]", "-4*X+7", 2, "random:2:10:9",
+     "2f0121b2d4d5c1f8060629fea10294bd9d26be0a344fe2b841300be88bc17107"),
+    ("QQ[X]", "2*X^2+3", 2, "random:4:3:5",
+     "5a160eac934ce5099a768317c97d4632c8f859e504f4d839c7c10d349e7ee3a8"),
     ("QQ[X,Y,Z]", "X", 4, "random:2:0:1000",
      "e8286d846bb7555faab357d8541692561021ff1a7206efabb0da51bcb82ce027"),
     ("QQ[X,Y,Z]", "3*Y", 4, "random:8:0:1000",
