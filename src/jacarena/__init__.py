@@ -57,7 +57,6 @@ from .strategies import (
     JacWitnessDelayer,
     PolyLiftStrategy,
     RandomDelayer,
-    ScaleStrategy,
     ScriptedDelayer,
     ZeroDimStrategy,
     loc_integral_strategy,

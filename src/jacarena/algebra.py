@@ -464,14 +464,16 @@ class Polynomial:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
-        result = Polynomial.constant(self.ring, 1, self.vars)
-        base = self
-        while e:
+        if e == 0:
+            return Polynomial.constant(self.ring, 1, self.vars)
+        base, result = self, None
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def scale(self, coeff):
         ring = self.ring

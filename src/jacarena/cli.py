@@ -213,6 +213,8 @@ def cmd_refute(args):
         return 0
 
     ring = parse_ring(args.ring)
+    if not ring.vars:
+        raise ValueError(f"refute poly needs a polynomial ring, got {ring.to_text()}")
     x = ring.element(ring.vars[-1])
     moves_pool = []
     for coeffs in itertools.product(_int_range(args.bound), repeat=args.deg + 1):
@@ -282,7 +284,7 @@ def main(argv=None):
     try:
         saturation_cap()
         return handlers[args.command](args)
-    except (RingSyntaxError, FileNotFoundError, ValueError) as exc:
+    except (RingSyntaxError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except EngineError as exc:

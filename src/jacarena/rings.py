@@ -192,8 +192,6 @@ class RingElement:
         return self.ring.element(self.poly ** e)
 
     def __eq__(self, other):
-        if isinstance(other, (int,)) and not isinstance(other, bool):
-            other = self.ring.element(other)
         if not isinstance(other, RingElement):
             return NotImplemented
         return self.ring == other.ring and self.poly == other.poly
@@ -341,22 +339,15 @@ def finite_enumeration_data(ring):
 
 
 def minimal_polynomial(x, var="T"):
-    """Monic minimal polynomial of x in a finite-dimensional algebra over QQ or GF(p).
+    """(monic minimal polynomial of x, normal forms of 1, x, ..., x^(d-1)), d its
+    degree, for x in a finite-dimensional algebra over QQ or GF(p).
 
     Computed by scanning powers 1, x, x^2, ... expressed on the staircase
-    basis for the first linear dependency.  ``zero_dim_witness`` reuses the
-    scanned powers through ``_minimal_polynomial_scan``.
-    """
-    return _minimal_polynomial_scan(x, var)[0]
-
-
-def _minimal_polynomial_scan(x, var="T"):
-    """(minimal polynomial of x, normal forms of 1, x, ..., x^(d-1)), d its degree.
-
-    The powers are the ones the scan reduces anyway.  Over a field a normal
-    form is a combination of staircase monomials, so any linear combination
-    of them is again a normal form: a polynomial of degree below d evaluated
-    at x needs no further multiplication or reduction.
+    basis for the first linear dependency; the powers are the ones the scan
+    reduces anyway.  Over a field a normal form is a combination of staircase
+    monomials, so any linear combination of them is again a normal form: a
+    polynomial of degree below d evaluated at x needs no further
+    multiplication or reduction.
     """
     ring = x.ring
     base = ring.base
@@ -417,7 +408,7 @@ def zero_dim_witness(x):
     base = ring.base
     if base.kind in ("QQ", "GF"):
         try:
-            mu, powers = _minimal_polynomial_scan(x)
+            mu, powers = minimal_polynomial(x)
         except NotFiniteDimensional as exc:
             raise NotZeroDimensional(str(exc)) from None
         by_deg = {m.exponent(0): c for m, c in mu.terms.items()}

@@ -2,7 +2,10 @@
 
 Prover strategies are deterministic move generators: ``propose`` yields this
 round's elements, ``receive`` consumes the Delayer's replies and returns the
-declared next budget together with a continuation strategy.  Correctness is
+declared next budget together with a continuation strategy.  A strategy's
+``receive`` is called only after its ``propose``, at the same position, so a
+combinator keeps the sub-moves its ``propose`` got and hands exactly those to
+the sub's ``receive``; no ``receive`` proposes again.  Correctness is
 enforced semantically by the referee's leaf check, so combinators only have
 to produce the right moves.  Declared budgets are clamped to stay strictly
 below the current position budget; a starved strategy plays on and simply
@@ -133,6 +136,7 @@ class _Bridge(ProverStrategy):
         return [self.ring.element(m.poly) for m in self.sub.propose(pos)]
 
     def receive(self, pos, moves, replies):
+        # Crossed moves, not the sub's own: the tower fault (ROADMAP item 1).
         sub_moves = [self.sub.ring.element(m.poly) for m in moves]
         sub_replies = [self.sub.ring.element(b.poly) for b in replies]
         declared, cont = self.sub.receive(pos, sub_moves, sub_replies)
@@ -164,17 +168,17 @@ class CutStrategy(ProverStrategy):
         self.s2 = s2
 
     def propose(self, pos):
-        lifted = [self.ring.element(m.poly) for m in self.s2.propose(pos)]
-        return list(self.s1.propose(pos)) + lifted
+        self.moves2 = self.s2.propose(pos)
+        self.moves1 = list(self.s1.propose(pos))
+        return self.moves1 + [self.ring.element(m.poly) for m in self.moves2]
 
     def receive(self, pos, moves, replies):
         if pos.tau <= 1:
             return 0, ImmediateWinStrategy(self.ring, self.x)
-        n1 = len(self.s1.propose(pos))
-        b1, c1 = self.s1.receive(pos, moves[:n1], replies[:n1])
-        down_m = [self.s2.ring.element(m.poly) for m in moves[n1:]]
+        n1 = len(self.moves1)
+        b1, c1 = self.s1.receive(pos, self.moves1, replies[:n1])
         down_r = [self.s2.ring.element(b.poly) for b in replies[n1:]]
-        b2, c2 = self.s2.receive(pos, down_m, down_r)
+        b2, c2 = self.s2.receive(pos, self.moves2, down_r)
         declared = max(b1, b2)
         if declared >= pos.tau:
             raise BudgetOverflow(
@@ -183,56 +187,40 @@ class CutStrategy(ProverStrategy):
         return declared, CutStrategy(c1, c2, self.name)
 
 
-class ScaleStrategy(ProverStrategy):
-    """Turn a strategy for (A, x*y, x') into one for (A, x, x'*z) by
-    multiplying every declared move by y."""
-
-    def __init__(self, sub, y, x=None):
-        super().__init__(sub.ring, sub.x if x is None else x, sub.budget, sub.name)
-        self.sub = sub
-        self.y_factor = y
-
-    def propose(self, pos):
-        return [m * self.y_factor for m in self.sub.propose(pos)]
-
-    def receive(self, pos, moves, replies):
-        inner_moves = self.sub.propose(pos)
-        declared, cont = self.sub.receive(pos, inner_moves, replies)
-        return declared, ScaleStrategy(cont, self.y_factor, self.x)
-
-
 class IntegralTransportStrategy(ProverStrategy):
-    """Play a base-ring strategy inside a monogenic extension.
+    """Play a base-ring strategy inside a monogenic extension, rescaled.
 
-    A declared base move a1 becomes the extension move a1*a; each extension
-    reply b2 is converted back into a base reply via the localization
-    transfer, whose output constraint lies in the ideal of the extension
-    constraint.
+    A declared base move a1 becomes the extension move a1*a*factor; each
+    extension reply b2 is converted back into a base reply via the
+    localization transfer, whose output constraint lies in the ideal of the
+    extension constraint.
     """
 
-    def __init__(self, ring, x, sub, a, a0, ext):
+    def __init__(self, ring, x, sub, a, a0, ext, factor):
         super().__init__(ring, x, sub.budget, sub.name)
         self.sub = sub
         self.a = a
         self.a0 = a0
         self.ext = ext
+        self.factor = factor
 
     def propose(self, pos):
+        self.inner_moves = self.sub.propose(pos)
         return [
-            self.ring.element((a1 * self.a).poly) for a1 in self.sub.propose(pos)
+            self.ring.element((a1 * self.a).poly) * self.factor
+            for a1 in self.inner_moves
         ]
 
     def receive(self, pos, moves, replies):
         if pos.tau <= 1:
             return 0, ImmediateWinStrategy(self.ring, self.x)
-        inner_moves = self.sub.propose(pos)
         inner_replies = [
             key_elementary_transfer(self.a, self.a0, a1, b2, self.ext)
-            for a1, b2 in zip(inner_moves, replies)
+            for a1, b2 in zip(self.inner_moves, replies)
         ]
-        declared, cont = self.sub.receive(pos, inner_moves, inner_replies)
+        declared, cont = self.sub.receive(pos, self.inner_moves, inner_replies)
         return declared, IntegralTransportStrategy(
-            self.ring, self.x, cont, self.a, self.a0, self.ext
+            self.ring, self.x, cont, self.a, self.a0, self.ext, self.factor
         )
 
 
@@ -260,11 +248,10 @@ def loc_integral_strategy(ring, y, rel, sub_factory, ext):
         a0 = cs[d - k]
         ext_k = MonogenicExtension(base, ring_k, ext.var, ext.relation)
         sub = sub_factory(d - k)
-        transported = IntegralTransportStrategy(ring_k, y_k, sub, a, a0, ext_k)
         f_prev = ring_k.element(f_raw(k - 1))
-        rescaled = ScaleStrategy(transported, f_prev)
+        transport = IntegralTransportStrategy(ring_k, y_k, sub, a, a0, ext_k, f_prev)
         lower = build(k - 1, ring_k.quotient_extend([f_prev]))
-        return CutStrategy(rescaled, lower, transported.name)
+        return CutStrategy(transport, lower, transport.name)
 
     return build(d, ring)
 

@@ -299,6 +299,28 @@ def test_product_matches_checked_reference(data):
     assert _is_canonical(product)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_power_is_the_product_of_copies(data):
+    ring = data.draw(DIFF_RINGS)
+    p = data.draw(operands(ring))
+    e = data.draw(st.integers(0, 7))
+    product = Polynomial.constant(ring, 1, p.vars)
+    for _ in range(e):
+        product = product * p
+    power = p ** e
+    assert power.vars == product.vars
+    assert power.terms == product.terms
+    assert power.to_text() == product.to_text()
+    assert _is_canonical(power)
+
+
+@pytest.mark.parametrize("e", [-1, 1.5])
+def test_power_rejects_other_exponents(e):
+    with pytest.raises(ValueError):
+        poly("x+y") ** e
+
+
 @settings(max_examples=100, deadline=None)
 @given(u=MONOS, v=MONOS)
 def test_monomial_mul_and_lcm_match_checked_constructor(u, v):

@@ -236,3 +236,27 @@ def test_repl_rejects_bad_input_then_recovers(capsys, monkeypatch):
     )
     assert code == 0
     assert "cannot parse" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["play", "--ring", "ZZ", "--x", "6", "--budget", "2", "--out", "{dir}"],
+        ["verify", "{dir}"],
+        ["repl", "--ring", "ZZ", "--x", "6", "--budget", "2", "--out", "{dir}"],
+    ],
+    ids=["play-out", "verify", "repl-out"],
+)
+def test_directory_path_is_a_configuration_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("resign\n"))
+    code, _, err = run([a.format(dir=tmp_path) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+
+
+def test_refute_poly_without_a_variable_is_a_configuration_error(capsys):
+    code, _, err = run(["refute", "poly", "--ring", "ZZ"], capsys)
+    assert code == 2
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacarena.algebra import GF, QQ, ZZ, Polynomial
 from jacarena.errors import (
@@ -148,13 +149,35 @@ def test_relations_must_match_base():
         parse_ring("ZZ[x]").quotient_extend([parse_ring("QQ[x]").element("x")])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    ring_text=st.sampled_from(["ZZ/12", "GF(5)[X]/(X^2)"]),
+    a=st.integers(-30, 30),
+    b=st.integers(-30, 30),
+    shift=st.integers(-3, 3),
+)
+def test_element_eq_and_hash_contract(ring_text, a, b, shift):
+    ring = parse_ring(ring_text)
+    if ring.vars:
+        # b*X^2 vanishes and 5*shift is zero in GF(5)
+        u = ring.element(f"{a} + {b}*X")
+        v = ring.element(f"{a + 5 * shift} + {b}*X + {b}*X^2")
+    else:
+        u, v = ring.element(a), ring.element(a + 12 * shift)
+    assert u == v and hash(u) == hash(v)
+    # an element never equals an int: in ZZ/12 the element 3 would have to
+    # equal 3, 15, 27, ..., which no hash can follow
+    assert u != a and a != u
+    assert len({u, a}) == 2
+
+
 def test_minimal_polynomial_examples():
-    assert minimal_polynomial(parse_ring("QQ[X]/(X^2)").element("X")).to_text() == "T^2"
+    assert minimal_polynomial(parse_ring("QQ[X]/(X^2)").element("X"))[0].to_text() == "T^2"
     assert (
-        minimal_polynomial(parse_ring("GF(2)[X]/(X^2+X)").element("X")).to_text()
+        minimal_polynomial(parse_ring("GF(2)[X]/(X^2+X)").element("X"))[0].to_text()
         == "T^2 + T"
     )
-    assert minimal_polynomial(parse_ring("QQ[X]/(X-3)").element("X")).to_text() == "T - 3"
+    assert minimal_polynomial(parse_ring("QQ[X]/(X-3)").element("X"))[0].to_text() == "T - 3"
 
 
 def test_minimal_polynomial_infinite_staircase():
@@ -173,7 +196,7 @@ def test_minimal_polynomial_minimality_exhaustive():
     for ring_text, x_text in cases:
         ring = parse_ring(ring_text)
         x = ring.element(x_text)
-        mu = minimal_polynomial(x)
+        mu, _ = minimal_polynomial(x)
         deg = mu.degree_in("T")
         p = ring.base.p
         assert ring.element(mu.substitute({"T": x.poly}).remap(ring.vars)).is_zero()
@@ -216,7 +239,7 @@ def test_zero_dim_witness_identity(ring_text, x_text, expected_e):
 def _witness_by_power_formula(x):
     """(e, a) with a = -g(0)^(-1) * sum_j c_j * x^(j-e-1), each power taken in the ring."""
     ring = x.ring
-    by_deg = {m.exponent(0): c for m, c in minimal_polynomial(x).terms.items()}
+    by_deg = {m.exponent(0): c for m, c in minimal_polynomial(x)[0].terms.items()}
     e = min(by_deg)
     r = ring.zero()
     for j, cj in by_deg.items():

@@ -18,10 +18,11 @@ from jacarena.strategies import (
     EuclideanDim1Strategy,
     FixedMovesProver,
     ImmediateWinStrategy,
+    IntegralTransportStrategy,
     JacWitnessDelayer,
     PolyLiftStrategy,
+    ProverStrategy,
     RandomDelayer,
-    ScaleStrategy,
     ScriptedDelayer,
     ZeroDimStrategy,
     delayer_from_spec,
@@ -157,30 +158,6 @@ def test_cut_trivial_x_cases():
     assert t.winner == "prover"
 
 
-def test_scale_strategy_identity_and_move_law():
-    Z8 = parse_ring("ZZ/8")
-    base = ZeroDimStrategy(Z8, Z8.element(4))
-    scaled = ScaleStrategy(base, Z8.one())
-    pos = GamePosition(Z8, 1, ())
-    assert [m.poly for m in scaled.propose(pos)] == [m.poly for m in base.propose(pos)]
-
-    # (Z/8, 4, 4) rescaled by y = 2 plays for (Z/8, 2, 4)
-    scaled2 = ScaleStrategy(ZeroDimStrategy(Z8, Z8.element(4)), Z8.element(2), x=Z8.element(2))
-    assert [m.poly for m in scaled2.propose(pos)] == [
-        (m * Z8.element(2)).poly for m in ZeroDimStrategy(Z8, Z8.element(4)).propose(pos)
-    ]
-    t = play(Z8, Z8.element(2), 1, scaled2, RandomDelayer(Z8, 3, 0, 7), xprime=Z8.element(4))
-    assert t.winner == "prover"
-
-
-def test_scale_with_nilpotent_z_always_wins():
-    Z4 = parse_ring("ZZ/4")
-    base = ZeroDimStrategy(Z4, Z4.element(3))
-    scaled = ScaleStrategy(base, Z4.one())
-    t = play(Z4, Z4.element(3), 1, scaled, EchoDelayer(Z4), xprime=Z4.element(2) * Z4.element(3))
-    assert t.winner == "prover"
-
-
 def test_quotient_push_behaviour():
     Z = parse_ring("ZZ")
     base = EuclideanDim1Strategy(Z, Z.element(6))
@@ -231,6 +208,88 @@ def test_loc_integral_inverted_two():
     t = play(B, B.element("Y"), 2, s, RandomDelayer(B, 5, 1, 3),
              xprime=B.element("2*Y"))
     assert t.winner == "prover"
+
+
+def test_integral_transport_move_law():
+    # a base move a1 becomes ring.element((a1*a).poly) * factor
+    B, loc = _loc_strategy("ZZ[Y]/(Y^2-6)", "Y")
+    transport = loc.s1
+    assert isinstance(transport, IntegralTransportStrategy)
+    pos = GamePosition(B, 2, ())
+    expected = [
+        (B.element((a1 * transport.a).poly) * transport.factor).poly
+        for a1 in transport.sub.propose(pos)
+    ]
+    assert expected
+    assert [m.poly for m in transport.propose(pos)] == expected
+
+    unscaled = IntegralTransportStrategy(
+        B, transport.x, transport.sub, transport.a, transport.a0, transport.ext, B.one()
+    )
+    assert [m.poly for m in unscaled.propose(pos)] == [
+        B.element((a1 * transport.a).poly).poly for a1 in transport.sub.propose(pos)
+    ]
+
+
+class _Spy(ProverStrategy):
+    """Counts its propose calls; its continuation is a fresh spy on the same log."""
+
+    def __init__(self, inner, log):
+        super().__init__(inner.ring, inner.x, inner.budget, inner.name)
+        self.inner = inner
+        self.log = log
+        self.proposed = 0
+        self.received = 0
+        log.append(self)
+
+    def propose(self, pos):
+        self.proposed += 1
+        return self.inner.propose(pos)
+
+    def receive(self, pos, moves, replies):
+        self.received += 1
+        declared, cont = self.inner.receive(pos, moves, replies)
+        return declared, _Spy(cont, self.log)
+
+
+def _assert_asked_once_per_round(log):
+    # a spy is one sub-strategy at one round: proposed at most once, and
+    # exactly once when its round went on to receive the replies
+    assert any(spy.received for spy in log)
+    for spy in log:
+        assert spy.proposed <= 1, spy
+        assert spy.received <= spy.proposed, spy
+
+
+def test_cut_proposes_each_sub_once_per_round():
+    Z = parse_ring("ZZ")
+    lower = Z.quotient_extend([Z.element(4)])
+    for seed in (1, 2, 3):
+        log = []
+        cut = CutStrategy(
+            _Spy(EuclideanDim1Strategy(Z, 6), log),
+            _Spy(ZeroDimStrategy(lower, 6), log),
+        )
+        play(Z, Z.element(6), 2, cut, RandomDelayer(Z, seed, 0, 5))
+        _assert_asked_once_per_round(log)
+
+
+def test_loc_integral_proposes_each_sub_once_per_round():
+    Zb = parse_ring("ZZ")
+    B = parse_ring("ZZ[Y]/(Y^2-6)")
+    ext = MonogenicExtension(Zb, B, "Y", B.relations[0])
+    dep = integral_dependence(B.element("Y"), ext)
+    fac = ring_strategy_factory(Zb)
+    for seed in (1, 2, 3):
+        log = []
+
+        def sub_factory(idx):
+            return _Spy(fac(Zb.element((dep.a * dep.coeffs[idx]).poly)), log)
+
+        s = loc_integral_strategy(B, B.element("Y"), dep, sub_factory, ext)
+        t = play(B, B.element("Y"), 2, s, RandomDelayer(B, seed, 1, 3))
+        assert t.winner == "prover"
+        _assert_asked_once_per_round(log)
 
 
 def test_loc_integral_degenerate_immediate():
