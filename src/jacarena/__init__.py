@@ -10,14 +10,13 @@ from .algebra import (
     Polynomial,
 )
 from .errors import EngineError
-from .ideals import GroebnerBasis, NilCertificate, groebner, ideal_member, radical_combine
+from .ideals import GroebnerBasis, NilCertificate, groebner
 from .parsing import parse_polynomial, parse_ring
 from .rings import (
     IntegralRelation,
     MonogenicExtension,
     RingElement,
     RingPresentation,
-    UnitDecomposition,
     integral_dependence,
     invert_in_integral_quotient,
     key_elementary_transfer,
@@ -26,7 +25,6 @@ from .rings import (
     minimal_polynomial,
     nil_exponent_search,
     nil_member,
-    unit_poly_decompose,
     zero_dim_witness,
 )
 

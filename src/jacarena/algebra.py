@@ -19,16 +19,32 @@ from operator import add
 from .errors import IncompatibleRings
 
 
+# Miller-Rabin to the first 13 prime bases is exact below psi_13 (Sorenson &
+# Webster 2015); psi_13 itself is a strong pseudoprime to all 13 bases.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MODULUS_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin test for 0 <= n < _MODULUS_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -41,6 +57,8 @@ class CoefficientRing:
         if kind not in ("ZZ", "QQ", "GF"):
             raise ValueError(f"unknown coefficient ring kind {kind!r}")
         if kind == "GF":
+            if p is not None and p >= _MODULUS_BOUND:
+                raise ValueError(f"GF modulus must be below {_MODULUS_BOUND}, got {p}")
             if p is None or not _is_prime(p):
                 raise ValueError(f"GF modulus must be a prime, got {p!r}")
         elif p is not None:
@@ -209,19 +227,16 @@ _ONE_MONOMIAL = Monomial(())
 
 
 class MonomialOrder:
-    """Total multiplicative monomial order over a fixed variable list.
+    """DEGREVLEX order over a fixed variable list.
 
-    LEX compares exponent vectors left to right.  DEGREVLEX compares total
-    degree first and breaks ties by the reverse lexicographic rule (the
-    monomial with the smaller exponent in the last differing slot is larger).
+    Total degree is compared first, and ties are broken by the reverse
+    lexicographic rule (the monomial with the smaller exponent in the last
+    differing slot is larger).
     """
 
-    __slots__ = ("kind", "vars", "_cache", "_heap_cache")
+    __slots__ = ("vars", "_cache", "_heap_cache")
 
-    def __init__(self, kind, vars):
-        if kind not in ("LEX", "DEGREVLEX"):
-            raise ValueError(f"unknown monomial order {kind!r}")
-        self.kind = kind
+    def __init__(self, vars):
         self.vars = tuple(vars)
         self._cache = {}
         self._heap_cache = {}
@@ -231,10 +246,7 @@ class MonomialOrder:
         if cached is not None:
             return cached
         exps = mono.padded(len(self.vars))
-        if self.kind == "LEX":
-            result = exps
-        else:
-            result = (sum(exps), tuple(-e for e in reversed(exps)))
+        result = (sum(exps), tuple(-e for e in reversed(exps)))
         self._cache[mono] = result
         return result
 
@@ -244,10 +256,7 @@ class MonomialOrder:
         if cached is not None:
             return cached
         exps = mono.padded(len(self.vars))
-        if self.kind == "LEX":
-            result = tuple(-e for e in exps)
-        else:
-            result = (-sum(exps), exps[::-1])
+        result = (-sum(exps), exps[::-1])
         self._heap_cache[mono] = result
         return result
 
@@ -257,17 +266,13 @@ class MonomialOrder:
         return m, terms[m]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.vars == other.vars
-        )
+        return isinstance(other, MonomialOrder) and self.vars == other.vars
 
     def __hash__(self):
-        return hash((self.kind, self.vars))
+        return hash(self.vars)
 
     def __repr__(self):
-        return f"MonomialOrder({self.kind}, {self.vars})"
+        return f"MonomialOrder({self.vars})"
 
 
 def merge_vars(a, b):
@@ -506,33 +511,6 @@ class Polynomial:
             del exps[i]
             split.setdefault(d, {})[Monomial(exps)] = coeff
         return {d: Polynomial(self.ring, rest, t) for d, t in split.items()}
-
-    def substitute(self, bindings):
-        """Simultaneous substitution; unbound variables are unchanged."""
-        target_vars = self.vars
-        for name, value in bindings.items():
-            if not isinstance(value, Polynomial):
-                raise TypeError("bindings must map names to polynomials")
-            if value.ring != self.ring:
-                raise IncompatibleRings(f"{value} is not over {self.ring}")
-            target_vars = merge_vars(target_vars, value.vars)
-        result = Polynomial.zero(self.ring, target_vars)
-        for mono, coeff in self.terms.items():
-            factor = Polynomial.constant(self.ring, coeff, target_vars)
-            for i, e in enumerate(mono.exps):
-                if e == 0:
-                    continue
-                name = self.vars[i]
-                if name in bindings:
-                    factor = factor * bindings[name].remap(
-                        merge_vars(target_vars, bindings[name].vars)
-                    ) ** e
-                else:
-                    factor = factor * Polynomial.variable(
-                        self.ring, name, target_vars
-                    ) ** e
-            result = result + factor
-        return result
 
     def __repr__(self):
         return f"Polynomial({self.to_text()!r}, vars={self.vars})"

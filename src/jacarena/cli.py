@@ -8,6 +8,7 @@ Exit codes: 0 for a Prover win (or a valid transcript / successful sweep),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import sys
@@ -77,19 +78,20 @@ def _load_match(args):
     return ring, x, xprime
 
 
+def _open_out(path, default=None):
+    """The --out file, opened before the match so that a bad path costs no play."""
+    return open(path, "w") if path else contextlib.nullcontext(default)
+
+
 def cmd_play(args):
     ring, x, xprime = _load_match(args)
     prover = prover_from_spec(args.prover, ring, x, xprime, args.budget)
     delayer = delayer_from_spec(args.delayer, ring, x)
-    transcript = referee_play(ring, x, xprime, args.budget, prover, delayer)
-    if transcript.diagnosis:
-        print(f"note: {transcript.diagnosis}", file=sys.stderr)
-    text = transcript.to_json(indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _open_out(args.out, sys.stdout) as fh:
+        transcript = referee_play(ring, x, xprime, args.budget, prover, delayer)
+        if transcript.diagnosis:
+            print(f"note: {transcript.diagnosis}", file=sys.stderr)
+        fh.write(transcript.to_json(indent=2) + "\n")
     return 0 if transcript.winner == "prover" else 1
 
 
@@ -107,9 +109,9 @@ class _HumanDelayer:
 
     name = "human"
 
-    def __init__(self, ring, stream=None):
+    def __init__(self, ring):
         self.ring = ring
-        self.stream = stream if stream is not None else sys.stdin
+        self.stream = sys.stdin
         self.resigned = False
 
     def _read_expr(self, prompt):
@@ -148,8 +150,6 @@ def cmd_repl(args):
     ring, x, xprime = _load_match(args)
     prover = prover_from_spec(args.prover, ring, x, xprime, args.budget)
     human = _HumanDelayer(ring)
-    print(f"Match on {ring.to_text()}: x = {x.to_text()}, x' = {xprime.to_text()}, budget {args.budget}")
-    print("You are Delayer. '?' lists the input forms.")
 
     class _Announcer:
         name = prover.name
@@ -173,9 +173,14 @@ def cmd_repl(args):
             return declared, self
 
     prover_state = [prover]
-    transcript = referee_play(ring, x, xprime, args.budget, _Announcer(), human)
-    transcript.prover_name = prover.name
-    transcript.delayer_name = "human"
+    with _open_out(args.out) as fh:
+        print(f"Match on {ring.to_text()}: x = {x.to_text()}, x' = {xprime.to_text()}, budget {args.budget}")
+        print("You are Delayer. '?' lists the input forms.")
+        transcript = referee_play(ring, x, xprime, args.budget, _Announcer(), human)
+        transcript.prover_name = prover.name
+        transcript.delayer_name = "human"
+        if fh is not None:
+            fh.write(transcript.to_json(indent=2) + "\n")
     print(f"\nWinner: {transcript.winner}")
     if transcript.certificate is not None:
         cert = transcript.certificate
@@ -186,8 +191,6 @@ def cmd_repl(args):
                   if not c.is_zero()
               ))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(transcript.to_json(indent=2) + "\n")
         print(f"Transcript written to {args.out}")
     return 0 if transcript.winner == "prover" else 1
 

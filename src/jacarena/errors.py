@@ -31,10 +31,6 @@ class MalformedTranscript(EngineError):
     """Transcript JSON with a missing field, a wrong type or an out-of-range index."""
 
 
-class NotAUnit(EngineError):
-    """The claimed inverse pair does not multiply to one."""
-
-
 class NotFiniteDimensional(EngineError):
     """The quotient has an infinite monomial staircase."""
 

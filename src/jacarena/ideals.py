@@ -14,7 +14,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .algebra import Monomial, MonomialOrder, Polynomial, merge_vars
+from .algebra import Monomial, Polynomial
 from .errors import InvalidCertificate
 
 
@@ -147,11 +147,6 @@ class GroebnerBasis:
     def reduce_tracked(self, p):
         return _reduce_full(p.remap(self.order.vars), self._rows, self.order, True)
 
-    @property
-    def contains_one(self):
-        one = Polynomial.constant(self.ring, 1, self.order.vars)
-        return self.normal_form(one).is_zero()
-
     def is_member(self, p):
         return self.normal_form(p).is_zero()
 
@@ -217,8 +212,8 @@ def _staircase_of(lead_monos, nvars):
     return out
 
 
-def groebner(gens, order, ring=None, track=True):
-    """Compute a reduced (monic / strong, per coefficient ring) basis.
+def groebner(gens, order, ring, track=True):
+    """Compute a reduced (monic / strong, per coefficient ring) basis of gens over ring.
 
     The returned object satisfies two exact invariants: every S- and
     G-polynomial of the basis reduces to zero, and (when track is set) every
@@ -226,11 +221,6 @@ def groebner(gens, order, ring=None, track=True):
     track=False the cofactor bookkeeping is skipped, which is much faster
     when only membership answers are needed.
     """
-    gens = list(gens)
-    if gens:
-        ring = gens[0].ring
-    if ring is None:
-        raise ValueError("empty generator list needs an explicit ring")
     vars = order.vars
     inputs = [g.remap(vars) for g in gens]
     zero = Polynomial.zero(ring, vars)
@@ -342,20 +332,6 @@ def groebner(gens, order, ring=None, track=True):
     return GroebnerBasis(ring, order, inputs, kept, tracked=track)
 
 
-def ideal_member(x, gens, order=None):
-    """Cofactors c with x = sum c_i * gens_i, or None when x is not a member."""
-    if not gens:
-        return [] if x.is_zero() else None
-    if order is None:
-        vars = x.vars
-        for g in gens:
-            vars = merge_vars(vars, g.vars)
-        order = MonomialOrder("DEGREVLEX", vars)
-    gb = groebner(gens, order)
-    cofs = gb.member_cofactors(x.remap(order.vars))
-    return cofs
-
-
 @dataclass(frozen=True)
 class NilCertificate:
     """Witness that element^exponent = sum cofactor_i * generator_i, exactly."""
@@ -381,56 +357,3 @@ class NilCertificate:
                 f"{len(self.generators)} generators"
             )
         return self
-
-
-def radical_combine(cert_xy, cert_x):
-    """From certificates for x*y over U and for x over U + [y], build one for x over U.
-
-    With (xy)^m = sum c_u u and x^n = A + c*y, A supported on U, one has
-    x^(nm+m) = A*W*x^m + c^m*(xy)^m for the binomial tail W, so the output
-    exponent is n*m + m.
-    """
-    cert_xy.require_valid()
-    cert_x.require_valid()
-    if not cert_x.generators:
-        raise InvalidCertificate("inner certificate has no generator for y")
-    y = cert_x.generators[-1]
-    shared = cert_x.generators[:-1]
-    if len(shared) != len(cert_xy.generators) or any(
-        a != b for a, b in zip(shared, cert_xy.generators)
-    ):
-        raise InvalidCertificate("generator lists do not agree below y")
-    x = cert_x.element
-    if cert_xy.element != x * y:
-        raise InvalidCertificate("outer certificate is not for x*y")
-
-    m = cert_xy.exponent
-    n = cert_x.exponent
-    gens = cert_xy.generators
-
-    if m == 0:
-        return NilCertificate(x, 0, gens, cert_xy.cofactors).require_valid()
-
-    one = Polynomial.constant(x.ring, 1, x.vars)
-    if y == one:
-        for j, g in enumerate(gens):
-            if g == one:
-                cofs = list(cert_x.cofactors[:-1])
-                cofs[j] = cofs[j] + cert_x.cofactors[-1]
-                return NilCertificate(x, n, gens, tuple(cofs)).require_valid()
-
-    c = cert_x.cofactors[-1]
-    a_part = Polynomial.zero(x.ring, x.vars)
-    for d, u in zip(cert_x.cofactors[:-1], shared):
-        a_part = a_part + d * u
-    cy = c * y
-    w = Polynomial.zero(x.ring, x.vars)
-    for k in range(m):
-        w = w + (cy ** k) * (a_part ** (m - 1 - k)) * math.comb(m, k)
-    xm = x ** m
-    cm = c ** m
-    cofs = tuple(
-        d * w * xm + cm * cxy
-        for d, cxy in zip(cert_x.cofactors[:-1], cert_xy.cofactors)
-    )
-    return NilCertificate(x, n * m + m, gens, cofs).require_valid()

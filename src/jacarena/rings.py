@@ -17,7 +17,6 @@ from .errors import (
     InvalidCertificate,
     LeadingCoefficientZero,
     NonMonicDependence,
-    NotAUnit,
     NotFinite,
     NotFiniteDimensional,
     NotMonogenic,
@@ -25,7 +24,7 @@ from .errors import (
     SaturationCapExceeded,
     UnsupportedRing,
 )
-from .ideals import NilCertificate, groebner, ideal_member
+from .ideals import NilCertificate, groebner
 
 
 def saturation_cap():
@@ -58,7 +57,7 @@ class RingPresentation:
                 raise IncompatibleRings(f"relation {r} not over {base}")
             rels.append(r.remap(self.vars))
         self.relations = tuple(rels)
-        self.order = MonomialOrder("DEGREVLEX", self.vars)
+        self.order = MonomialOrder(self.vars)
         self._gb = None
         self._parent = None
 
@@ -102,7 +101,7 @@ class RingPresentation:
         return self.element(1)
 
     def is_trivial(self):
-        return self.gb.contains_one
+        return self.gb.is_member(Polynomial.constant(self.base, 1, self.vars))
 
     def quotient_extend(self, extra):
         """New presentation with the extra elements adjoined to the relations.
@@ -206,14 +205,14 @@ class RingElement:
         return f"<{self.poly.to_text()} in {self.ring.to_text()}>"
 
 
-def coefficient_ring(ring, var=None):
-    """The coefficient ring A of ring = A[var], var the last variable by default.
+def coefficient_ring(ring):
+    """The coefficient ring A of ring = A[var], var the last variable.
 
     Raises UnsupportedRing when ring has no variable or a relation involves var.
     """
     if not ring.vars:
         raise UnsupportedRing(f"{ring.to_text()} has no polynomial variable")
-    var = var or ring.vars[-1]
+    var = ring.vars[-1]
     for r in ring.relations:
         if r.degree_in(var) > 0:
             raise UnsupportedRing(f"relation {r.to_text()} involves the variable {var!r}")
@@ -239,16 +238,16 @@ def member_in(ring, target, extra=()):
     """
     target = _as_poly(target, ring)
     gens = list(ring.relations) + [_as_poly(g, ring) for g in extra]
-    return ideal_member(target, gens, ring.order)
+    return groebner(gens, ring.order, ring=ring.base).member_cofactors(target)
 
 
-def _fresh_var(vars, stem="T"):
-    if stem not in vars:
-        return stem
+def _fresh_var(vars):
+    if "T" not in vars:
+        return "T"
     i = 0
-    while f"{stem}{i}" in vars:
+    while f"T{i}" in vars:
         i += 1
-    return f"{stem}{i}"
+    return f"T{i}"
 
 
 def nil_member(x, constraints=()):
@@ -269,7 +268,7 @@ def nil_member(x, constraints=()):
 
     t = _fresh_var(ring.vars)
     bigvars = ring.vars + (t,)
-    order = MonomialOrder("DEGREVLEX", bigvars)
+    order = MonomialOrder(bigvars)
     tpoly = Polynomial.variable(base, t, bigvars)
     rab = Polynomial.constant(base, 1, bigvars) - tpoly * xp.remap(bigvars)
     gens = [g.remap(bigvars) for g in gens_ring] + [rab]
@@ -301,7 +300,7 @@ def nil_exponent_search(x, constraints=(), cap=12):
     gens = list(ring.relations) + [_as_poly(c, ring) for c in constraints]
     power = Polynomial.constant(ring.base, 1, ring.vars)
     for e in range(cap + 1):
-        cofs = ideal_member(power, gens, ring.order)
+        cofs = member_in(ring, power, constraints)
         if cofs is not None:
             return e, NilCertificate(x.poly, e, tuple(gens), tuple(cofs)).require_valid()
         power = power * x.poly
@@ -338,9 +337,9 @@ def finite_enumeration_data(ring):
     return list(stair), counts
 
 
-def minimal_polynomial(x, var="T"):
-    """(monic minimal polynomial of x, normal forms of 1, x, ..., x^(d-1)), d its
-    degree, for x in a finite-dimensional algebra over QQ or GF(p).
+def minimal_polynomial(x):
+    """(monic minimal polynomial of x in T, normal forms of 1, x, ..., x^(d-1)),
+    d its degree, for x in a finite-dimensional algebra over QQ or GF(p).
 
     Computed by scanning powers 1, x, x^2, ... expressed on the staircase
     basis for the first linear dependency; the powers are the ones the scan
@@ -385,7 +384,7 @@ def minimal_polynomial(x, var="T"):
             for j, cj in enumerate(combo):
                 if cj != base.zero():
                     terms[Monomial((j,))] = base.neg(cj)
-            return Polynomial(base, (var,), terms), powers
+            return Polynomial(base, ("T",), terms), powers
         coords = [base.neg(c) for c in combo] + [base.one()]
         pivots.append((nonzero, v, coords))
         powers.append(power.poly)
@@ -544,7 +543,7 @@ def _reduce_in_extension(poly, ext):
     """Rewrite a polynomial of B as (vector over 1..X^(k-1), a-power exponent).
 
     Each elimination of the top X-degree multiplies through by the leading
-    coefficient a and substitutes a*X^k -> -(lower part of the relation).
+    coefficient a and rewrites a*X^k as -(lower part of the relation).
     Coefficients are normalized in the base presentation along the way.
     """
     base = ext.base
@@ -596,15 +595,14 @@ def _det(matrix):
     return total
 
 
-def integral_dependence(b, ext, cap=None):
+def integral_dependence(b, ext):
     """Dependence a^l * b^d = sum c_j b^j from the multiplication-by-b matrix.
 
     The characteristic polynomial of that matrix over the localization at a
     annihilates b; a bounded a-power search then clears the identity back
     into the unlocalized ring.
     """
-    if cap is None:
-        cap = saturation_cap()
+    cap = saturation_cap()
     base, ring, k = ext.base, ext.ring, ext.k
     a = ext.lead
 
@@ -706,19 +704,18 @@ def loc_key_clear(a, a1, a2p, e):
     return ring.element(a2_raw)
 
 
-def key_elementary_transfer(a, a0, a1, b2, ext, cap=None):
+def key_elementary_transfer(a, a0, a1, b2, ext):
     """a2 in A with 1 - a2(1 - a1*a*a0) in <1 - b2(1 - a1*a*a0)> of ext.ring.
 
     Pipeline: integral dependence for b2, inversion over the localization
     (giving a numerator with denominator a^e), bounded saturation to land in
     the unlocalized ring, then geometric-sum clearing.
     """
-    if cap is None:
-        cap = saturation_cap()
+    cap = saturation_cap()
     base = ext.base
     ring_b = ext.ring
     w = base.one() - a1 * a * a0
-    dep = integral_dependence(b2, ext, cap=cap)
+    dep = integral_dependence(b2, ext)
 
     a2dd = base.zero()
     for j in range(dep.d):
@@ -744,52 +741,3 @@ def key_elementary_transfer(a, a0, a1, b2, ext, cap=None):
     if not gb.is_member(claim.poly):
         raise InvalidCertificate("transfer output failed its membership check")
     return a2
-
-
-@dataclass(frozen=True)
-class UnitDecomposition:
-    """Constant-part unit witness plus one nilpotency certificate per higher coefficient."""
-
-    constant: tuple
-    nil_certs: dict
-    lead_exponent: int
-
-
-def unit_poly_decompose(u, v, var=None):
-    """Split a polynomial unit: invertible constant part, nilpotent higher coefficients.
-
-    Requires u*v = 1 in a presentation whose relations do not involve the
-    polynomial variable; the leading coefficient additionally satisfies
-    u_m^(deg v + 1) in the relation ideal of the coefficient ring.
-    """
-    ring = u.ring
-    coeff_ring = coefficient_ring(ring, var)
-    var = var or ring.vars[-1]
-    if not (u * v - 1).is_zero():
-        raise NotAUnit(f"({u.to_text()})*({v.to_text()}) is not 1")
-
-    avars = coeff_ring.vars
-    u_split = u.poly.coefficients_in(var)
-    v_split = v.poly.coefficients_in(var)
-    u0 = coeff_ring.element(u_split.get(0, Polynomial.zero(ring.base, avars)))
-    v0 = coeff_ring.element(v_split.get(0, Polynomial.zero(ring.base, avars)))
-    if not (u0 * v0 - 1).is_zero():
-        raise AssertionError("constant coefficients of a unit pair must multiply to 1")
-
-    certs = {}
-    for j, coeff in sorted(u_split.items()):
-        if j == 0:
-            continue
-        cert = nil_member(coeff_ring.element(coeff))
-        if cert is None:
-            raise AssertionError(f"higher coefficient {coeff.to_text()} not nilpotent")
-        certs[j] = cert
-
-    deg_v = max(v_split, default=0)
-    lead_exponent = deg_v + 1
-    if certs:
-        m = max(certs)
-        lead = u_split[m].remap(avars)
-        if member_in(coeff_ring, lead ** lead_exponent) is None:
-            raise AssertionError("leading coefficient bound u_m^(deg v + 1) failed")
-    return UnitDecomposition((u0, v0), certs, lead_exponent)

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -64,6 +65,24 @@ def test_bad_saturation_cap_is_a_configuration_error(capsys, monkeypatch, comman
     assert out == ""
     assert err.count("\n") == 1
     assert "JACARENA_SATURATION_CAP" in err
+
+
+def test_play_with_a_large_gf_modulus_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(
+        ["play", "--ring", "GF(1000000000000000003)", "--x", "1", "--budget", "0"], capsys
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 1 and json.loads(out)["winner"] == "delayer"
+
+
+def test_play_with_a_gf_modulus_past_the_bound_is_a_configuration_error(capsys):
+    code, out, err = run(
+        ["play", "--ring", "GF(3317044064679887385961981)", "--x", "1", "--budget", "0"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("configuration error: ")
 
 
 def test_play_deeply_nested_relation_is_a_configuration_error(capsys):
@@ -136,6 +155,8 @@ def _set_round_text(obj, field, text):
         (lambda obj: obj.update(rounds={"0": obj["rounds"][0]}), "'rounds' is not a list"),
         (lambda obj: obj["certificate"].update(e=-1), "exponent -1 is negative"),
         (lambda obj: obj.update(ring="GF(4)"), "field 'ring': GF modulus must be a prime"),
+        (lambda obj: obj.update(ring="GF(3317044064679887385961981)"),
+         "field 'ring': GF modulus must be below 3317044064679887385961981"),
         (lambda obj: obj.update(x="Y"), "field 'x': unknown variable 'Y'"),
         (lambda obj: obj.update(xPrime="X +"), "field 'xPrime': unexpected 'end'"),
         (lambda obj: obj.update(x="(" * 3000 + "X" + ")" * 3000),
@@ -147,7 +168,7 @@ def _set_round_text(obj, field, text):
          "certificate cofactor '1': unknown variable 'Y'"),
     ],
     ids=["key-out-of-range", "key-negative", "missing-winner", "rounds-not-list", "negative-e",
-         "ring-not-a-field", "x-unknown-variable", "xprime-unparseable", "x-deep-parentheses",
+         "ring-not-a-field", "ring-modulus-too-large", "x-unknown-variable", "xprime-unparseable", "x-deep-parentheses",
          "x-long-sign-run", "move-unknown-variable",
          "reply-zero-divisor", "cofactor-unknown-variable"],
 )
@@ -250,6 +271,21 @@ def test_repl_rejects_bad_input_then_recovers(capsys, monkeypatch):
 def test_directory_path_is_a_configuration_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(sys, "stdin", io.StringIO("resign\n"))
     code, _, err = run([a.format(dir=tmp_path) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["play", "repl"])
+def test_unwritable_out_path_fails_before_the_match(tmp_path, capsys, monkeypatch, command):
+    def no_match(*args):
+        raise AssertionError("the match was played before --out was opened")
+
+    monkeypatch.setattr("jacarena.cli.referee_play", no_match)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code, _, err = run(
+        [command, "--ring", "ZZ", "--x", "6", "--budget", "2", "--out", str(tmp_path)], capsys
+    )
     assert code == 2
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1

@@ -1,10 +1,12 @@
 """Finite-ring enumeration, brute-force radicals, and exact minimal budgets."""
 
 import itertools
+import random
 
 import pytest
 
 from jacarena.errors import NotFinite
+from jacarena.game import referee_play, verify_transcript
 from jacarena.oracle import (
     brute_jac,
     brute_nil,
@@ -15,7 +17,12 @@ from jacarena.oracle import (
 )
 from jacarena.parsing import parse_ring
 from jacarena.rings import member_in
-from jacarena.strategies import ZeroDimStrategy, ring_strategy_factory
+from jacarena.strategies import (
+    ConstantDelayer,
+    FixedMovesProver,
+    ZeroDimStrategy,
+    ring_strategy_factory,
+)
 
 
 def test_enumerate_finite_counts():
@@ -124,3 +131,22 @@ def test_strategy_budget_never_below_oracle():
         for x in table.elements:
             alpha = minimal_alpha(table, x, x)
             assert ZeroDimStrategy(ring, x).budget >= alpha
+
+
+@pytest.mark.parametrize("text", ["ZZ/12", "GF(2)[X]/(X^3)", "ZZ[X]/(4, X^2)"])
+def test_referee_verdicts_agree_with_brute_nil(text):
+    # budget 0: x itself; budget 1: one move a against the constant reply b
+    table = enumerate_finite(parse_ring(text))
+    ring, one = table.ring, table.ring.one()
+    rng = random.Random(text)
+    for x in table.elements:
+        matches = [(FixedMovesProver(ring, x, []), ConstantDelayer(ring, 0), [])]
+        for _ in range(4):
+            a, b = rng.choice(table.elements), rng.choice(table.elements)
+            constraint = one - b * (one - a * x)
+            matches.append((FixedMovesProver(ring, x, [[a]]), ConstantDelayer(ring, b), [constraint]))
+        for prover, delayer, constraints in matches:
+            transcript = referee_play(ring, x, x, prover.budget, prover, delayer)
+            expected = "prover" if brute_nil(table, x, constraints) else "delayer"
+            assert transcript.winner == expected, (text, x.to_text(), transcript.to_json())
+            assert verify_transcript(transcript), transcript.to_json()

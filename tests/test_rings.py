@@ -10,7 +10,6 @@ from jacarena.errors import (
     IncompatibleRings,
     LeadingCoefficientZero,
     NonMonicDependence,
-    NotAUnit,
     NotFiniteDimensional,
     NotMonogenic,
     NotZeroDimensional,
@@ -27,7 +26,6 @@ from jacarena.rings import (
     loc_key_clear,
     member_in,
     minimal_polynomial,
-    unit_poly_decompose,
     zero_dim_witness,
 )
 
@@ -199,7 +197,11 @@ def test_minimal_polynomial_minimality_exhaustive():
         mu, _ = minimal_polynomial(x)
         deg = mu.degree_in("T")
         p = ring.base.p
-        assert ring.element(mu.substitute({"T": x.poly}).remap(ring.vars)).is_zero()
+        by_deg = {m.exponent(0): c for m, c in mu.terms.items()}
+        value = ring.zero()
+        for k in range(deg, -1, -1):
+            value = value * x + by_deg.get(k, 0)
+        assert value.is_zero()
         for smaller in range(deg):
             found = False
             for combo in range(p ** smaller):
@@ -508,57 +510,3 @@ def test_saturation_cap_env_override(monkeypatch):
         monkeypatch.setenv("JACARENA_SATURATION_CAP", bad)
         with pytest.raises(ValueError, match="JACARENA_SATURATION_CAP"):
             saturation_cap()
-
-
-def test_unit_poly_decompose_z4():
-    R = parse_ring("ZZ[X]/(4)")
-    dec = unit_poly_decompose(R.element("1+2*X"), R.element("1-2*X"))
-    assert dec.nil_certs[1].exponent == 2
-    assert dec.constant[0] * dec.constant[1] == dec.constant[0].ring.one()
-    assert dec.lead_exponent == 2
-
-
-def test_unit_poly_decompose_constant_unit():
-    R = parse_ring("QQ[X]")
-    dec = unit_poly_decompose(R.element("3"), R.element("1/3"))
-    assert dec.nil_certs == {}
-    assert dec.constant[0].to_text() == "3"
-
-
-def test_unit_poly_decompose_two_variables():
-    R = parse_ring("ZZ[X,Y]/(4)")
-    dec = unit_poly_decompose(R.element("1-2*X*Y"), R.element("1+2*X*Y"), var="Y")
-    cert = dec.nil_certs[1]
-    assert cert.exponent == 2
-    assert cert.verify()
-
-
-def test_unit_poly_decompose_rejects_non_unit():
-    R = parse_ring("ZZ[X]/(4)")
-    with pytest.raises(NotAUnit):
-        unit_poly_decompose(R.element("1+2*X"), R.element("1+X"))
-
-
-def test_unit_poly_decompose_random_nilpotent_units():
-    rng = random.Random(31)
-    for m in (4, 9):
-        R = parse_ring(f"ZZ[X]/({m * m})")
-        for _ in range(10):
-            w = R.element(
-                Polynomial(ZZ, ("X",), {(rng.randint(0, 2),): m * rng.randint(-2, 2)})
-            )
-            u = R.one() + w
-            v = R.one() - w
-            if not (u * v - 1).is_zero():
-                continue
-            dec = unit_poly_decompose(u, v)
-            for cert in dec.nil_certs.values():
-                assert cert.verify()
-            deg_v = max(v.poly.coefficients_in("X"), default=0)
-            split = u.poly.coefficients_in("X")
-            higher = [j for j in split if j >= 1]
-            if higher:
-                lead = split[max(higher + [0])] if max(higher) >= 1 else None
-                coeff_ring = parse_ring(f"ZZ/({m * m})")
-                lead_elt = coeff_ring.element(split[max(higher)].remap(()))
-                assert (lead_elt ** (deg_v + 1)).is_zero()
