@@ -39,9 +39,9 @@ class Round:
 
 @dataclass
 class Transcript:
-    ring_text: str
-    x_text: str
-    xprime_text: str
+    ring: object
+    x: object
+    xprime: object
     budget: int
     rounds: list
     winner: str
@@ -62,9 +62,9 @@ class Transcript:
                 },
             }
         return {
-            "ring": self.ring_text,
-            "x": self.x_text,
-            "xPrime": self.xprime_text,
+            "ring": self.ring.to_text(),
+            "x": self.x.to_text(),
+            "xPrime": self.xprime.to_text(),
             "budget": self.budget,
             "rounds": [
                 {
@@ -88,16 +88,14 @@ class Transcript:
         """Parse transcript JSON; MalformedTranscript names the first bad field."""
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also a number or a nesting past Python's limits
             raise MalformedTranscript(f"not JSON: {exc}") from None
-        ring_text = _field(obj, "ring", str)
-        x_text = _field(obj, "x", str)
-        xprime_text = _field(obj, "xPrime", str)
+        ring = _parsed(parse_ring, _field(obj, "ring", str), "field 'ring'")
+        x = _parsed(ring.element, _field(obj, "x", str), "field 'x'")
+        xprime = _parsed(ring.element, _field(obj, "xPrime", str), "field 'xPrime'")
         budget = _field(obj, "budget", int)
         raw_rounds = _field(obj, "rounds", list)
         winner = _field(obj, "winner", str)
-        ring = _parsed(parse_ring, ring_text, "field 'ring'")
-        x = _parsed(ring.element, x_text, "field 'x'")
 
         rounds = []
         for i, r in enumerate(raw_rounds):
@@ -118,8 +116,7 @@ class Transcript:
             gens = list(ring.relations)
             for r in rounds:
                 for a, b in zip(r.moves, r.replies):
-                    gens.append((ring.one() - b * (ring.one() - a * x)).poly)
-            xprime = _parsed(ring.element, xprime_text, "field 'xPrime'")
+                    gens.append(_constraint(ring, x, a, b).poly)
             cofactors = [Polynomial.zero(ring.base, ring.vars) for _ in gens]
             for key, val in _field(raw, "cofactors", dict, "certificate").items():
                 if not (key.isascii() and key.isdigit() and int(key) < len(gens)):
@@ -135,9 +132,9 @@ class Transcript:
                 )
             cert = NilCertificate(xprime.poly, e, tuple(gens), tuple(cofactors))
         return cls(
-            ring_text,
-            x_text,
-            xprime_text,
+            ring,
+            x,
+            xprime,
             budget,
             rounds,
             winner,
@@ -233,9 +230,9 @@ def referee_play(ring, x, xprime, budget, prover, delayer):
     cert = nil_member(xprime, list(pos.constraints))
     winner = "prover" if cert is not None else "delayer"
     return Transcript(
-        ring.to_text(),
-        x.to_text(),
-        xprime.to_text(),
+        ring,
+        x,
+        xprime,
         budget,
         rounds,
         winner,
@@ -273,17 +270,11 @@ def verify_transcript(transcript, replay=False):
     match re-run; any divergence from the recorded rounds is reported.  This
     only works for the deterministic built-in agent specs.
     """
-    problems = []
-    try:
-        ring = parse_ring(transcript.ring_text)
-        x = ring.element(transcript.x_text)
-        xprime = ring.element(transcript.xprime_text)
-    except EngineError as exc:
-        return VerificationResult([f"unparseable header: {exc}"])
-
+    ring, x, xprime = transcript.ring, transcript.x, transcript.xprime
     tau = transcript.budget
     if tau < 0:
-        problems.append("negative starting budget")
+        return VerificationResult(["negative starting budget"])
+    problems = []
     constraints = []
     for i, rnd in enumerate(transcript.rounds):
         if tau <= 0:
@@ -296,7 +287,7 @@ def verify_transcript(transcript, replay=False):
             problems.append(f"round {i}: budget did not decrease ({tau} -> {rnd.declared})")
             break
         for a, b in zip(rnd.moves, rnd.replies):
-            constraints.append(_constraint(ring, x, ring.element(a), ring.element(b)))
+            constraints.append(_constraint(ring, x, a, b))
         tau = rnd.declared
     else:
         if transcript.rounds and tau != 0:

@@ -129,15 +129,13 @@ class _Parser:
         base = self.parse_atom()
         while self.peek().kind == "^":
             self.take()
-            exp = self.take("int")
-            base = base ** int(exp.text)
+            base = base ** self.take_int()
         return base
 
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "int":
-            self.take()
-            return Polynomial.constant(self.ring, int(tok.text), self.vars)
+            return Polynomial.constant(self.ring, self.take_int(), self.vars)
         if tok.kind == "ident":
             self.take()
             if tok.text not in self.vars:
@@ -153,6 +151,57 @@ class _Parser:
             self.depth -= 1
             return inner
         raise RingSyntaxError(f"unexpected {tok.text or 'end'!r}", tok.pos)
+
+    def take_int(self):
+        tok = self.take("int")
+        try:
+            return int(tok.text)
+        except ValueError as exc:  # longer than Python's integer-string limit
+            raise RingSyntaxError(str(exc), tok.pos) from None
+
+    def parse_list(self, item, close):
+        """item ("," item)* close"""
+        items = [item()]
+        while self.peek().kind == ",":
+            self.take()
+            items.append(item())
+        self.take(close)
+        return items
+
+    def parse_base(self):
+        tok = self.take("ident")
+        if tok.text == "ZZ":
+            return ZZ
+        if tok.text == "QQ":
+            return QQ
+        if tok.text != "GF":
+            raise RingSyntaxError(f"unknown base ring {tok.text!r}", tok.pos)
+        self.take("(")
+        p_tok = self.take("int")
+        self.take(")")
+        try:
+            return GF(int(p_tok.text))
+        except ValueError as exc:
+            raise RingSyntaxError(str(exc), p_tok.pos) from None
+
+    def parse_vars(self):
+        vars = []
+        if self.peek().kind == "[":
+            self.take()
+            for tok in self.parse_list(lambda: self.take("ident"), "]"):
+                if tok.text in vars:
+                    raise RingSyntaxError(f"duplicate variable {tok.text!r}", tok.pos)
+                vars.append(tok.text)
+        return tuple(vars)
+
+    def parse_relations(self):
+        if self.peek().kind != "/":
+            return []
+        self.take()
+        if self.peek().kind == "(":
+            self.take()
+            return self.parse_list(self.parse_poly, ")")
+        return [self.parse_poly()]
 
     def expect_end(self):
         tok = self.peek()
@@ -172,87 +221,9 @@ def parse_ring(text):
     """Parse a ring presentation such as ``ZZ[x,y]/(x^2+1)``, ``GF(5)[x]`` or ``ZZ/4``."""
     from .rings import RingPresentation
 
-    tokens = _tokenize(text)
-    i = 0
-
-    def take(kind=None):
-        nonlocal i
-        tok = tokens[i]
-        if kind is not None and tok.kind != kind:
-            raise RingSyntaxError(f"expected {kind!r}, found {tok.text or 'end'!r}", tok.pos)
-        i += 1
-        return tok
-
-    base_tok = take("ident")
-    if base_tok.text == "ZZ":
-        base = ZZ
-    elif base_tok.text == "QQ":
-        base = QQ
-    elif base_tok.text == "GF":
-        take("(")
-        p_tok = take("int")
-        take(")")
-        try:
-            base = GF(int(p_tok.text))
-        except ValueError as exc:
-            raise RingSyntaxError(str(exc), p_tok.pos) from None
-    else:
-        raise RingSyntaxError(f"unknown base ring {base_tok.text!r}", base_tok.pos)
-
-    vars = []
-    if tokens[i].kind == "[":
-        take("[")
-        vars.append(take("ident").text)
-        while tokens[i].kind == ",":
-            take(",")
-            name = take("ident").text
-            if name in vars:
-                raise RingSyntaxError(f"duplicate variable {name!r}", tokens[i - 1].pos)
-            vars.append(name)
-        take("]")
-    vars = tuple(vars)
-
-    relations = []
-    if tokens[i].kind == "/":
-        take("/")
-        rest_pos = tokens[i].pos
-        rest = text[rest_pos:]
-        if tokens[i].kind == "(":
-            inner = rest.strip()
-            if not inner.endswith(")"):
-                raise RingSyntaxError("unterminated relation list", rest_pos)
-            parts = _split_top_level(inner[1:-1], rest_pos + 1)
-        else:
-            parts = [(rest, rest_pos)]
-        for part, pos in parts:
-            try:
-                relations.append(parse_polynomial(part, base, vars))
-            except RingSyntaxError as exc:
-                raise RingSyntaxError(f"bad relation {part.strip()!r}: {exc}", pos) from None
-        i = len(tokens) - 1
-
-    if tokens[i].kind != "end":
-        raise RingSyntaxError(f"trailing input {tokens[i].text!r}", tokens[i].pos)
-
-    return RingPresentation(base, vars, relations)
-
-
-def _split_top_level(text, offset):
-    """Split on commas that are not nested inside parentheses."""
-    parts = []
-    depth = 0
-    start = 0
-    for j, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise RingSyntaxError("unbalanced parenthesis", offset + j)
-        elif ch == "," and depth == 0:
-            parts.append((text[start:j], offset + start))
-            start = j + 1
-    if depth != 0:
-        raise RingSyntaxError("unbalanced parenthesis", offset + len(text))
-    parts.append((text[start:], offset + start))
-    return parts
+    parser = _Parser(text, None, ())
+    parser.ring = parser.parse_base()
+    parser.vars = parser.parse_vars()
+    relations = parser.parse_relations()
+    parser.expect_end()
+    return RingPresentation(parser.ring, parser.vars, relations)

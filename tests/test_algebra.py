@@ -68,6 +68,9 @@ def test_parse_syntax_error_carries_position():
     with pytest.raises(RingSyntaxError) as info:
         parse_polynomial("1 + * 2", ZZ, ("x",))
     assert info.value.position == 4
+    with pytest.raises(RingSyntaxError) as info:
+        parse_ring("ZZ[X]/(X, X+)")
+    assert info.value.position == 12
 
 
 def test_parse_unknown_variable():

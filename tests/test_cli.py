@@ -146,6 +146,11 @@ def _set_round_text(obj, field, text):
     obj["rounds"][0][field][0] = text
 
 
+# json.dumps cannot print an integer past Python's 4,300-digit limit, so a
+# mutation sets this placeholder and the test writes the digits in its place.
+LONG_INTEGER = "<5,000 digits>"
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -166,11 +171,15 @@ def _set_round_text(obj, field, text):
         (lambda obj: _set_round_text(obj, "replies", "1/0"), "round 0 reply 0: divisor"),
         (lambda obj: obj["certificate"]["cofactors"].update({"1": "Y"}),
          "certificate cofactor '1': unknown variable 'Y'"),
+        (lambda obj: obj.update(x="1" * 5000), "field 'x': Exceeds the limit (4300 digits)"),
+        (lambda obj: obj.update(budget=LONG_INTEGER), "not JSON: Exceeds the limit (4300 digits)"),
+        (lambda obj: obj.update(budget=-2), "negative starting budget"),
     ],
     ids=["key-out-of-range", "key-negative", "missing-winner", "rounds-not-list", "negative-e",
          "ring-not-a-field", "ring-modulus-too-large", "x-unknown-variable", "xprime-unparseable", "x-deep-parentheses",
          "x-long-sign-run", "move-unknown-variable",
-         "reply-zero-divisor", "cofactor-unknown-variable"],
+         "reply-zero-divisor", "cofactor-unknown-variable", "x-long-integer", "budget-long-integer",
+         "budget-negative"],
 )
 def test_verify_rejects_malformed_transcript(tmp_path, capsys, mutate, message):
     out = tmp_path / "t.json"
@@ -182,10 +191,19 @@ def test_verify_rejects_malformed_transcript(tmp_path, capsys, mutate, message):
     obj = json.loads(out.read_text())
     assert code == 0 and set(obj["certificate"]["cofactors"]) == {"0", "1"}
     mutate(obj)
-    out.write_text(json.dumps(obj))
+    out.write_text(json.dumps(obj).replace(json.dumps(LONG_INTEGER), "9" * 5000))
     code, text, err = run(["verify", str(out)], capsys)
     assert code == 1
     assert text.count("\n") == 1 and text.startswith("invalid: ") and message in text
+    assert err == ""
+
+
+def test_verify_rejects_deeply_nested_json(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    out.write_text("[" * 100000)
+    code, text, err = run(["verify", str(out)], capsys)
+    assert code == 1
+    assert text.count("\n") == 1 and text.startswith("invalid: not JSON: ")
     assert err == ""
 
 

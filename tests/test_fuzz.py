@@ -110,11 +110,12 @@ def test_mutated_transcript_raises_only_engine_errors(transcripts, path, which, 
 def test_mutated_ring_text_raises_only_engine_errors(which, edits):
     text = _mutate(RINGS[which], edits)
     try:
-        parse_ring(text)
+        ring = parse_ring(text)
     except EngineError:
         parsed = False
     else:
         parsed = True
+        assert parse_ring(ring.to_text()) == ring, text
     code, out, err = _main(["play", f"--ring={text}", "--x", "1", "--budget", "0"])
     if parsed:
         # exit 3: the default prover does not cover this ring

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from jacarena.errors import UnsupportedRing, WrongBudget
-from jacarena.game import GamePosition, referee_play, verify_transcript
+from jacarena.game import GamePosition, Transcript, referee_play, verify_transcript
 from jacarena.parsing import parse_ring
 from jacarena.rings import MonogenicExtension, integral_dependence, nil_member
 from jacarena.oracle import enumerate_finite, minimal_alpha
@@ -514,4 +514,8 @@ def test_auto_transcript_bytes_are_pinned(ring_text, x_text, budget, delayer_spe
     prover = prover_from_spec("auto", ring, x, x, budget)
     t = referee_play(ring, x, x, budget, prover, delayer_from_spec(delayer_spec, ring, x))
     assert t.winner == "prover"
-    assert hashlib.sha256(t.to_json().encode()).hexdigest() == digest
+    text = t.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    parsed = Transcript.from_json(text)
+    assert parsed.to_json() == text
+    assert verify_transcript(parsed)
