@@ -69,25 +69,23 @@ class CoefficientRing:
     def normalize(self, value):
         """Coerce an int/Fraction into this ring's canonical coefficient form.
 
-        Over QQ an integral value becomes an ``int``; any other value goes
-        through ``Fraction``, so a float is converted exactly, never truncated.
+        Any value that is not an ``int`` goes through ``Fraction``, so a
+        float is converted exactly, never truncated.  Over QQ an integral
+        value becomes an ``int``; over ZZ a value that is not an integer
+        raises ValueError; over GF(p) a/b becomes a * b^(-1) mod p.
         """
-        if self.kind == "ZZ":
-            if isinstance(value, Fraction):
+        if type(value) is not int:
+            value = value if type(value) is Fraction else Fraction(value)
+            if self.kind == "QQ":
+                return value.numerator if value.denominator == 1 else value
+            if self.kind == "ZZ":
                 if value.denominator != 1:
                     raise ValueError(f"{value} is not an integer")
-                return int(value)
-            return int(value)
-        if self.kind == "QQ":
-            if type(value) is int:
-                return value
-            value = value if type(value) is Fraction else Fraction(value)
-            return value.numerator if value.denominator == 1 else value
-        if isinstance(value, Fraction):
+                return value.numerator
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {value} vanishes mod {self.p}")
             return value.numerator * pow(value.denominator, -1, self.p) % self.p
-        return int(value) % self.p
+        return value % self.p if self.kind == "GF" else value
 
     def zero(self):
         return 0

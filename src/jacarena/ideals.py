@@ -57,10 +57,12 @@ def _combine_cofs(ring, vars, base, quots, rows):
 def _reduce_full(p, rows, order, track):
     """Fully reduce p by the rows; returns (normal form, quotient polys).
 
-    Over ZZ a term c*m is rewritten to its canonical residue modulo the
-    smallest applicable leading coefficient; a term survives only when no
-    row can shrink it.  Terms are visited largest first through a lazy
-    max-heap, so reductions only ever touch strictly smaller monomials.
+    Over a field every row is monic (``groebner`` normalizes each row it
+    keeps), so the quotient of a term c*m is c itself.  Over ZZ a term c*m
+    is rewritten to its canonical residue modulo the smallest applicable
+    leading coefficient; a term survives only when no row can shrink it.
+    Terms are visited largest first through a lazy max-heap, so reductions
+    only ever touch strictly smaller monomials.
     """
     ring = p.ring
     vars = order.vars
@@ -102,8 +104,7 @@ def _reduce_full(p, rows, order, track):
                 del work[m]
                 continue
         else:
-            q = ring.mul(c, ring.invert(row.lc))
-            r = zero
+            q, r = c, zero
         shift = m.div(row.lm)
         for m2, c2 in row.poly.terms.items():
             mm = m2.mul(shift)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
-from .algebra import Monomial, MonomialOrder, Polynomial
+from .algebra import MonomialOrder, Polynomial
 from .errors import (
     IncompatibleRings,
     InvalidCertificate,
@@ -341,12 +343,22 @@ def minimal_polynomial(x):
     """(monic minimal polynomial of x in T, normal forms of 1, x, ..., x^(d-1)),
     d its degree, for x in a finite-dimensional algebra over QQ or GF(p).
 
-    Computed by scanning powers 1, x, x^2, ... expressed on the staircase
-    basis for the first linear dependency; the powers are the ones the scan
-    reduces anyway.  Over a field a normal form is a combination of staircase
-    monomials, so any linear combination of them is again a normal form: a
-    polynomial of degree below d evaluated at x needs no further
-    multiplication or reduction.
+    A Krylov scan on the staircase basis.  Column j of the matrix M of
+    multiplication by x holds the coordinates of the normal form of x times
+    the j-th staircase monomial; it is built on first use.  The vectors
+    v_0 = 1, v_(k+1) = M*v_k are the coordinates of the powers of x.  Each
+    is eliminated against the earlier ones in a row that also records which
+    combination of powers it stands for, so the first row whose coordinates
+    vanish is a multiple of the minimal polynomial.
+
+    Over GF(p) a row holds residues and every pivot is 1.  Over QQ a row
+    holds integers: v_k is kept as integer numerators over one denominator,
+    and a row is eliminated fraction-free as in Bareiss 1968, except that
+    after each step, cross-multiplied by the pivot, it is divided by its
+    content rather than by the previous pivot; without that division the
+    entries grow with every pivot.  Over a field a combination of staircase
+    monomials is a normal form, so the powers are built from their
+    coordinates with no multiplication or reduction.
     """
     ring = x.ring
     base = ring.base
@@ -355,40 +367,73 @@ def minimal_polynomial(x):
     stair = ring.gb.staircase()
     if stair is None:
         raise NotFiniteDimensional(f"{ring.to_text()} has an infinite staircase")
-    index = {m: i for i, m in enumerate(stair)}
     dim = len(stair)
+    index = {m: i for i, m in enumerate(stair)}
+    p = base.p
+    columns = [None] * dim
 
-    def vector(poly):
-        v = [base.zero()] * dim
-        for mono, coeff in poly.terms.items():
-            v[index[mono]] = coeff
-        return v
+    def times_x(v, den):
+        # M*(v/den) as integer numerators over one denominator (1 over GF(p))
+        used = [(a, columns[j] or column(j)) for j, a in enumerate(v) if a]
+        common = lcm(*(cden for _, (cden, _) in used))
+        w = [0] * dim
+        for a, (cden, entries) in used:
+            a *= common // cden
+            for i, c in entries:
+                w[i] += a * c
+        if p is not None:
+            return [c % p for c in w], 1
+        den *= common
+        g = gcd(den, *w)
+        return [c // g for c in w], den // g
 
+    def column(j):
+        # (denominator, [(i, numerator)]) of the normal form of x * stair[j]
+        terms = ring.normal_form(x.poly.mul_term(stair[j], 1)).terms
+        cden = lcm(*(c.denominator for c in terms.values()))
+        columns[j] = col = (
+            cden,
+            [(index[m], c.numerator * (cden // c.denominator)) for m, c in terms.items()],
+        )
+        return col
+
+    # the staircase is sorted by degree, so its first monomial is 1
+    v = [1] + [0] * (dim - 1) if dim else []
+    den = 1
     pivots = []
     powers = []
-    power = ring.one()
     for k in range(dim + 1):
-        v = vector(power.poly)
-        combo = [base.zero()] * k
-        for pivot_idx, pvec, pcoords in pivots:
-            f = v[pivot_idx]
-            if f == base.zero():
+        # the coordinates of den*x^k, then its coefficients on 1, x, ..., x^dim
+        row = v + [0] * (dim + 1)
+        row[dim + k] = den
+        for i, prow in pivots:
+            f = row[i]
+            if not f:
                 continue
-            scale = base.mul(f, base.invert(pvec[pivot_idx]))
-            v = [base.sub(a, base.mul(scale, b)) for a, b in zip(v, pvec)]
-            for j, cj in enumerate(pcoords):
-                combo[j] = base.add(combo[j], base.mul(scale, cj))
-        nonzero = next((i for i, c in enumerate(v) if c != base.zero()), None)
-        if nonzero is None:
-            terms = {Monomial((k,)): base.one()}
-            for j, cj in enumerate(combo):
-                if cj != base.zero():
-                    terms[Monomial((j,))] = base.neg(cj)
+            if p is not None:
+                row = [(a - f * b) % p for a, b in zip(row, prow)]
+            else:
+                q = prow[i]
+                g = gcd(f, q)
+                f, q = f // g, q // g
+                row = [q * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                if g != 1:
+                    row = [a // g for a in row]
+        lead = next((i for i in range(dim) if row[i]), None)
+        if lead is None:
+            top = row[dim + k]
+            terms = {(j,): Fraction(c, top) for j, c in enumerate(row[dim:]) if c}
             return Polynomial(base, ("T",), terms), powers
-        coords = [base.neg(c) for c in combo] + [base.one()]
-        pivots.append((nonzero, v, coords))
-        powers.append(power.poly)
-        power = power * x
+        if p is not None:
+            inv = pow(row[lead], -1, p)
+            row = [a * inv % p for a in row]
+        pivots.append((lead, row))
+        powers.append(Polynomial._raw(base, ring.vars, {
+            stair[i]: c if den == 1 else base.normalize(Fraction(c, den))
+            for i, c in enumerate(v) if c
+        }))
+        v, den = times_x(v, den)
     raise AssertionError("dependency must appear within dim+1 powers")
 
 

@@ -169,6 +169,25 @@ def test_qq_normalize_keeps_integers_as_int():
     assert QQ.normalize(2.5) == Fraction(5, 2)
 
 
+def test_zz_normalize_takes_a_float_exactly_or_refuses_it():
+    assert ZZ.normalize(3.0) == 3 and type(ZZ.normalize(3.0)) is int
+    assert ZZ.normalize(Fraction(-8, 2)) == -4
+    with pytest.raises(ValueError):
+        ZZ.normalize(2.5)
+    with pytest.raises(ValueError):
+        parse_ring("ZZ[X]").element(2.5)
+
+
+def test_gf_normalize_takes_a_float_exactly():
+    # 2.5 = 5/2, and 5 * 2^(-1) is 0 in GF(5), not the truncation 2
+    assert GF(5).normalize(2.5) == 0
+    assert GF(7).normalize(2.5) == 5 * pow(2, -1, 7) % 7
+    assert GF(7).normalize(-3.0) == 4
+    assert parse_ring("GF(5)[X]").element(2.5).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        GF(2).normalize(0.5)
+
+
 def test_ring_text_round_trip():
     for text in ("ZZ", "QQ[x]", "GF(7)[a,b]/(a^2 + b, 3)", "ZZ/4", "ZZ[X]/(2, X^2)"):
         ring = parse_ring(text)

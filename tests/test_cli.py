@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -314,3 +317,15 @@ def test_refute_poly_without_a_variable_is_a_configuration_error(capsys):
     assert code == 2
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "jacarena", "play", "--ring", "ZZ", "--x", "6",
+         "--budget", "2", "--delayer", "random:7"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["winner"] == "prover"

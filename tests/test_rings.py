@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacarena.algebra import GF, QQ, ZZ, Polynomial
+from jacarena.algebra import GF, QQ, ZZ, Monomial, Polynomial
 from jacarena.errors import (
     IncompatibleRings,
     LeadingCoefficientZero,
@@ -217,6 +217,115 @@ def test_minimal_polynomial_minimality_exhaustive():
                     found = True
                     break
             assert not found, (ring_text, x_text, smaller)
+
+
+def _power_by_power_scan(x):
+    """Reference minimal polynomial: the powers 1, x, x^2, ... taken in the
+    ring one product at a time, eliminated with the base ring's own
+    arithmetic until one depends on the earlier ones."""
+    ring = x.ring
+    base = ring.base
+    stair = ring.gb.staircase()
+    index = {m: i for i, m in enumerate(stair)}
+    dim = len(stair)
+
+    def vector(poly):
+        v = [base.zero()] * dim
+        for mono, coeff in poly.terms.items():
+            v[index[mono]] = coeff
+        return v
+
+    pivots = []
+    powers = []
+    power = ring.one()
+    for k in range(dim + 1):
+        v = vector(power.poly)
+        combo = [base.zero()] * k
+        for pivot_idx, pvec, pcoords in pivots:
+            f = v[pivot_idx]
+            if f == base.zero():
+                continue
+            scale = base.mul(f, base.invert(pvec[pivot_idx]))
+            v = [base.sub(a, base.mul(scale, b)) for a, b in zip(v, pvec)]
+            for j, cj in enumerate(pcoords):
+                combo[j] = base.add(combo[j], base.mul(scale, cj))
+        nonzero = next((i for i, c in enumerate(v) if c != base.zero()), None)
+        if nonzero is None:
+            terms = {Monomial((k,)): base.one()}
+            for j, cj in enumerate(combo):
+                if cj != base.zero():
+                    terms[Monomial((j,))] = base.neg(cj)
+            return Polynomial(base, ("T",), terms), powers
+        coords = [base.neg(c) for c in combo] + [base.one()]
+        pivots.append((nonzero, v, coords))
+        powers.append(power.poly)
+        power = power * x
+    raise AssertionError("dependency must appear within dim+1 powers")
+
+
+def _assert_scan_matches_reference(x):
+    mu, powers = minimal_polynomial(x)
+    assert (mu, powers) == _power_by_power_scan(x), x
+    for k, pk in enumerate(powers):
+        assert pk == (x ** k).poly, (x, k)
+    if x.ring.base.kind == "QQ":
+        coeffs = list(mu.terms.values()) + [c for pk in powers for c in pk.terms.values()]
+        assert all(type(c) is int or c.denominator != 1 for c in coeffs), x
+    return mu, powers
+
+
+@st.composite
+def _zero_dim_elements(draw):
+    """x in K[X]/(f) or K[X,Y]/(f, g), f = X^a + lower, g = Y^b + lower in
+    total degree; the coprime leading terms make {f, g} a Groebner basis,
+    so the quotient has dimension a*b."""
+    base = draw(st.sampled_from([QQ, GF(2), GF(7), GF(32003)]))
+    if base.kind == "QQ":
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        coeff = st.integers(0, base.p - 1)
+    names = ("X", "Y")[: draw(st.integers(1, 2))]
+    n = len(names)
+    rels = []
+    for i in range(n):
+        deg = draw(st.integers(1, 8 if n == 1 else 3))
+        lower = [
+            (a, b)[:n] for a in range(deg) for b in range(deg) if a + b < deg and (n == 2 or b == 0)
+        ]
+        terms = dict(zip(lower, draw(st.lists(coeff, min_size=len(lower), max_size=len(lower)))))
+        terms[tuple(deg if j == i else 0 for j in range(n))] = 1
+        rels.append(Polynomial(base, names, terms))
+    ring = RingPresentation(base, names).quotient_extend(rels)
+    x_terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeff, max_size=3))
+    return ring.element(Polynomial(base, names, x_terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_zero_dim_elements())
+def test_minimal_polynomial_matches_power_by_power_scan(x):
+    _assert_scan_matches_reference(x)
+
+
+# (ring, x, minimal polynomial): deg mu < dim, nilpotent, constant, zero,
+# the trivial ring (dimension 0, mu = 1) and a ring with no variables
+MINPOLY_SPECIAL_CASES = [
+    ("[X,Y]/(X^3, Y^2)", "X+Y", "T^4"),
+    ("[X,Y]/(X^2-3, Y^2)", "Y", "T^2"),
+    ("[X,Y]/(X^2-3, Y^2)", "X+1", "T^2 - 2*T - 2"),
+    ("[X]/(X^4+X+1)", "5", "T - 5"),
+    ("[X]/(X^3-X)", "0", "T"),
+    ("[X]/(X, X-1)", "X", "1"),
+    ("", "4", "T - 4"),
+]
+
+
+@pytest.mark.parametrize("base", ["QQ", "GF(2)", "GF(7)", "GF(32003)"])
+@pytest.mark.parametrize("ring_suffix,x_text,mu_text", MINPOLY_SPECIAL_CASES)
+def test_minimal_polynomial_special_cases(base, ring_suffix, x_text, mu_text):
+    ring = parse_ring(base + ring_suffix)
+    mu, powers = _assert_scan_matches_reference(ring.element(x_text))
+    assert mu == parse_polynomial(mu_text, ring.base, ("T",))
+    assert len(powers) == mu.degree_in("T")
 
 
 @pytest.mark.parametrize(

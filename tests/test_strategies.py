@@ -468,50 +468,65 @@ def test_soundness_suite(ring_text, xs, budget, mode):
 
 # -- pinned transcripts ------------------------------------------------------------
 
-# sha256 of to_json() for auto matches built from specs.  A change to any
-# move, declared budget or normal form changes these bytes.  In the GF(2)
-# match the reply 1 gives h = Z*X*Y, whose Z^0 coefficient is zero, so the
-# lift chain meets zero coefficients.
+# sha256 of to_json() for matches built from specs, most with the auto
+# Prover.  A change to any move, declared budget or normal form changes
+# these bytes.  In the GF(2) match the reply 1 gives h = Z*X*Y, whose Z^0
+# coefficient is zero, so the lift chain meets zero coefficients.
 PINNED_TRANSCRIPTS = [
-    ("ZZ", "12", 2, "random:5:0:1000",
+    ("ZZ", "12", 2, "auto", "random:5:0:1000",
      "14e5346c9c2a867451128e887665649f09360f73dfc29f22161f9fb133fbcf14"),
-    ("ZZ", "-90", 2, "random:11:0:1000000000000",
+    ("ZZ", "-90", 2, "auto", "random:11:0:1000000000000",
      "09441e7fd83e41f429bc32f81b763bd6b0753bb938ab113197fb964ae4a7b50a"),
-    ("GF(5)[X]", "X^2+1", 2, "random:3:2:4",
+    ("GF(5)[X]", "X^2+1", 2, "auto", "random:3:2:4",
      "3aeb9d19e49579ec7c9993a05d7a983741a097a468b62d3f7fb361884a73fd07"),
-    ("GF(101)[X]", "3*X^2-X+7", 2, "random:1:4:9",
+    ("GF(101)[X]", "3*X^2-X+7", 2, "auto", "random:1:4:9",
      "9570bfb017a0d72b396d40ed3bb3fb3a6e79ebd2e6344bd537b11271d8d90805"),
     # QQ[X] at high reply degree: the rational branch of zero_dim_witness,
     # each transcript carrying a fraction
-    ("QQ[X]", "3*X^3-X+5", 2, "random:7:12:9",
+    ("QQ[X]", "3*X^3-X+5", 2, "auto", "random:7:12:9",
      "cc704cefd577b6ceec1ac41f72eb6b05e7d3ceaa1827cc11dd802c0db2129ad3"),
-    ("QQ[X]", "-4*X+7", 2, "random:2:10:9",
+    ("QQ[X]", "-4*X+7", 2, "auto", "random:2:10:9",
      "2f0121b2d4d5c1f8060629fea10294bd9d26be0a344fe2b841300be88bc17107"),
-    ("QQ[X]", "2*X^2+3", 2, "random:4:3:5",
+    ("QQ[X]", "2*X^2+3", 2, "auto", "random:4:3:5",
      "5a160eac934ce5099a768317c97d4632c8f859e504f4d839c7c10d349e7ee3a8"),
-    ("QQ[X,Y,Z]", "X", 4, "random:2:0:1000",
+    ("QQ[X,Y,Z]", "X", 4, "auto", "random:2:0:1000",
      "e8286d846bb7555faab357d8541692561021ff1a7206efabb0da51bcb82ce027"),
-    ("QQ[X,Y,Z]", "3*Y", 4, "random:8:0:1000",
+    ("QQ[X,Y,Z]", "3*Y", 4, "auto", "random:8:0:1000",
      "48f60a8c086969ccfac7680a3f66afb67bc80ebd1dad0b59b00429043522d3d5"),
-    ("ZZ[X,Y]", "X-Y", 4, "random:1:0:2",
+    ("ZZ[X,Y]", "X-Y", 4, "auto", "random:1:0:2",
      "82898a6491336def126c952699eaf8b77fb1177ae353e3eedfbf36b62df609e2"),
-    ("ZZ[X,Y]", "X*Y+1", 4, "random:1:0:1",
+    ("ZZ[X,Y]", "X*Y+1", 4, "auto", "random:1:0:1",
      "25ba3ea2fa901696524e58f4bb08bc62d172a6203e9bf84ba4354596c55d7447"),
-    ("GF(2)[X,Y,Z]", "X*Y", 4, "random:1:0:1",
+    ("GF(2)[X,Y,Z]", "X*Y", 4, "auto", "random:1:0:1",
      "566df09834137ba316bef4a63ec49481b4fc07010aa7f03817149871d97b7f30"),
-    ("QQ[X,Y]", "X+Y", 3, "random:1:1:1",
+    ("QQ[X,Y]", "X+Y", 3, "auto", "random:1:1:1",
      "42372f99fa812c616529034d961063cf7935ce21406d80e482c2531853cdedbe"),
+    # reply degree 14: the leaf quotient K[X]/(m) has dimension 18 and 16
+    ("QQ[X]", "5*X^4-3*X^3+X-7", 2, "auto", "random:3:14:9",
+     "2973d930a2fb64bc4b66fcaf884c1b417ad0a43a96840bdd8be1f47f12f3adcf"),
+    ("QQ[X]", "-2*X^4+X^2+9", 2, "auto", "random:8:14:9",
+     "987c1ab85ac064849e5a20b0cd68e425d57f4edce53cf38549280d5e3bfbbb65"),
+    ("GF(32003)[X]", "4*X^2-7*X+3", 2, "auto", "random:5:14:9",
+     "20d62faaf6c08015e2d7b955fb7139da548c008a269b1ca904f6e6b242f8c0f4"),
+    # the zero-dimensional leaf on two-variable quotients: a unit x over QQ,
+    # whose witness a = x^(-1) carries fractions, and x = X with e = 1
+    ("QQ[X,Y]/(X^2+Y, Y^3)", "2*X-3", 1, "zeroDim", "random:2:0:5",
+     "4a175152d5407d935456af6776d1289f79b3b1215aac76668c60484becf96642"),
+    ("GF(3)[X,Y]/(X^2-Y, Y^2+X)", "X", 1, "zeroDim", "random:4:0:2",
+     "0c3d9cc0c76ae538c180a90b9f2dd5dbc058f6a945ff9b8bd8b5b68607668f5f"),
 ]
 
 
 @pytest.mark.parametrize(
-    "ring_text,x_text,budget,delayer_spec,digest", PINNED_TRANSCRIPTS,
+    "ring_text,x_text,budget,prover_spec,delayer_spec,digest", PINNED_TRANSCRIPTS,
     ids=[f"{case[0]}:{case[1]}" for case in PINNED_TRANSCRIPTS],
 )
-def test_auto_transcript_bytes_are_pinned(ring_text, x_text, budget, delayer_spec, digest):
+def test_auto_transcript_bytes_are_pinned(
+    ring_text, x_text, budget, prover_spec, delayer_spec, digest
+):
     ring = parse_ring(ring_text)
     x = ring.element(x_text)
-    prover = prover_from_spec("auto", ring, x, x, budget)
+    prover = prover_from_spec(prover_spec, ring, x, x, budget)
     t = referee_play(ring, x, x, budget, prover, delayer_from_spec(delayer_spec, ring, x))
     assert t.winner == "prover"
     text = t.to_json()
