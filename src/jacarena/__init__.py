@@ -5,7 +5,6 @@ from .algebra import (
     QQ,
     ZZ,
     CoefficientRing,
-    Monomial,
     MonomialOrder,
     Polynomial,
 )

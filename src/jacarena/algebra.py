@@ -6,17 +6,27 @@ a reduced ``fractions.Fraction`` otherwise; arithmetic may leave an integral
 ``Fraction`` behind, which equals, hashes and prints like its ``int``.  No
 floating point appears anywhere.
 
-Arithmetic builds its results canonical by construction (stripped exponent
-vectors, reduced nonzero coefficients) through the unchecked ``_raw``
-constructors; input from outside goes through the checking ones.
+A monomial over n variables is one int, after Monagan & Pearce 2011
+(*Sparse polynomial division using a heap*): exponent i sits in a 32-bit
+field at bit 32*i and the total degree in the field at bit 32*n.  The top bit
+of each field is a guard bit, clear while the total degree is below
+DEGREE_BOUND = 2^31.  A product of monomials is then a sum of ints, a
+quotient a difference, divisibility one subtraction under a mask, and the
+DEGREVLEX key one shift and one subtraction.  Exponent tuples come in through
+``pack`` and the checking ``Polynomial`` constructor, which raise
+DegreeOverflow at the bound; so do a product, a power and ``mul_term`` whose
+degree would reach it.
+
+Arithmetic builds its results canonical by construction (packed monomials,
+reduced nonzero coefficients) through the unchecked ``_raw`` constructors;
+input from outside goes through the checking ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
-from .errors import IncompatibleRings
+from .errors import DegreeOverflow, IncompatibleRings
 
 
 # Miller-Rabin to the first 13 prime bases is exact below psi_13 (Sorenson &
@@ -152,116 +162,85 @@ def GF(p):
     return CoefficientRing("GF", p)
 
 
-class Monomial:
-    """Exponent vector with trailing zeros stripped.
+# Packed monomials: field width, field mask, and the bound on total degree.
+# Fields hold values below 2^31, so a sum of two never carries into the next
+# field, and the degree field on top makes the largest packed int of a
+# polynomial one of largest degree.
+_W = 32
+_FIELD = (1 << _W) - 1
+DEGREE_BOUND = 1 << (_W - 1)
 
-    Two monomials over the same variable list compare equal exactly when
-    their exponent vectors agree after zero padding, which the stripped
-    representation gives for free.
+
+def pack(exps, n):
+    """The packed monomial of an exponent vector over n variables.
+
+    Entries past the n-th must be zero.  A negative exponent raises
+    ValueError, a total degree of DEGREE_BOUND or more DegreeOverflow.
     """
-
-    __slots__ = ("exps", "_hash")
-
-    def __init__(self, exps):
-        t = tuple(exps)
-        while t and t[-1] == 0:
-            t = t[:-1]
-        if any(e < 0 for e in t):
-            raise ValueError(f"negative exponent in {t}")
-        self.exps = t
-        self._hash = hash(t)
-
-    def degree(self):
-        return sum(self.exps)
-
-    def exponent(self, i):
-        return self.exps[i] if i < len(self.exps) else 0
-
-    @classmethod
-    def _raw(cls, exps):
-        """Unchecked constructor for a stripped tuple of nonnegative exponents."""
-        obj = object.__new__(cls)
-        obj.exps = exps
-        obj._hash = hash(exps)
-        return obj
-
-    def padded(self, n):
-        return self.exps + (0,) * (n - len(self.exps))
-
-    def mul(self, other):
-        # The sum and the max of two stripped nonnegative vectors are stripped.
-        a, b = self.exps, other.exps
-        if len(a) < len(b):
-            a, b = b, a
-        return Monomial._raw(tuple(map(add, a, b)) + a[len(b):])
-
-    def divides(self, other):
-        return all(a <= b for a, b in zip(self.exps, other.padded(len(self.exps))))
-
-    def div(self, other):
-        n = max(len(self.exps), len(other.exps))
-        return Monomial(a - b for a, b in zip(self.padded(n), other.padded(n)))
-
-    def lcm(self, other):
-        a, b = self.exps, other.exps
-        if len(a) < len(b):
-            a, b = b, a
-        return Monomial._raw(tuple(map(max, a, b)) + a[len(b):])
-
-    def is_one(self):
-        return not self.exps
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Monomial{self.exps}"
+    exps = tuple(exps)
+    if len(exps) > n and any(exps[n:]):
+        raise ValueError(f"exponents {exps} have no slot in {n} variables")
+    if any(e < 0 for e in exps):
+        raise ValueError(f"negative exponent in {exps}")
+    exps = exps[:n]
+    _check_degree(sum(exps))
+    return _pack(exps, n)
 
 
-_ONE_MONOMIAL = Monomial(())
+def _pack(exps, n):
+    m = sum(exps) << (n * _W)
+    for i, e in enumerate(exps):
+        m |= e << (i * _W)
+    return m
+
+
+def exponents(m, n):
+    """The exponent vector of a packed monomial over n variables."""
+    return tuple((m >> (i * _W)) & _FIELD for i in range(n))
+
+
+def _check_degree(degree):
+    if degree >= DEGREE_BOUND:
+        raise DegreeOverflow(f"total degree {degree} is not below {DEGREE_BOUND}")
 
 
 class MonomialOrder:
-    """DEGREVLEX order over a fixed variable list.
+    """DEGREVLEX order on the packed monomials over a fixed variable list.
 
     Total degree is compared first, and ties are broken by the reverse
     lexicographic rule (the monomial with the smaller exponent in the last
-    differing slot is larger).
+    differing slot is larger).  The key ``((m >> nW) << (nW + 1)) - m`` is
+    d*2^(nW) minus the exponent fields: the degree d decides first, then the
+    fields read from the last variable down, each smaller one larger.
     """
 
-    __slots__ = ("vars", "_cache", "_heap_cache")
+    __slots__ = ("vars", "shift", "guards")
 
     def __init__(self, vars):
         self.vars = tuple(vars)
-        self._cache = {}
-        self._heap_cache = {}
+        self.shift = len(self.vars) * _W
+        # the guard bit of each of the n + 1 fields
+        self.guards = DEGREE_BOUND * (((1 << (self.shift + _W)) - 1) // _FIELD)
 
-    def key(self, mono):
-        cached = self._cache.get(mono)
-        if cached is not None:
-            return cached
-        exps = mono.padded(len(self.vars))
-        result = (sum(exps), tuple(-e for e in reversed(exps)))
-        self._cache[mono] = result
-        return result
-
-    def heap_key(self, mono):
-        """``key`` with every entry negated, so a min-heap pops the largest first."""
-        cached = self._heap_cache.get(mono)
-        if cached is not None:
-            return cached
-        exps = mono.padded(len(self.vars))
-        result = (-sum(exps), exps[::-1])
-        self._heap_cache[mono] = result
-        return result
+    def key(self, m):
+        s = self.shift
+        return ((m >> s) << (s + 1)) - m
 
     def leading(self, terms):
         """Leading (monomial, coefficient) of a nonzero term dict."""
         m = max(terms, key=self.key)
         return m, terms[m]
+
+    def divides(self, a, b):
+        """Whether monomial a divides b: every field of (b | guards) - a keeps its guard."""
+        g = self.guards
+        return ((b | g) - a) & g == g
+
+    def lcm(self, a, b):
+        """Fieldwise maximum of a and b, with its degree.  Not checked against
+        the bound: only ``mul_term``, which checks, multiplies by it."""
+        n = len(self.vars)
+        return _pack(tuple(map(max, exponents(a, n), exponents(b, n))), n)
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.vars == other.vars
@@ -283,19 +262,18 @@ def merge_vars(a, b):
 
 
 class Polynomial:
-    """Immutable sparse polynomial: variable list plus monomial -> coefficient map."""
+    """Immutable sparse polynomial: variable list plus packed monomial -> coefficient map."""
 
     __slots__ = ("ring", "vars", "terms", "_key_cache")
 
     def __init__(self, ring, vars, terms):
+        """Checking constructor; ``terms`` maps exponent tuples to coefficients."""
         self.ring = ring
         self.vars = tuple(vars)
+        n = len(self.vars)
         clean = {}
-        for mono, coeff in terms.items():
-            if not isinstance(mono, Monomial):
-                mono = Monomial(mono)
-            if len(mono.exps) > len(self.vars):
-                raise ValueError(f"monomial {mono} has no slot in {self.vars}")
+        for exps, coeff in terms.items():
+            mono = pack(exps, n)
             c = ring.normalize(coeff)
             if c != ring.zero():
                 clean[mono] = ring.add(clean[mono], c) if mono in clean else c
@@ -320,28 +298,29 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ring, value, vars=()):
-        return cls(ring, vars, {_ONE_MONOMIAL: value})
+        c = ring.normalize(value)
+        return cls._raw(ring, tuple(vars), {0: c} if c != ring.zero() else {})
 
     @classmethod
     def variable(cls, ring, name, vars=None):
         vars = (name,) if vars is None else tuple(vars)
         i = vars.index(name)
-        return cls(ring, vars, {Monomial((0,) * i + (1,)): ring.one()})
+        return cls._raw(ring, vars, {(1 << (i * _W)) | (1 << (len(vars) * _W)): ring.one()})
 
     def is_zero(self):
         return not self.terms
 
     def is_constant(self):
-        return all(m.is_one() for m in self.terms)
+        return all(m == 0 for m in self.terms)
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get(_ONE_MONOMIAL, self.ring.zero())
+        return self.terms.get(0, self.ring.zero())
 
     def degree_in(self, var):
-        i = self.vars.index(var)
-        return max((m.exponent(i) for m in self.terms), default=-1)
+        at = self.vars.index(var) * _W
+        return max(((m >> at) & _FIELD for m in self.terms), default=-1)
 
     def _key(self):
         """Hash key that ignores the order of ``vars`` and unused names in it.
@@ -351,10 +330,11 @@ class Polynomial:
         """
         if self._key_cache is None:
             vars = self.vars
+            n = len(vars)
             self._key_cache = (
                 self.ring,
                 frozenset(
-                    (tuple(sorted((vars[i], e) for i, e in enumerate(m.exps) if e)), c)
+                    (tuple(sorted((vars[i], e) for i, e in enumerate(exponents(m, n)) if e)), c)
                     for m, c in self.terms.items()
                 ),
             )
@@ -378,18 +358,20 @@ class Polynomial:
         new_vars = tuple(new_vars)
         if new_vars == self.vars:
             return self
-        idx = []
-        for i, name in enumerate(self.vars):
-            if name in new_vars:
-                idx.append(new_vars.index(name))
-            else:
-                idx.append(None)
+        n, n2 = len(self.vars), len(new_vars)
+        if new_vars[:n] == self.vars:
+            # appended variables: the exponent fields stay, the degree moves up
+            s, s2 = n * _W, n2 * _W
+            low = (1 << s) - 1
+            terms = {(m & low) | ((m >> s) << s2): c for m, c in self.terms.items()}
+            return Polynomial._raw(self.ring, new_vars, terms)
+        idx = [new_vars.index(name) if name in new_vars else None for name in self.vars]
         # The renaming is one-to-one on the used variables, so distinct
         # monomials stay distinct and the coefficients stay canonical.
         terms = {}
         for mono, coeff in self.terms.items():
-            exps = [0] * len(new_vars)
-            for i, e in enumerate(mono.exps):
+            exps = [0] * n2
+            for i, e in enumerate(exponents(mono, n)):
                 if e == 0:
                     continue
                 if idx[i] is None:
@@ -397,9 +379,7 @@ class Polynomial:
                         f"variable {self.vars[i]!r} used in {self} but absent from {new_vars}"
                     )
                 exps[idx[i]] = e
-            while exps and exps[-1] == 0:
-                exps.pop()
-            terms[Monomial._raw(tuple(exps))] = coeff
+            terms[_pack(exps, n2)] = coeff
         return Polynomial._raw(self.ring, new_vars, terms)
 
     def _coerce(self, other):
@@ -448,12 +428,15 @@ class Polynomial:
             return NotImplemented
         a, b = align(self, other)
         ring = a.ring
+        if not a.terms or not b.terms:
+            return Polynomial._raw(ring, a.vars, {})
+        _check_degree((max(a.terms) + max(b.terms)) >> (len(a.vars) * _W))
         terms = {}
         get = terms.get
         b_terms = b.terms.items()
         for m1, c1 in a.terms.items():
             for m2, c2 in b_terms:
-                m = m1.mul(m2)
+                m = m1 + m2
                 terms[m] = get(m, 0) + c1 * c2
         if ring.kind == "GF":
             p = ring.p
@@ -488,44 +471,53 @@ class Polynomial:
         )
 
     def mul_term(self, mono, coeff):
+        """coeff * mono * self, for a packed monomial over ``vars``."""
         ring = self.ring
         c0 = ring.normalize(coeff)
-        if c0 == ring.zero():
+        if c0 == ring.zero() or not self.terms:
             return Polynomial.zero(ring, self.vars)
+        _check_degree((max(self.terms) + mono) >> (len(self.vars) * _W))
         return Polynomial._raw(
             ring,
             self.vars,
-            {m.mul(mono): ring.mul(c, c0) for m, c in self.terms.items()},
+            {m + mono: ring.mul(c, c0) for m, c in self.terms.items()},
         )
 
     def coefficients_in(self, var):
         """Split by powers of one variable: degree -> polynomial in the others."""
         i = self.vars.index(var)
-        rest = tuple(v for v in self.vars if v != var)
+        rest = self.vars[:i] + self.vars[i + 1:]
+        at = i * _W
+        below = (1 << at) - 1
+        top = len(rest) * _W
         split = {}
         for mono, coeff in self.terms.items():
-            d = mono.exponent(i)
-            exps = list(mono.padded(len(self.vars)))
-            del exps[i]
-            split.setdefault(d, {})[Monomial(exps)] = coeff
-        return {d: Polynomial(self.ring, rest, t) for d, t in split.items()}
+            d = (mono >> at) & _FIELD
+            # drop field i: the fields above it, the degree's too, move down one
+            rest_mono = (mono & below) | (((mono >> (at + _W)) << at) - (d << top))
+            split.setdefault(d, {})[rest_mono] = coeff
+        return {d: Polynomial._raw(self.ring, rest, t) for d, t in split.items()}
 
     def __repr__(self):
         return f"Polynomial({self.to_text()!r}, vars={self.vars})"
 
     def to_text(self):
-        """Render in the expression grammar; ``parse`` round-trips this."""
+        """Render in the expression grammar; ``parse`` round-trips this.
+
+        Terms come by total degree, then by exponent vector, largest first.
+        """
         if not self.terms:
             return "0"
+        n = len(self.vars)
+        shift = n * _W
         ordered = sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0].degree(), kv[0].padded(len(self.vars))),
+            ((m >> shift, exponents(m, n), c) for m, c in self.terms.items()),
             reverse=True,
         )
         pieces = []
-        for mono, coeff in ordered:
+        for _, exps, coeff in ordered:
             factors = []
-            for i, e in enumerate(mono.exps):
+            for i, e in enumerate(exps):
                 if e == 1:
                     factors.append(self.vars[i])
                 elif e > 1:

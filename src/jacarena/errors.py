@@ -9,6 +9,10 @@ class IncompatibleRings(EngineError):
     """Operands belong to different coefficient rings or presentations."""
 
 
+class DegreeOverflow(EngineError):
+    """A monomial's total degree would reach the packed-monomial bound 2^31."""
+
+
 class RingSyntaxError(EngineError):
     """Malformed ring or polynomial expression text."""
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .algebra import Polynomial
-from .errors import EngineError, IllegalMove, MalformedTranscript, NotInJacobsonRadical
+from .errors import DegreeOverflow, EngineError, IllegalMove, MalformedTranscript, NotInJacobsonRadical
 from .ideals import NilCertificate
 from .parsing import parse_polynomial, parse_ring
 from .rings import nil_member
@@ -114,9 +114,12 @@ class Transcript:
             if e < 0:
                 raise MalformedTranscript(f"certificate exponent {e} is negative")
             gens = list(ring.relations)
-            for r in rounds:
-                for a, b in zip(r.moves, r.replies):
-                    gens.append(_constraint(ring, x, a, b).poly)
+            try:
+                for r in rounds:
+                    for a, b in zip(r.moves, r.replies):
+                        gens.append(_constraint(ring, x, a, b).poly)
+            except DegreeOverflow as exc:
+                raise MalformedTranscript(f"a round's constraint: {exc}") from None
             cofactors = [Polynomial.zero(ring.base, ring.vars) for _ in gens]
             for key, val in _field(raw, "cofactors", dict, "certificate").items():
                 if not (key.isascii() and key.isdigit() and int(key) < len(gens)):
@@ -286,8 +289,11 @@ def verify_transcript(transcript, replay=False):
         if not (0 <= rnd.declared < tau):
             problems.append(f"round {i}: budget did not decrease ({tau} -> {rnd.declared})")
             break
-        for a, b in zip(rnd.moves, rnd.replies):
-            constraints.append(_constraint(ring, x, a, b))
+        try:
+            constraints.extend(_constraint(ring, x, a, b) for a, b in zip(rnd.moves, rnd.replies))
+        except DegreeOverflow as exc:
+            problems.append(f"round {i}: {exc}")
+            break
         tau = rnd.declared
     else:
         if transcript.rounds and tau != 0:

@@ -14,7 +14,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .algebra import Monomial, Polynomial
+from .algebra import Polynomial, exponents, pack
 from .errors import InvalidCertificate
 
 
@@ -61,8 +61,8 @@ def _reduce_full(p, rows, order, track):
     keeps), so the quotient of a term c*m is c itself.  Over ZZ a term c*m
     is rewritten to its canonical residue modulo the smallest applicable
     leading coefficient; a term survives only when no row can shrink it.
-    Terms are visited largest first through a lazy max-heap, so reductions
-    only ever touch strictly smaller monomials.
+    Terms are visited largest first through a lazy min-heap of negated
+    DEGREVLEX keys, so reductions only ever touch strictly smaller monomials.
     """
     ring = p.ring
     vars = order.vars
@@ -71,32 +71,36 @@ def _reduce_full(p, rows, order, track):
     remainder = {}
     quots = [{} for _ in rows] if track else None
     integer = ring.kind == "ZZ"
-    heap_key = order.heap_key
-    heap = []
-
-    def push(m):
-        heapq.heappush(heap, (heap_key(m), m))
-
-    for m in work:
-        push(m)
+    guards = order.guards
+    lms = [row.lm for row in rows]
+    # The negated key of m is h = m - (deg(m) << (s + 1)); the same map takes
+    # h back to m, so the heap holds plain ints.
+    s = order.shift
+    s1 = s + 1
+    heap = [m - ((m >> s) << s1) for m in work]
+    heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
-        _, m = heapq.heappop(heap)
+        h = heappop(heap)
+        m = h - ((h >> s) << s1)
         c = work.get(m)
         if c is None:
             continue
         best = None
-        for idx, row in enumerate(rows):
-            if row.lm.divides(m):
+        mg = m | guards
+        for idx, lm in enumerate(lms):
+            if (mg - lm) & guards == guards:
                 if not integer:
-                    best = (idx, row)
+                    best = idx
                     break
-                if best is None or row.lc < best[1].lc:
-                    best = (idx, row)
+                if best is None or rows[idx].lc < rows[best].lc:
+                    best = idx
         if best is None:
             remainder[m] = c
             del work[m]
             continue
-        idx, row = best
+        idx = best
+        row = rows[idx]
         if integer:
             q, r = divmod(c, row.lc)
             if q == 0:
@@ -105,9 +109,9 @@ def _reduce_full(p, rows, order, track):
                 continue
         else:
             q, r = c, zero
-        shift = m.div(row.lm)
+        shift = m - lms[idx]
         for m2, c2 in row.poly.terms.items():
-            mm = m2.mul(shift)
+            mm = m2 + shift
             old = work.get(mm)
             cc = ring.sub(old if old is not None else zero, ring.mul(q, c2))
             if cc == zero:
@@ -116,16 +120,17 @@ def _reduce_full(p, rows, order, track):
             else:
                 work[mm] = cc
                 if old is None and mm != m:
-                    push(mm)
+                    heappush(heap, mm - ((mm >> s) << s1))
         if integer and r != 0:
             remainder[m] = r
             work.pop(m, None)
         if track:
-            quots[idx][shift] = ring.add(quots[idx].get(shift, zero), q)
+            # m is reduced once, so each (row, shift) is set once, to q != 0
+            quots[idx][shift] = q
     # Every remainder coefficient is already canonical and nonzero.
     nf = Polynomial._raw(ring, vars, remainder)
     if track:
-        return nf, [Polynomial(ring, vars, q) for q in quots]
+        return nf, [Polynomial._raw(ring, vars, q) for q in quots]
     return nf, None
 
 
@@ -181,19 +186,18 @@ class GroebnerBasis:
             blockers = [r.lm for r in self._rows if r.lc == 1]
         else:
             blockers = [r.lm for r in self._rows]
-        return _staircase_of(blockers, len(self.order.vars))
+        return _staircase_of(blockers, self.order)
 
 
-def _staircase_of(lead_monos, nvars):
-    if any(m.is_one() for m in lead_monos):
+def _staircase_of(lead_monos, order):
+    if 0 in lead_monos:
         return []
+    nvars = len(order.vars)
+    lead_exps = [exponents(m, nvars) for m in lead_monos]
     bounds = []
     for i in range(nvars):
-        b = None
-        for m in lead_monos:
-            exps = m.padded(nvars)
-            if exps[i] > 0 and all(e == 0 for j, e in enumerate(exps) if j != i):
-                b = exps[i] if b is None else min(b, exps[i])
+        # the smallest pure power of variable i among the leading monomials
+        b = min((e[i] for e in lead_exps if e[i] and e[i] == sum(e)), default=None)
         if b is None:
             return None
         bounds.append(b)
@@ -202,15 +206,15 @@ def _staircase_of(lead_monos, nvars):
     while stack:
         prefix = stack.pop()
         if len(prefix) == nvars:
-            mono = Monomial(prefix)
-            if not any(m.divides(mono) for m in lead_monos):
-                out.append(mono)
+            mono = pack(prefix, nvars)
+            if not any(order.divides(m, mono) for m in lead_monos):
+                out.append((sum(prefix), prefix, mono))
             continue
         i = len(prefix)
         for e in range(bounds[i]):
             stack.append(prefix + (e,))
-    out.sort(key=lambda m: (m.degree(), m.padded(nvars)))
-    return out
+    out.sort()
+    return [mono for _, _, mono in out]
 
 
 def groebner(gens, order, ring, track=True):
@@ -243,8 +247,9 @@ def groebner(gens, order, ring, track=True):
         return poly, cof
 
     def enqueue(kind, i, j):
-        lcm = rows[i].lm.lcm(rows[j].lm)
-        heapq.heappush(queue, ((lcm.degree(), order.key(lcm), i, j, kind), kind, i, j))
+        # the key orders by the lcm's degree first, then by DEGREVLEX
+        lcm = order.lcm(rows[i].lm, rows[j].lm)
+        heapq.heappush(queue, ((order.key(lcm), i, j, kind), kind, i, j))
 
     def push(poly, cof):
         poly, cof = normalized(poly, cof)
@@ -272,12 +277,12 @@ def groebner(gens, order, ring, track=True):
     while queue:
         _, kind, i, j = heapq.heappop(queue)
         ri, rj = rows[i], rows[j]
-        lcm = ri.lm.lcm(rj.lm)
+        lcm = order.lcm(ri.lm, rj.lm)
         if kind == "s":
-            coprime_monos = lcm == ri.lm.mul(rj.lm)
+            coprime_monos = lcm == ri.lm + rj.lm
             if coprime_monos and (not integer or math.gcd(ri.lc, rj.lc) == 1):
                 continue
-            si, sj = lcm.div(ri.lm), lcm.div(rj.lm)
+            si, sj = lcm - ri.lm, lcm - rj.lm
             if integer:
                 l = ri.lc * rj.lc // math.gcd(ri.lc, rj.lc)
                 ui, uj = l // ri.lc, l // rj.lc
@@ -293,7 +298,7 @@ def groebner(gens, order, ring, track=True):
             if ri.lc % rj.lc == 0 or rj.lc % ri.lc == 0:
                 continue
             g, s, t = _egcd(ri.lc, rj.lc)
-            si, sj = lcm.div(ri.lm), lcm.div(rj.lm)
+            si, sj = lcm - ri.lm, lcm - rj.lm
             cand = ri.poly.mul_term(si, s) + rj.poly.mul_term(sj, t)
             cof = (
                 [a.mul_term(si, s) + b.mul_term(sj, t) for a, b in zip(ri.cof, rj.cof)]
@@ -310,7 +315,7 @@ def groebner(gens, order, ring, track=True):
     for row in rows_sorted:
         dominated = False
         for other in kept:
-            if other.lm.divides(row.lm) and (not integer or row.lc % other.lc == 0):
+            if order.divides(other.lm, row.lm) and (not integer or row.lc % other.lc == 0):
                 dominated = True
                 break
         if not dominated:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import Polynomial
+from .algebra import Polynomial, exponents
 from .rings import finite_enumeration_data, nil_member
 
 
@@ -88,7 +88,7 @@ def enumerate_finite(ring):
         terms = {}
         for mono, c in zip(stair, combo):
             if c:
-                terms[mono] = c
+                terms[exponents(mono, len(ring.vars))] = c
         elt = ring.element(Polynomial(base, ring.vars, terms))
         if elt.poly not in seen:
             seen[elt.poly] = True

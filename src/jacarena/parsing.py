@@ -11,8 +11,10 @@
 
 from __future__ import annotations
 
+from operator import mul
+
 from .algebra import GF, QQ, ZZ, Polynomial
-from .errors import RingSyntaxError, UnknownVariable
+from .errors import DegreeOverflow, RingSyntaxError, UnknownVariable
 
 
 class _Token:
@@ -63,6 +65,14 @@ def _tokenize(text):
     return tokens
 
 
+def _bounded(op, a, b, tok):
+    """op(a, b), with a degree past the bound reported at tok."""
+    try:
+        return op(a, b)
+    except DegreeOverflow as exc:
+        raise RingSyntaxError(str(exc), tok.pos) from None
+
+
 class _Parser:
     def __init__(self, text, ring, vars):
         self.tokens = _tokenize(text)
@@ -92,10 +102,10 @@ class _Parser:
     def parse_term(self):
         result = self.parse_signed()
         while self.peek().kind in ("*", "/"):
-            op = self.take().kind
+            op = self.take()
             rhs = self.parse_signed()
-            if op == "*":
-                result = result * rhs
+            if op.kind == "*":
+                result = _bounded(mul, result, rhs, op)
             else:
                 result = self._divide(result, rhs)
         return result
@@ -109,7 +119,8 @@ class _Parser:
             inv = self.ring.invert(value)
         except ZeroDivisionError:
             try:
-                return Polynomial(
+                # an exact quotient of a nonzero integer is a nonzero integer
+                return Polynomial._raw(
                     lhs.ring,
                     lhs.vars,
                     {m: self.ring.exact_div(c, value) for m, c in lhs.terms.items()},
@@ -129,7 +140,8 @@ class _Parser:
         base = self.parse_atom()
         while self.peek().kind == "^":
             self.take()
-            base = base ** self.take_int()
+            tok = self.peek()
+            base = _bounded(pow, base, self.take_int(), tok)
         return base
 
     def parse_atom(self):

@@ -11,9 +11,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
-from .algebra import MonomialOrder, Polynomial
+from .algebra import MonomialOrder, Polynomial, exponents
 from .errors import (
     IncompatibleRings,
     InvalidCertificate,
@@ -329,12 +330,12 @@ def finite_enumeration_data(ring):
         return list(stair), [base.p] * len(stair)
     counts = []
     leads = gb.lead_terms()
+    divides = gb.order.divides
     for mono in stair:
-        applicable = [lc for lm, lc in leads if lm.divides(mono)]
+        applicable = [lc for lm, lc in leads if divides(lm, mono)]
         if not applicable:
-            raise NotFinite(
-                f"{ring.to_text()}: monomial {mono!r} has unbounded coefficients"
-            )
+            exps = exponents(mono, len(ring.vars))
+            raise NotFinite(f"{ring.to_text()}: monomial {exps} has unbounded coefficients")
         counts.append(min(applicable))
     return list(stair), counts
 
@@ -375,7 +376,7 @@ def minimal_polynomial(x):
     def times_x(v, den):
         # M*(v/den) as integer numerators over one denominator (1 over GF(p))
         used = [(a, columns[j] or column(j)) for j, a in enumerate(v) if a]
-        common = lcm(*(cden for _, (cden, _) in used))
+        common = reduce(lcm, (cden for _, (cden, _) in used), 1)
         w = [0] * dim
         for a, (cden, entries) in used:
             a *= common // cden
@@ -384,13 +385,13 @@ def minimal_polynomial(x):
         if p is not None:
             return [c % p for c in w], 1
         den *= common
-        g = gcd(den, *w)
+        g = reduce(gcd, w, den)
         return [c // g for c in w], den // g
 
     def column(j):
         # (denominator, [(i, numerator)]) of the normal form of x * stair[j]
         terms = ring.normal_form(x.poly.mul_term(stair[j], 1)).terms
-        cden = lcm(*(c.denominator for c in terms.values()))
+        cden = reduce(lcm, (c.denominator for c in terms.values()), 1)
         columns[j] = col = (
             cden,
             [(index[m], c.numerator * (cden // c.denominator)) for m, c in terms.items()],
@@ -417,7 +418,7 @@ def minimal_polynomial(x):
                 g = gcd(f, q)
                 f, q = f // g, q // g
                 row = [q * a - f * b for a, b in zip(row, prow)]
-                g = gcd(*row)
+                g = reduce(gcd, row, 0)
                 if g != 1:
                     row = [a // g for a in row]
         lead = next((i for i in range(dim) if row[i]), None)
@@ -455,7 +456,7 @@ def zero_dim_witness(x):
             mu, powers = minimal_polynomial(x)
         except NotFiniteDimensional as exc:
             raise NotZeroDimensional(str(exc)) from None
-        by_deg = {m.exponent(0): c for m, c in mu.terms.items()}
+        by_deg = {exponents(m, 1)[0]: c for m, c in mu.terms.items()}
         e = min(by_deg)
         factor = base.neg(base.invert(by_deg[e]))
         a_poly = Polynomial.zero(base, ring.vars)
@@ -506,7 +507,7 @@ def _modular_witness(x):
     ring = x.ring
     torsion = None
     for lm, lc in ring.gb.lead_terms():
-        if lm.is_one():
+        if lm == 0:
             torsion = abs(lc)
             break
     if torsion is None:

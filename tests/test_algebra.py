@@ -1,21 +1,24 @@
 """Arithmetic, monomial orders, and the expression grammar."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacarena.algebra import (
+    DEGREE_BOUND,
     GF,
     QQ,
     ZZ,
-    Monomial,
     MonomialOrder,
     Polynomial,
     _is_prime,
+    exponents,
     merge_vars,
+    pack,
 )
-from jacarena.errors import IncompatibleRings, RingSyntaxError, UnknownVariable
+from jacarena.errors import DegreeOverflow, IncompatibleRings, RingSyntaxError, UnknownVariable
 from jacarena.parsing import MAX_NESTING, parse_polynomial, parse_ring
 
 
@@ -97,7 +100,7 @@ def test_parse_rejects_parentheses_nested_too_deep():
 
 def test_rational_coefficients_round_trip():
     p = parse_polynomial("1/2*x - 3/4", QQ, ("x",))
-    assert p.terms[Monomial((1,))] == Fraction(1, 2)
+    assert p.terms[pack((1,), 1)] == Fraction(1, 2)
     assert parse_polynomial(p.to_text(), QQ, ("x",)) == p
 
 
@@ -145,10 +148,42 @@ def test_gf_modulus_bound():
 
 
 def test_monomial_trailing_zero_normalization():
-    assert Monomial((1, 0, 0)) == Monomial((1,))
-    assert hash(Monomial((2, 1, 0))) == hash(Monomial((2, 1)))
+    assert pack((1,), 3) == pack((1, 0, 0), 3)
+    p = Polynomial(ZZ, ("x", "y"), {(1,): 1, (1, 0): 2, (1, 0, 0): 3})
+    assert p == poly("6*x")
     with pytest.raises(ValueError):
-        Monomial((1, -1))
+        pack((1, -1), 2)
+
+
+def test_degree_bound():
+    top = DEGREE_BOUND - 1
+    assert exponents(pack((top,), 1), 1) == (top,)
+    assert exponents(pack((top - 5, 5), 2), 2) == (top - 5, 5)
+    for exps in [(DEGREE_BOUND,), (top, 1), (2**40,)]:
+        with pytest.raises(DegreeOverflow):
+            pack(exps, 2)
+    with pytest.raises(DegreeOverflow):
+        Polynomial(ZZ, ("x", "y"), {(top, 1): 1})
+    x = poly("x", vars=("x",))
+    big = x ** (DEGREE_BOUND // 2)
+    assert big.degree_in("x") == DEGREE_BOUND // 2
+    assert (big * x ** (DEGREE_BOUND // 2 - 1)).degree_in("x") == top
+    with pytest.raises(DegreeOverflow):
+        big * big
+    with pytest.raises(DegreeOverflow):
+        x ** DEGREE_BOUND
+    with pytest.raises(DegreeOverflow):
+        big.mul_term(pack((DEGREE_BOUND // 2,), 1), 1)
+    # the zero polynomial has no degree to overflow
+    zero = Polynomial.zero(ZZ, ("x",))
+    assert (zero * big).is_zero() and (zero ** DEGREE_BOUND).is_zero()
+    with pytest.raises(RingSyntaxError) as info:
+        parse_polynomial(f"x + x^{DEGREE_BOUND}", ZZ, ("x",))
+    assert info.value.position == 6
+    with pytest.raises(RingSyntaxError) as info:
+        parse_polynomial(f"x^{DEGREE_BOUND // 2} * x^{DEGREE_BOUND // 2}", ZZ, ("x",))
+    assert info.value.position == 13
+    assert parse_polynomial(f"x^{top}", ZZ, ("x",)) == x ** top
 
 
 def test_checked_constructor_rejects_bad_terms():
@@ -228,20 +263,77 @@ def test_ring_axioms(data):
     assert a + (-a) == Polynomial.zero(ring, a.vars)
 
 
-MONOS = st.lists(st.integers(0, 4), min_size=0, max_size=3).map(Monomial)
+# -- packed monomials against plain exponent tuples ---------------------------
+
+NAMES = ("x", "y", "z", "w")
+
+
+@st.composite
+def exponent_vectors(draw, n, count):
+    """count exponent vectors over n variables whose degrees sum below the
+    bound; each exponent is small or takes nearly all the degree left."""
+    left = DEGREE_BOUND - 1
+    vectors = []
+    for _ in range(count):
+        exps = []
+        for _ in range(n):
+            e = draw(st.one_of(st.integers(0, min(4, left)), st.integers(max(0, left - 3), left)))
+            left -= e
+            exps.append(e)
+        vectors.append(tuple(exps))
+    return draw(st.permutations(vectors))
+
+
+def _revlex_reference(e):
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_monomial_mul_and_lcm_match_checked_constructor(data):
+    n = data.draw(st.integers(0, 4))
+    a, b = data.draw(exponent_vectors(n, 2))
+    order = MonomialOrder(NAMES[:n])
+    ma, mb = pack(a, n), pack(b, n)
+    assert exponents(ma, n) == a
+    assert exponents(ma + mb, n) == tuple(x + y for x, y in zip(a, b))
+    assert order.lcm(ma, mb) == pack(tuple(map(max, a, b)), n)
+    divides = all(x <= y for x, y in zip(a, b))
+    assert order.divides(ma, mb) == divides
+    if divides:
+        assert mb - ma == pack(tuple(y - x for x, y in zip(a, b)), n)
+    assert (ma == mb) == (order.key(ma) == order.key(mb)) == (a == b)
+    assert (order.key(ma) < order.key(mb)) == (_revlex_reference(a) < _revlex_reference(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_order_key_sorts_like_the_reference(data):
+    n = data.draw(st.integers(0, 4))
+    small = st.tuples(*[st.integers(0, 3)] * n)
+    vectors = data.draw(st.lists(small, max_size=10))
+    order = MonomialOrder(NAMES[:n])
+    # stable sorts of a list with repeats: equal keys keep their input order
+    by_key = [exponents(m, n) for m in sorted((pack(e, n) for e in vectors), key=order.key)]
+    assert by_key == sorted(vectors, key=_revlex_reference)
+    if vectors:
+        terms = {pack(e, n): i for i, e in enumerate(vectors)}
+        lead, _ = order.leading(terms)
+        assert exponents(lead, n) == max(vectors, key=_revlex_reference)
 
 
 @settings(max_examples=80, deadline=None)
-@given(u=MONOS, v=MONOS, w=MONOS)
-def test_order_total_and_multiplicative(u, v, w):
-    order = MonomialOrder(("x", "y", "z"))
+@given(st.data())
+def test_order_total_and_multiplicative(data):
+    n = data.draw(st.integers(0, 4))
+    u, v, w = (pack(e, n) for e in data.draw(exponent_vectors(n, 3)))
+    order = MonomialOrder(NAMES[:n])
     ku, kv = order.key(u), order.key(v)
     assert (ku < kv) or (kv < ku) or (u == v)
     if ku < kv:
-        assert order.key(u.mul(w)) < order.key(v.mul(w))
-    one = Monomial(())
-    if u != one:
-        assert order.key(one) < order.key(u)
+        assert order.key(u + w) < order.key(v + w)
+    if u != 0:
+        assert order.key(0) < order.key(u)
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,15 +391,17 @@ def _reference_product(a, b):
         for m2, c2 in b.terms.items():
             exps = [0] * len(vars)
             for p, m in ((a, m1), (b, m2)):
-                for i, e in enumerate(m.exps):
+                for i, e in enumerate(exponents(m, len(p.vars))):
                     exps[vars.index(p.vars[i])] += e
             out = out + Polynomial(a.ring, vars, {tuple(exps): c1 * c2})
     return out
 
 
 def _is_canonical(p):
-    return all(not m.exps or m.exps[-1] for m in p.terms) and Polynomial(
-        p.ring, p.vars, p.terms
+    n = len(p.vars)
+    terms = {exponents(m, n): c for m, c in p.terms.items()}
+    return all(pack(exponents(m, n), n) == m for m in p.terms) and Polynomial(
+        p.ring, p.vars, terms
     ).terms == p.terms
 
 
@@ -348,39 +442,39 @@ def test_power_rejects_other_exponents(e):
 
 
 @settings(max_examples=100, deadline=None)
-@given(u=MONOS, v=MONOS)
-def test_monomial_mul_and_lcm_match_checked_constructor(u, v):
-    n = max(len(u.exps), len(v.exps))
-    pairs = list(zip(u.padded(n), v.padded(n)))
-    for fast, checked in (
-        (u.mul(v), Monomial([a + b for a, b in pairs])),
-        (u.lcm(v), Monomial([max(a, b) for a, b in pairs])),
-    ):
-        assert fast.exps == checked.exps
-        assert hash(fast) == hash(checked)
+@given(st.data())
+def test_remap_matches_checked_constructor(data):
+    p = data.draw(operands(data.draw(DIFF_RINGS)))
+    extra = tuple(data.draw(st.lists(st.sampled_from(["u", "v", "w"]), unique=True)))
+    permuted = tuple(data.draw(st.permutations(p.vars + extra)))
+    n = len(p.vars)
+    for new_vars in (p.vars + extra, permuted):
+        terms = {
+            tuple(exponents(m, n)[p.vars.index(v)] if v in p.vars else 0 for v in new_vars): c
+            for m, c in p.terms.items()
+        }
+        q = p.remap(new_vars)
+        assert q.vars == new_vars
+        assert q.terms == Polynomial(p.ring, new_vars, terms).terms
+        assert _is_canonical(q)
+        back = q.remap(p.vars)
+        assert back.vars == p.vars and back.terms == p.terms
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_remap_matches_checked_constructor(data):
+def test_to_text_orders_terms_by_degree_then_exponents(data):
     p = data.draw(operands(data.draw(DIFF_RINGS)))
-    extra = data.draw(st.lists(st.sampled_from(["u", "v", "w"]), unique=True))
-    new_vars = tuple(data.draw(st.permutations(p.vars + tuple(extra))))
-    terms = {
-        tuple(m.exponent(p.vars.index(v)) if v in p.vars else 0 for v in new_vars): c
-        for m, c in p.terms.items()
-    }
-    q = p.remap(new_vars)
-    assert q.vars == new_vars
-    assert q.terms == Polynomial(p.ring, new_vars, terms).terms
-    assert _is_canonical(q)
-
-
-@settings(max_examples=80, deadline=None)
-@given(monos=st.lists(MONOS, max_size=8, unique=True))
-def test_heap_key_sorts_in_reverse_of_key(monos):
-    order = MonomialOrder(("x", "y", "z"))
-    assert sorted(monos, key=order.heap_key) == sorted(monos, key=order.key, reverse=True)
+    n = len(p.vars)
+    text = p.to_text()
+    assert parse_polynomial(text, p.ring, p.vars) == p
+    if p.is_zero():
+        return
+    shown = [parse_polynomial(piece, p.ring, p.vars) for piece in re.split(" [+-] ", text)]
+    assert all(len(t.terms) == 1 for t in shown)
+    seen = [exponents(next(iter(t.terms)), n) for t in shown]
+    expected = sorted((exponents(m, n) for m in p.terms), key=lambda e: (sum(e), e), reverse=True)
+    assert seen == expected
 
 
 @pytest.mark.parametrize("value", [0, 3, -7, Fraction(1, 2)])

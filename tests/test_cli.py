@@ -109,6 +109,29 @@ def test_play_engine_error(capsys):
     assert "engine error" in err
 
 
+@pytest.mark.parametrize("command", ["play", "repl"])
+def test_degree_past_the_bound_is_a_configuration_error(capsys, monkeypatch, command):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code, out, err = run(
+        [command, "--ring", "QQ[X]", "--x", "X^2147483648", "--budget", "1"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "configuration error: total degree 2147483648 is not below 2147483648 (at position 2)\n"
+    )
+
+
+def test_product_past_the_degree_bound_is_an_engine_error(capsys):
+    # the reply X^(2^31 - 1) is in bounds; its constraint 1 - b*(1 - a*X) is not
+    code, out, err = run(
+        ["play", "--ring", "QQ[X]", "--x", "X", "--budget", "1",
+         "--delayer", "constant(X^2147483647)"],
+        capsys,
+    )
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("engine error: total degree 2147483648")
+
+
 def test_play_poly_lift_rejects_relation_in_lift_variable(capsys):
     code, out, err = run(
         ["play", "--ring", "QQ[X]/(X^2)", "--x", "X", "--budget", "2",
@@ -177,12 +200,19 @@ LONG_INTEGER = "<5,000 digits>"
         (lambda obj: obj.update(x="1" * 5000), "field 'x': Exceeds the limit (4300 digits)"),
         (lambda obj: obj.update(budget=LONG_INTEGER), "not JSON: Exceeds the limit (4300 digits)"),
         (lambda obj: obj.update(budget=-2), "negative starting budget"),
+        (lambda obj: obj.update(x="X^2147483648"),
+         "field 'x': total degree 2147483648 is not below 2147483648 (at position 2)"),
+        (lambda obj: _set_round_text(obj, "moves", "X^1073741824 * X^1073741824"),
+         "round 0 move 0: total degree 2147483648 is not below 2147483648 (at position 13)"),
+        (lambda obj: _set_round_text(obj, "moves", "X^2147483647"),
+         "a round's constraint: total degree 2147483648 is not below 2147483648"),
     ],
     ids=["key-out-of-range", "key-negative", "missing-winner", "rounds-not-list", "negative-e",
          "ring-not-a-field", "ring-modulus-too-large", "x-unknown-variable", "xprime-unparseable", "x-deep-parentheses",
          "x-long-sign-run", "move-unknown-variable",
          "reply-zero-divisor", "cofactor-unknown-variable", "x-long-integer", "budget-long-integer",
-         "budget-negative"],
+         "budget-negative", "x-degree-past-bound", "move-degree-past-bound",
+         "constraint-degree-past-bound"],
 )
 def test_verify_rejects_malformed_transcript(tmp_path, capsys, mutate, message):
     out = tmp_path / "t.json"
@@ -199,6 +229,25 @@ def test_verify_rejects_malformed_transcript(tmp_path, capsys, mutate, message):
     assert code == 1
     assert text.count("\n") == 1 and text.startswith("invalid: ") and message in text
     assert err == ""
+
+
+def test_verify_reports_a_delayer_win_constraint_past_the_degree_bound(tmp_path, capsys):
+    # a Delayer win carries no certificate, so verify_transcript is the
+    # first to expand the constraint 1 - b*(1 - a*X)
+    out = tmp_path / "t.json"
+    code, _, _ = run(
+        ["play", "--ring", "QQ[X]", "--x", "X", "--budget", "1",
+         "--delayer", "refuterPoly", "--out", str(out)],
+        capsys,
+    )
+    obj = json.loads(out.read_text())
+    assert code == 1 and obj["winner"] == "delayer" and obj["rounds"][0]["moves"]
+    _set_round_text(obj, "moves", "X^2147483647")
+    out.write_text(json.dumps(obj))
+    code, text, err = run(["verify", str(out)], capsys)
+    assert (code, text, err) == (
+        1, "invalid: round 0: total degree 2147483648 is not below 2147483648\n", ""
+    )
 
 
 def test_verify_rejects_deeply_nested_json(tmp_path, capsys):

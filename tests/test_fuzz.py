@@ -6,9 +6,9 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacarena.algebra import _is_prime
+from jacarena.algebra import DEGREE_BOUND, _is_prime
 from jacarena.cli import main
-from jacarena.errors import EngineError
+from jacarena.errors import EngineError, RingSyntaxError
 from jacarena.game import Transcript, referee_play, verify_transcript
 from jacarena.parsing import parse_ring
 from jacarena.strategies import delayer_from_spec, prover_from_spec
@@ -138,3 +138,34 @@ def test_gf_modulus_up_to_ten_to_the_thirty(p):
     code, out, err = _main(["play", f"--ring={text}", "--x", "1", "--budget", "0"])
     if code != 1:
         _assert_one_error_line(code, out, err)
+
+
+# total degrees on both sides of the bound, at twice the bound, and far past it
+NEAR_BOUND = st.one_of(
+    st.integers(DEGREE_BOUND - 3, DEGREE_BOUND + 3),
+    st.integers(2 * DEGREE_BOUND - 3, 2 * DEGREE_BOUND + 3),
+    st.integers(DEGREE_BOUND, 10**30),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(degree=NEAR_BOUND, cut=st.integers(0, 10**30), shape=st.integers(0, 2))
+def test_exponents_around_the_degree_bound(degree, cut, shape):
+    a = cut % (degree + 1)
+    text = [f"X^{degree}", f"X^{a}*Y^{degree - a}", f"(X*Y)^{degree // 2}*X^{degree % 2}"][shape]
+    in_bounds = degree < DEGREE_BOUND
+    try:
+        ring = parse_ring(f"QQ[X,Y]/({text})")
+    except RingSyntaxError as exc:
+        assert not in_bounds and "total degree" in str(exc)
+    else:
+        assert in_bounds and parse_ring(ring.to_text()) == ring
+    code, out, err = _main(["play", "--ring=QQ[X,Y]", f"--x={text}", "--budget", "0"])
+    if in_bounds:
+        # no power of a monomial vanishes in QQ[X,Y]; near the bound the
+        # Rabinowitsch generator 1 - T*x itself passes it
+        assert code == 1 and err == "" or code == 3 and out == "", (text, err)
+        assert code == 1 or err.count("\n") == 1 and err.startswith("engine error: total degree")
+    else:
+        _assert_one_error_line(code, out, err)
+        assert "total degree" in err

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from jacarena.algebra import GF, QQ, ZZ, MonomialOrder, Polynomial
+from jacarena.algebra import GF, QQ, ZZ, MonomialOrder, Polynomial, exponents, pack
 from jacarena.errors import InvalidCertificate
 from jacarena.ideals import NilCertificate, groebner
 from jacarena.parsing import parse_polynomial, parse_ring
@@ -55,12 +55,15 @@ def _check_transformation(gb):
 
 
 def _check_s_and_g_polys_reduce(gb):
+    n = len(gb.order.vars)
     rows = list(zip(gb.basis, (gb.order.leading(b.terms) for b in gb.basis)))
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             (pi, (lmi, lci)), (pj, (lmj, lcj)) = rows[i], rows[j]
-            lcm = lmi.lcm(lmj)
-            si, sj = lcm.div(lmi), lcm.div(lmj)
+            ei, ej = exponents(lmi, n), exponents(lmj, n)
+            lcm = [max(a, b) for a, b in zip(ei, ej)]
+            si = pack([l - a for l, a in zip(lcm, ei)], n)
+            sj = pack([l - b for l, b in zip(lcm, ej)], n)
             if gb.ring.kind == "ZZ":
                 import math
 

@@ -514,6 +514,21 @@ PINNED_TRANSCRIPTS = [
      "4a175152d5407d935456af6776d1289f79b3b1215aac76668c60484becf96642"),
     ("GF(3)[X,Y]/(X^2-Y, Y^2+X)", "X", 1, "zeroDim", "random:4:0:2",
      "0c3d9cc0c76ae538c180a90b9f2dd5dbc058f6a945ff9b8bd8b5b68607668f5f"),
+    # Groebner runs over 3 and 4 variables whose bytes change when the
+    # DEGREVLEX tie-break is flipped (larger exponent in the last variable
+    # ranked larger): they catch a wrong packed-key layout
+    ("GF(3)[X,Y,Z]", "Y*Z", 4, "auto", "random:1:0:1",
+     "b52ed08bfa8bc99555bdc4e276fcdf0410012e9bf18732f1e1ca58a316babb66"),
+    ("GF(3)[X,Y,Z]", "X^2-Y", 4, "auto", "random:644354:0:1",
+     "a0fed192f172add6a74b2f9191b5f221ee7c8671fcdfd9fe13af4c5530cbbe12"),
+    ("GF(3)[X,Y,Z]", "X", 4, "auto", "random:698951:0:1",
+     "97f73ba6cfdd0f7c6a1de67ebb164611980f4b92c897080c604a4cd1ec11e886"),
+    ("QQ[X,Y,Z]", "Y*Z", 4, "auto", "random:3:0:1",
+     "daea8fa847932c9be06866b10161d7861b15c9f9685cedbe65dc6a2e11494eae"),
+    ("ZZ[X,Y]", "X+Y", 4, "auto", "random:3:0:2",
+     "637136ff4f4031726e8209b79c175997d11e48e843c800b09ebd1525ad158955"),
+    ("ZZ[X,Y]", "X+Y+1", 4, "auto", "random:4:0:2",
+     "fd26369c94364b67766333f026f16d088aab2e7dd48c0dedef6d35bc1b62d134"),
 ]
 
 
