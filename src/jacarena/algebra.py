@@ -132,12 +132,15 @@ class CoefficientRing:
         raise ZeroDivisionError(f"{a} is not invertible over ZZ")
 
     def exact_div(self, a, b):
-        """Divide a by b, raising if the quotient leaves the ring."""
+        """The canonical a / b for b nonzero, raising ValueError if the
+        quotient leaves the ring."""
         if self.kind == "ZZ":
             q, r = divmod(a, b)
             if r != 0:
                 raise ValueError(f"{a} is not divisible by {b} over ZZ")
             return q
+        if self.kind == "QQ":
+            return self.normalize(Fraction(a, b))
         return self.mul(a, self.invert(b))
 
     def __eq__(self, other):
@@ -197,6 +200,11 @@ def _pack(exps, n):
 def exponents(m, n):
     """The exponent vector of a packed monomial over n variables."""
     return tuple((m >> (i * _W)) & _FIELD for i in range(n))
+
+
+def degree(m, n):
+    """The total degree of a packed monomial over n variables."""
+    return m >> (n * _W)
 
 
 def _check_degree(degree):

@@ -39,6 +39,16 @@ class Round:
 
 @dataclass
 class Transcript:
+    """A played or parsed match.
+
+    ``certificate`` is the leaf NilCertificate of a Prover win, else None.
+    A certificate read from JSON carries only what the JSON holds: its
+    element is x', its exponent e, its cofactors one per generator (zero
+    where the JSON has no key), and its generators are None.  They are the
+    relations and the round constraints, which ``verify_transcript``
+    expands itself and checks the cofactors against.
+    """
+
     ring: object
     x: object
     xprime: object
@@ -113,27 +123,24 @@ class Transcript:
             e = _field(raw, "e", int, "certificate")
             if e < 0:
                 raise MalformedTranscript(f"certificate exponent {e} is negative")
-            gens = list(ring.relations)
-            try:
-                for r in rounds:
-                    for a, b in zip(r.moves, r.replies):
-                        gens.append(_constraint(ring, x, a, b).poly)
-            except DegreeOverflow as exc:
-                raise MalformedTranscript(f"a round's constraint: {exc}") from None
-            cofactors = [Polynomial.zero(ring.base, ring.vars) for _ in gens]
+            # the generators, relations then round constraints, are expanded
+            # by verify_transcript; here only their count bounds the keys
+            n_gens = len(ring.relations) + sum(min(len(r.moves), len(r.replies)) for r in rounds)
+            cofactors = [Polynomial.zero(ring.base, ring.vars)] * n_gens
             for key, val in _field(raw, "cofactors", dict, "certificate").items():
-                if not (key.isascii() and key.isdigit() and int(key) < len(gens)):
+                i = int(key) if key.isascii() and key.isdigit() and len(key) <= len(str(n_gens)) else -1
+                if not (0 <= i < n_gens and key == str(i)):
                     raise MalformedTranscript(
                         f"certificate cofactor key {key!r} is not a generator index"
-                        f" in [0, {len(gens)})"
+                        f" in [0, {n_gens})"
                     )
                 if not isinstance(val, str):
                     raise MalformedTranscript(f"certificate cofactor {key!r} is not a string")
-                cofactors[int(key)] = _parsed(
+                cofactors[i] = _parsed(
                     lambda t: parse_polynomial(t, ring.base, ring.vars),
                     val, f"certificate cofactor {key!r}",
                 )
-            cert = NilCertificate(xprime.poly, e, tuple(gens), tuple(cofactors))
+            cert = NilCertificate(xprime.poly, e, None, tuple(cofactors))
         return cls(
             ring,
             x,
@@ -178,7 +185,9 @@ def _strings(obj, key, where):
 
 
 def _constraint(ring, x, a, b):
-    return ring.one() - b * (ring.one() - a * x)
+    """1 - b(1 - a*x), expanded as 1 - b + a*x*b with one normal form."""
+    b = b.poly
+    return ring.element(1 - b + a.poly * x.poly * b)
 
 
 def referee_play(ring, x, xprime, budget, prover, delayer):
@@ -312,11 +321,9 @@ def verify_transcript(transcript, replay=False):
             problems.append(f"unknown winner {transcript.winner!r}")
         elif cert is None:
             problems.append("prover win recorded without certificate")
-        elif list(cert.generators) != list(ring.relations) + [c.poly for c in constraints]:
-            problems.append("certificate generators differ from relations + constraints")
-        elif cert.element != xprime.poly:
-            problems.append("certificate is not about xPrime")
-        elif not cert.verify():
+        elif not NilCertificate(
+            xprime.poly, cert.exponent, ring.relations + tuple(c.poly for c in constraints), cert.cofactors
+        ).verify():
             problems.append("certificate identity fails")
 
     if replay and not problems:

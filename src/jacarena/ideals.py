@@ -348,6 +348,8 @@ class NilCertificate:
     cofactors: tuple
 
     def verify(self):
+        if len(self.cofactors) != len(self.generators):
+            return False
         lhs = self.element ** self.exponent
         rhs = Polynomial.zero(self.element.ring, self.element.vars)
         for c, g in zip(self.cofactors, self.generators):

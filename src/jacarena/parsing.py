@@ -7,13 +7,20 @@
     poly  := the usual +, -, *, ^ with parentheses, integer literals and
              identifiers; "/" divides by an invertible constant so that
              rational coefficients round-trip.
+
+Terms are read straight into packed monomials with their coefficients, so
+text such as ``Polynomial.to_text`` prints is read without a Polynomial
+product or power.  Errors carry their position in the text: a degree past
+``DEGREE_BOUND`` at its ``*`` or exponent token, a power's coefficient past
+the 4,300 digits that cap a literal at its exponent token.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul
 
-from .algebra import GF, QQ, ZZ, Polynomial
+from .algebra import DEGREE_BOUND, GF, QQ, ZZ, Polynomial, degree, pack
 from .errors import DegreeOverflow, RingSyntaxError, UnknownVariable
 
 
@@ -73,13 +80,44 @@ def _bounded(op, a, b, tok):
         raise RingSyntaxError(str(exc), tok.pos) from None
 
 
+# Python's default limit on int <-> str conversion, which already caps a
+# literal; a power's coefficient may not pass it either.  A number of b bits
+# is at least 2^(b-1), so (b-1)*e above _LIMIT_BITS = floor(log2(10^4300))
+# rules c^e out before it is computed.
+_MAX_DIGITS = 4300
+_COEFF_LIMIT = 10**_MAX_DIGITS
+_LIMIT_BITS = 14284
+
+# A single term is read as a (coefficient, packed monomial) pair, and a sum
+# of terms into one dict.  Only a parenthesised sub-expression of two or
+# more terms is a Polynomial; its zeroth power and its product with zero
+# are pairs, and all else computed from it keeps two or more terms, so a
+# constant is always a pair.  A zero term is (0, 0), so that, as in
+# Polynomial arithmetic, a product with zero checks no degree.
+_ZERO = (0, 0)
+
+
+@lru_cache(maxsize=64)
+def _variable_monomials(vars):
+    """name -> packed monomial of that variable over vars; one dict per vars,
+    shared by every parser over them, so read only."""
+    n = len(vars)
+    return {name: pack(tuple(int(j == i) for j in range(n)), n) for i, name in enumerate(vars)}
+
+
 class _Parser:
     def __init__(self, text, ring, vars):
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.scope(ring, vars)
+
+    def scope(self, ring, vars):
+        """Read expressions over ``ring`` and the variables ``vars``."""
         self.ring = ring
         self.vars = tuple(vars)
+        self.n = len(self.vars)
+        self.monomials = _variable_monomials(self.vars)
 
     def peek(self):
         return self.tokens[self.i]
@@ -92,12 +130,23 @@ class _Parser:
         return tok
 
     def parse_poly(self):
-        result = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.parse_term()
-            result = result + rhs if op == "+" else result - rhs
-        return result
+        return Polynomial._raw(self.ring, self.vars, self.parse_sum())
+
+    def parse_sum(self):
+        """term (("+" | "-") term)*, as a {monomial: coefficient} dict."""
+        acc = {}
+        get = acc.get
+        negate = False
+        while True:
+            term = self.parse_term()
+            pairs = ((term[1], term[0]),) if type(term) is tuple else term.terms.items()
+            for m, c in pairs:
+                acc[m] = get(m, 0) - c if negate else get(m, 0) + c
+            if self.peek().kind not in ("+", "-"):
+                break
+            negate = self.take().kind == "-"
+        normalize = self.ring.normalize
+        return {m: v for m, c in acc.items() if (v := normalize(c))}
 
     def parse_term(self):
         result = self.parse_signed()
@@ -105,63 +154,106 @@ class _Parser:
             op = self.take()
             rhs = self.parse_signed()
             if op.kind == "*":
-                result = _bounded(mul, result, rhs, op)
+                result = self._multiply(result, rhs, op)
             else:
-                result = self._divide(result, rhs)
+                result = self._divide(result, rhs, op)
         return result
 
-    def _divide(self, lhs, rhs):
-        tok = self.tokens[self.i - 1]
-        if not rhs.is_constant() or rhs.is_zero():
+    def _multiply(self, a, b, tok):
+        if type(a) is not tuple:
+            a, b = b, a
+        if type(a) is not tuple:
+            return _bounded(mul, a, b, tok)
+        c, m = a
+        if not c:
+            return _ZERO
+        if type(b) is not tuple:
+            return _bounded(b.mul_term, m, c, tok)
+        if not b[0]:
+            return _ZERO
+        m += b[1]
+        self._check_degree(degree(m, self.n), tok)
+        return self.ring.normalize(c * b[0]), m
+
+    def _divide(self, lhs, rhs, tok):
+        if type(rhs) is not tuple or rhs[1] or not rhs[0]:
             raise RingSyntaxError("divisor must be a nonzero constant", tok.pos)
-        value = rhs.constant_value()
+        d = rhs[0]
+        ring = self.ring
         try:
-            inv = self.ring.invert(value)
-        except ZeroDivisionError:
-            try:
-                # an exact quotient of a nonzero integer is a nonzero integer
-                return Polynomial._raw(
-                    lhs.ring,
-                    lhs.vars,
-                    {m: self.ring.exact_div(c, value) for m, c in lhs.terms.items()},
-                )
-            except ValueError as exc:
-                raise RingSyntaxError(str(exc), tok.pos) from None
-        return lhs.scale(inv)
+            if type(lhs) is tuple:
+                return ring.exact_div(lhs[0], d), lhs[1]
+            # an exact quotient of a nonzero coefficient is nonzero
+            return Polynomial._raw(
+                ring, self.vars, {m: ring.exact_div(c, d) for m, c in lhs.terms.items()}
+            )
+        except ValueError as exc:
+            raise RingSyntaxError(str(exc), tok.pos) from None
 
     def parse_signed(self):
         negate = False
         while self.peek().kind in ("+", "-"):
             negate ^= self.take().kind == "-"
         result = self.parse_power()
-        return -result if negate else result
+        if not negate:
+            return result
+        if type(result) is tuple:
+            return self.ring.neg(result[0]), result[1]
+        return -result
 
     def parse_power(self):
         base = self.parse_atom()
         while self.peek().kind == "^":
             self.take()
             tok = self.peek()
-            base = _bounded(pow, base, self.take_int(), tok)
+            base = self._power(base, self.take_int(), tok)
         return base
+
+    def _power(self, base, e, tok):
+        if e == 0:
+            return 1, 0
+        if type(base) is not tuple:
+            # the largest packed monomial has the largest degree
+            self._check_degree(degree(max(base.terms), self.n) * e, tok)
+            return base**e
+        c, m = base
+        if not c:
+            return _ZERO
+        self._check_degree(degree(m, self.n) * e, tok)
+        m *= e
+        ring = self.ring
+        if ring.kind == "GF":
+            return pow(c, e, ring.p), m
+        parts = (abs(c.numerator), c.denominator)
+        if any((x.bit_length() - 1) * e > _LIMIT_BITS for x in parts) or max(parts) ** e >= _COEFF_LIMIT:
+            raise RingSyntaxError(f"a power's coefficient would pass {_MAX_DIGITS} digits", tok.pos)
+        return c**e, m
+
+    def _check_degree(self, d, tok):
+        if d >= DEGREE_BOUND:
+            raise RingSyntaxError(f"total degree {d} is not below {DEGREE_BOUND}", tok.pos)
 
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "int":
-            return Polynomial.constant(self.ring, self.take_int(), self.vars)
+            return self.ring.normalize(self.take_int()), 0
         if tok.kind == "ident":
             self.take()
-            if tok.text not in self.vars:
+            m = self.monomials.get(tok.text)
+            if m is None:
                 raise UnknownVariable(f"unknown variable {tok.text!r}", tok.pos)
-            return Polynomial.variable(self.ring, tok.text, self.vars)
+            return 1, m
         if tok.kind == "(":
             self.take()
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise RingSyntaxError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
-            inner = self.parse_poly()
+            terms = self.parse_sum()
             self.take(")")
             self.depth -= 1
-            return inner
+            if len(terms) > 1:
+                return Polynomial._raw(self.ring, self.vars, terms)
+            return next(((c, m) for m, c in terms.items()), _ZERO)
         raise RingSyntaxError(f"unexpected {tok.text or 'end'!r}", tok.pos)
 
     def take_int(self):
@@ -226,7 +318,7 @@ def parse_polynomial(text, ring, vars):
     parser = _Parser(text, ring, vars)
     poly = parser.parse_poly()
     parser.expect_end()
-    return poly.remap(tuple(vars))
+    return poly
 
 
 def parse_ring(text):
@@ -234,8 +326,8 @@ def parse_ring(text):
     from .rings import RingPresentation
 
     parser = _Parser(text, None, ())
-    parser.ring = parser.parse_base()
-    parser.vars = parser.parse_vars()
+    base = parser.parse_base()
+    parser.scope(base, parser.parse_vars())
     relations = parser.parse_relations()
     parser.expect_end()
     return RingPresentation(parser.ring, parser.vars, relations)

@@ -270,8 +270,10 @@ def _random_match(rng):
 
 
 def _mutations(transcript):
-    """Single-field corruptions of the schema's semantic fields, each of
-    which a correct verifier must reject for these match configurations."""
+    """Single-field corruptions of a played transcript's semantic fields,
+    each of which a correct verifier must reject for these match
+    configurations.  A parsed certificate has no generators, so the
+    cofactor corruption reads them from the played one."""
     obj = transcript.to_json_obj()
 
     def clone():
@@ -320,7 +322,7 @@ def test_criterion_11_transcript_integrity():
         again = Transcript.from_json(text)
         assert again.to_json() == text
         assert bool(verify_transcript(again, replay=True)), i
-        for name, obj in _mutations(again):
+        for name, obj in _mutations(t):
             bad = Transcript.from_json(json.dumps(obj))
             result = verify_transcript(bad, replay=True)
             assert not result, (i, name)

@@ -186,6 +186,26 @@ def test_degree_bound():
     assert parse_polynomial(f"x^{top}", ZZ, ("x",)) == x ** top
 
 
+def test_power_coefficients_stop_at_the_literal_digit_limit():
+    def const(text, ring=ZZ):
+        return parse_polynomial(text, ring, ("x",))
+
+    # 4,300 digits read as a literal and as a power; 4,301 as neither
+    assert const("10^4299") == const("1" + "0" * 4299)
+    assert const("2^14284").constant_value() == 2**14284
+    for text, ring in [("10^4300", ZZ), ("2^14285", ZZ), ("2^4000000000", QQ), ("(1/3)^9100", QQ),
+                       ("x*(2*x)^15000", ZZ)]:
+        with pytest.raises(RingSyntaxError, match="coefficient would pass 4300 digits") as info:
+            const(text, ring)
+        assert info.value.position == text.index("^") + 1
+    with pytest.raises(RingSyntaxError, match="Exceeds the limit [(]4300 digits[)]"):
+        const("1" + "0" * 4300)
+    # units, zero and residues take any exponent
+    assert const("1^4000000000 + (-1)^4000000001 + 0^4000000000").is_zero()
+    assert const("2^4000000000", GF(7)).constant_value() == pow(2, 4000000000, 7)
+    assert const("(x/2)^3", QQ).to_text() == "1/8*x^3"
+
+
 def test_checked_constructor_rejects_bad_terms():
     with pytest.raises(ValueError):
         Polynomial(ZZ, ("x",), {(-1,): 1})
@@ -490,3 +510,110 @@ def test_qq_int_and_fraction_coefficients_agree(value):
         assert p == plain
         assert hash(p) == hash(plain)
         assert p.to_text() == plain.to_text()
+
+
+# -- the parser against Polynomial arithmetic ----------------------------------
+
+# Expression trees: ("lit", n), ("var", name), ("paren", a), ("neg", a),
+# ("pos", a), ("pow", a, e), and ("add" | "sub" | "mul" | "div", a, b).
+TREE_VARS = ("x", "y", "z")
+_PRECEDENCE = {"add": 0, "sub": 0, "mul": 1, "div": 1, "neg": 2, "pos": 2, "pow": 3}
+_BINARY = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
+
+TREES = st.recursive(
+    st.one_of(
+        st.tuples(st.just("lit"), st.one_of(st.integers(0, 9), st.integers(0, 10**6))),
+        st.tuples(st.just("var"), st.sampled_from(TREE_VARS)),
+    ),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["paren", "neg", "pos"]), sub),
+        st.tuples(st.just("pow"), sub, st.integers(0, 3)),
+        st.tuples(st.sampled_from(sorted(_BINARY)), sub, sub),
+    ),
+    max_leaves=10,
+)
+
+
+def _render(node, level=0):
+    """The text of a tree, parenthesised only where the grammar needs it
+    and where the tree says so."""
+    kind = node[0]
+    if kind == "lit":
+        return str(node[1])
+    if kind == "var":
+        return node[1]
+    if kind == "paren":
+        return "(" + _render(node[1]) + ")"
+    if kind in ("neg", "pos"):
+        text = ("-" if kind == "neg" else "+") + _render(node[1], 2)
+    elif kind == "pow":
+        text = f"{_render(node[1], 3)}^{node[2]}"
+    else:
+        at = _PRECEDENCE[kind]
+        text = _render(node[1], at) + _BINARY[kind] + _render(node[2], at + 1)
+    return text if _PRECEDENCE[kind] >= level else "(" + text + ")"
+
+
+def _evaluate(node, ring):
+    """The tree's value by Polynomial arithmetic; a bad divisor or an inexact
+    quotient over ZZ raises RingSyntaxError, as the parser does."""
+    kind = node[0]
+    if kind == "lit":
+        return Polynomial.constant(ring, node[1], TREE_VARS)
+    if kind == "var":
+        return Polynomial.variable(ring, node[1], TREE_VARS)
+    a = _evaluate(node[1], ring)
+    if kind in ("paren", "pos"):
+        return a
+    if kind == "neg":
+        return -a
+    if kind == "pow":
+        return a ** node[2]
+    b = _evaluate(node[2], ring)
+    if kind == "add":
+        return a + b
+    if kind == "sub":
+        return a - b
+    if kind == "mul":
+        return a * b
+    if not b.is_constant() or b.is_zero():
+        raise RingSyntaxError("divisor must be a nonzero constant")
+    d = b.constant_value()
+    if ring != ZZ:
+        return a.scale(ring.invert(d))
+    if any(c % d for c in a.terms.values()):
+        raise RingSyntaxError("inexact quotient over ZZ")
+    return Polynomial(ring, TREE_VARS, {exponents(m, 3): c // d for m, c in a.terms.items()})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([ZZ, QQ, GF(7), GF(32003)]), TREES)
+def test_parser_agrees_with_polynomial_arithmetic(ring, tree):
+    text = _render(tree)
+    try:
+        expected = _evaluate(tree, ring)
+    except RingSyntaxError:
+        with pytest.raises(RingSyntaxError):
+            parse_polynomial(text, ring, TREE_VARS)
+        return
+    parsed = parse_polynomial(text, ring, TREE_VARS)
+    assert parsed.vars == TREE_VARS
+    assert parsed.terms == expected.terms, text
+    assert parsed.to_text() == expected.to_text()
+    assert _is_canonical(parsed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_parsing_printed_polynomials_multiplies_no_polynomials(data):
+    p = data.draw(operands(data.draw(st.sampled_from([ZZ, QQ, GF(7), GF(32003)]))))
+    text = p.to_text()
+
+    def refuse(*args):
+        raise AssertionError("Polynomial arithmetic while parsing " + text)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("__mul__", "__rmul__", "__pow__"):
+            patch.setattr(Polynomial, name, refuse)
+        parsed = parse_polynomial(text, p.ring, p.vars)
+    assert parsed == p

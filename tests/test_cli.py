@@ -121,6 +121,14 @@ def test_degree_past_the_bound_is_a_configuration_error(capsys, monkeypatch, com
     )
 
 
+def test_power_coefficient_past_the_digit_limit_is_a_configuration_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run(["play", "--ring", "ZZ", "--x", "2^4000000000", "--budget", "1"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "configuration error: a power's coefficient would pass 4300 digits (at position 2)\n"
+
+
 def test_product_past_the_degree_bound_is_an_engine_error(capsys):
     # the reply X^(2^31 - 1) is in bounds; its constraint 1 - b*(1 - a*X) is not
     code, out, err = run(
@@ -205,14 +213,18 @@ LONG_INTEGER = "<5,000 digits>"
         (lambda obj: _set_round_text(obj, "moves", "X^1073741824 * X^1073741824"),
          "round 0 move 0: total degree 2147483648 is not below 2147483648 (at position 13)"),
         (lambda obj: _set_round_text(obj, "moves", "X^2147483647"),
-         "a round's constraint: total degree 2147483648 is not below 2147483648"),
+         "invalid: round 0: total degree 2147483648 is not below 2147483648"),
+        (lambda obj: obj.update(x="2^4000000000"),
+         "field 'x': a power's coefficient would pass 4300 digits (at position 2)"),
+        (lambda obj: _rename_cofactor(obj, "00"), "cofactor key '00'"),
+        (lambda obj: _rename_cofactor(obj, "01"), "cofactor key '01'"),
     ],
     ids=["key-out-of-range", "key-negative", "missing-winner", "rounds-not-list", "negative-e",
          "ring-not-a-field", "ring-modulus-too-large", "x-unknown-variable", "xprime-unparseable", "x-deep-parentheses",
          "x-long-sign-run", "move-unknown-variable",
          "reply-zero-divisor", "cofactor-unknown-variable", "x-long-integer", "budget-long-integer",
          "budget-negative", "x-degree-past-bound", "move-degree-past-bound",
-         "constraint-degree-past-bound"],
+         "constraint-degree-past-bound", "x-power-coefficient-past-limit", "key-00", "key-01"],
 )
 def test_verify_rejects_malformed_transcript(tmp_path, capsys, mutate, message):
     out = tmp_path / "t.json"

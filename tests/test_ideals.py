@@ -192,3 +192,15 @@ def test_certificate_rejects_tampering():
     assert not bad.verify()
     with pytest.raises(InvalidCertificate):
         bad.require_valid()
+
+
+def test_certificate_with_a_cofactor_count_off_fails():
+    def c(v):
+        return Polynomial.constant(ZZ, v)
+
+    # 5^1 = 1*5: the extra cofactor 5 must not be dropped
+    assert NilCertificate(c(5), 1, (c(5),), (c(1),)).verify()
+    assert not NilCertificate(c(5), 1, (c(5),), (c(1), c(5))).verify()
+    assert not NilCertificate(c(5), 1, (c(5), c(7)), (c(1),)).verify()
+    with pytest.raises(InvalidCertificate):
+        NilCertificate(c(5), 1, (c(5),), (c(1), c(5))).require_valid()
