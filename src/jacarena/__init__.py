@@ -17,7 +17,6 @@ from .rings import (
     RingElement,
     RingPresentation,
     integral_dependence,
-    invert_in_integral_quotient,
     key_elementary_transfer,
     loc_key_clear,
     member_in,

@@ -17,7 +17,7 @@ from .errors import EngineError, MalformedTranscript, RingSyntaxError
 from .game import Transcript, referee_play, verify_transcript
 from .oracle import enumerate_finite, minimal_alpha, minimal_alpha_ring
 from .parsing import parse_ring
-from .rings import nil_member, saturation_cap
+from .rings import nil_member
 from .strategies import (
     DiagonalRefuterPoly,
     DiagonalRefuterZ,
@@ -285,7 +285,6 @@ def main(argv=None):
         "verify": cmd_verify,
     }
     try:
-        saturation_cap()
         return handlers[args.command](args)
     except (RingSyntaxError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

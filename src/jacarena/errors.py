@@ -48,23 +48,11 @@ class NotFinite(EngineError):
 
 
 class NotMonogenic(EngineError):
-    """The extension is not generated by a single adjoined variable."""
+    """The extension is not one adjoined variable, or lacks its relation."""
 
 
 class LeadingCoefficientZero(EngineError):
     """The defining relation has a vanishing leading coefficient."""
-
-
-class NonMonicDependence(EngineError):
-    """An integral dependence with a denominator power where a monic one is required."""
-
-
-class SaturationCapExceeded(EngineError):
-    """Bounded denominator-clearing search ran past its cap.
-
-    The cap defaults to 16 and can be overridden through the
-    JACARENA_SATURATION_CAP environment variable.
-    """
 
 
 class UnsupportedRing(EngineError):

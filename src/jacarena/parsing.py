@@ -11,13 +11,14 @@
 Terms are read straight into packed monomials with their coefficients, so
 text such as ``Polynomial.to_text`` prints is read without a Polynomial
 product or power.  Errors carry their position in the text: a degree past
-``DEGREE_BOUND`` at its ``*`` or exponent token, a power's coefficient past
-the 4,300 digits that cap a literal at its exponent token.
+``DEGREE_BOUND``, a coefficient past the 4,300 digits that cap a literal and
+a power of a sum too large to expand, at the token that built it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import comb, lcm
 from operator import mul
 
 from .algebra import DEGREE_BOUND, GF, QQ, ZZ, Polynomial, degree, pack
@@ -81,12 +82,22 @@ def _bounded(op, a, b, tok):
 
 
 # Python's default limit on int <-> str conversion, which already caps a
-# literal; a power's coefficient may not pass it either.  A number of b bits
-# is at least 2^(b-1), so (b-1)*e above _LIMIT_BITS = floor(log2(10^4300))
-# rules c^e out before it is computed.
+# literal; no coefficient built over ZZ or QQ may pass it either.  A number
+# of b bits is at least 2^(b-1), so (b-1)*e above _LIMIT_BITS =
+# floor(log2(10^4300)) rules c^e out before it is computed; the operands of
+# a product, quotient or sum are below the cap, so its result is cheap to
+# compute and compare.
 _MAX_DIGITS = 4300
 _COEFF_LIMIT = 10**_MAX_DIGITS
 _LIMIT_BITS = 14284
+
+# A power of a sum of t terms has at most C(e+t-1, t-1) terms, of at most
+# e * bit_length(sum of |c|) bits (over QQ, of the numerators over a common
+# denominator D, and of D^e).  Repeated squaring makes about terms^2
+# products, dearer by a unit per 512 bits and 32 times dearer for a
+# Fraction; past _POWER_WORK (0.2-0.65 s on a 2-core x86-64 host) a power
+# is refused.
+_POWER_WORK = 1 << 31
 
 # A single term is read as a (coefficient, packed monomial) pair, and a sum
 # of terms into one dict.  Only a parenthesised sub-expression of two or
@@ -135,16 +146,21 @@ class _Parser:
     def parse_sum(self):
         """term (("+" | "-") term)*, as a {monomial: coefficient} dict."""
         acc = {}
-        get = acc.get
         negate = False
+        op = None
         while True:
             term = self.parse_term()
             pairs = ((term[1], term[0]),) if type(term) is tuple else term.terms.items()
             for m, c in pairs:
-                acc[m] = get(m, 0) - c if negate else get(m, 0) + c
+                if m in acc:
+                    acc[m] = v = acc[m] - c if negate else acc[m] + c
+                    self._capped((v, m), op, "sum")
+                else:
+                    acc[m] = -c if negate else c
             if self.peek().kind not in ("+", "-"):
                 break
-            negate = self.take().kind == "-"
+            op = self.take()
+            negate = op.kind == "-"
         normalize = self.ring.normalize
         return {m: v for m, c in acc.items() if (v := normalize(c))}
 
@@ -163,17 +179,17 @@ class _Parser:
         if type(a) is not tuple:
             a, b = b, a
         if type(a) is not tuple:
-            return _bounded(mul, a, b, tok)
+            return self._capped(_bounded(mul, a, b, tok), tok, "product")
         c, m = a
         if not c:
             return _ZERO
         if type(b) is not tuple:
-            return _bounded(b.mul_term, m, c, tok)
+            return self._capped(_bounded(b.mul_term, m, c, tok), tok, "product")
         if not b[0]:
             return _ZERO
         m += b[1]
         self._check_degree(degree(m, self.n), tok)
-        return self.ring.normalize(c * b[0]), m
+        return self._capped((self.ring.normalize(c * b[0]), m), tok, "product")
 
     def _divide(self, lhs, rhs, tok):
         if type(rhs) is not tuple or rhs[1] or not rhs[0]:
@@ -182,11 +198,10 @@ class _Parser:
         ring = self.ring
         try:
             if type(lhs) is tuple:
-                return ring.exact_div(lhs[0], d), lhs[1]
+                return self._capped((ring.exact_div(lhs[0], d), lhs[1]), tok, "quotient")
             # an exact quotient of a nonzero coefficient is nonzero
-            return Polynomial._raw(
-                ring, self.vars, {m: ring.exact_div(c, d) for m, c in lhs.terms.items()}
-            )
+            quotient = {m: ring.exact_div(c, d) for m, c in lhs.terms.items()}
+            return self._capped(Polynomial._raw(ring, self.vars, quotient), tok, "quotient")
         except ValueError as exc:
             raise RingSyntaxError(str(exc), tok.pos) from None
 
@@ -215,7 +230,8 @@ class _Parser:
         if type(base) is not tuple:
             # the largest packed monomial has the largest degree
             self._check_degree(degree(max(base.terms), self.n) * e, tok)
-            return base**e
+            self._check_expansion(base, e, tok)
+            return self._capped(base**e, tok, "power")
         c, m = base
         if not c:
             return _ZERO
@@ -224,10 +240,31 @@ class _Parser:
         ring = self.ring
         if ring.kind == "GF":
             return pow(c, e, ring.p), m
-        parts = (abs(c.numerator), c.denominator)
-        if any((x.bit_length() - 1) * e > _LIMIT_BITS for x in parts) or max(parts) ** e >= _COEFF_LIMIT:
+        if any((x.bit_length() - 1) * e > _LIMIT_BITS for x in (c.numerator, c.denominator)):
             raise RingSyntaxError(f"a power's coefficient would pass {_MAX_DIGITS} digits", tok.pos)
-        return c**e, m
+        return self._capped((c**e, m), tok, "power")
+
+    def _check_expansion(self, base, e, tok):
+        """Refuse at tok a power of a sum whose expansion passes _POWER_WORK."""
+        cs = base.terms.values()
+        den = reduce(lcm, (c.denominator for c in cs), 1)  # 1 over ZZ and GF(p)
+        top = sum(abs(c.numerator) * (den // c.denominator) for c in cs)
+        bits = self.ring.p.bit_length() if self.ring.p else e * max(top, den).bit_length()
+        terms = comb(e + len(cs) - 1, len(cs) - 1)
+        if terms * terms * (bits + 512) * (32 if den > 1 else 1) > _POWER_WORK:
+            raise RingSyntaxError(
+                f"a power of a sum is too large to expand: up to {terms} terms"
+                f" of {bits}-bit coefficients", tok.pos
+            )
+
+    def _capped(self, value, tok, what):
+        """value, a pair or a Polynomial, unless one of its coefficients passes
+        _MAX_DIGITS digits; residues mod p are reduced and always pass."""
+        for c in (value[0],) if type(value) is tuple else value.terms.values():
+            if not (-_COEFF_LIMIT < c.numerator < _COEFF_LIMIT and c.denominator < _COEFF_LIMIT):
+                message = f"a {what}'s coefficient would pass {_MAX_DIGITS} digits"
+                raise RingSyntaxError(message, tok.pos)
+        return value
 
     def _check_degree(self, d, tok):
         if d >= DEGREE_BOUND:

@@ -8,7 +8,6 @@ basis with nonnegative canonical remainders).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -19,29 +18,13 @@ from .errors import (
     IncompatibleRings,
     InvalidCertificate,
     LeadingCoefficientZero,
-    NonMonicDependence,
     NotFinite,
     NotFiniteDimensional,
     NotMonogenic,
     NotZeroDimensional,
-    SaturationCapExceeded,
     UnsupportedRing,
 )
 from .ideals import NilCertificate, groebner
-
-
-def saturation_cap():
-    """Bounded-search cap for denominator clearing; env-overridable."""
-    text = os.environ.get("JACARENA_SATURATION_CAP", "16")
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValueError(
-            f"JACARENA_SATURATION_CAP must be a nonnegative integer, not {text!r}"
-        )
-    return cap
 
 
 class RingPresentation:
@@ -530,9 +513,11 @@ def _modular_witness(x):
 class MonogenicExtension:
     """B = A[X]/(relation, A-relations) with X-leading coefficient a.
 
-    ``ring`` may be a further quotient of the monogenic cover; the defining
-    relation is all the reduction machinery uses, and memberships are tested
-    in ``ring`` itself.
+    ``ring`` may be a further quotient of the monogenic cover, but its ideal
+    must contain the relation (NotMonogenic otherwise): the integral
+    dependence and the transfer hold in B only then.  The defining relation
+    is all the reduction machinery uses, and memberships are tested in
+    ``ring`` itself.
     """
 
     __slots__ = ("base", "ring", "var", "relation", "k", "rel_coeffs", "lead")
@@ -557,6 +542,10 @@ class MonogenicExtension:
         if lead.is_zero():
             raise LeadingCoefficientZero(
                 f"leading coefficient of {self.relation.to_text()} vanishes in the base"
+            )
+        if not ring.gb.is_member(self.relation):
+            raise NotMonogenic(
+                f"{self.relation.to_text()} does not vanish in {ring.to_text()}"
             )
         self.lead = lead
 
@@ -592,37 +581,23 @@ def _reduce_in_extension(poly, ext):
     coefficient a and rewrites a*X^k as -(lower part of the relation).
     Coefficients are normalized in the base presentation along the way.
     """
-    base = ext.base
-    k = ext.k
-    a_poly = ext.rel_coeffs[k]
-    work = {}
-    for j, c in poly.coefficients_in(ext.var).items():
-        nf = base.normal_form(c.remap(base.vars))
-        if not nf.is_zero():
-            work[j] = nf
+    base, k = ext.base, ext.k
+    zero = Polynomial.zero(base.base, base.vars)
+
+    def normalized(items):
+        return {j: nf for j, c in items if not (nf := base.normal_form(c)).is_zero()}
+
+    work = normalized((j, c.remap(base.vars)) for j, c in poly.coefficients_in(ext.var).items())
     exp = 0
-    while work:
-        top_deg = max(work)
-        if top_deg < k:
-            break
+    while work and (top_deg := max(work)) >= k:
         top = work.pop(top_deg)
-        work = {j: c * a_poly for j, c in work.items()}
+        work = {j: c * ext.rel_coeffs[k] for j, c in work.items()}
         for j, rc in ext.rel_coeffs.items():
-            if j == k:
-                continue
-            jj = top_deg - k + j
-            cur = work.get(jj, Polynomial.zero(base.base, base.vars))
-            work[jj] = cur - top * rc
+            if j < k:
+                work[top_deg - k + j] = work.get(top_deg - k + j, zero) - top * rc
+        work = normalized(work.items())
         exp += 1
-        work = {
-            j: nf
-            for j, c in work.items()
-            if not (nf := base.normal_form(c)).is_zero()
-        }
-    vec = [
-        work.get(j, Polynomial.zero(base.base, base.vars)) for j in range(max(k, 1))
-    ]
-    return vec[:k] if k else [], exp
+    return [work.get(j, zero) for j in range(k)], exp
 
 
 def _det(matrix):
@@ -642,26 +617,23 @@ def _det(matrix):
 
 
 def integral_dependence(b, ext):
-    """Dependence a^l * b^d = sum c_j b^j from the multiplication-by-b matrix.
+    """Dependence a^l * b^d = sum c_j b^j, a = ext.lead, from the
+    multiplication-by-b matrix; d is the relation's X-degree k.
 
-    The characteristic polynomial of that matrix over the localization at a
-    annihilates b; a bounded a-power search then clears the identity back
-    into the unlocalized ring.
+    Column i holds the coordinates of a^(e_i) * b * X^i on 1, X, ...,
+    X^(k-1), with X^k rewritten by the relation.  The determinant of
+    T*diag(a^(e_i)) minus that matrix has leading coefficient a^l, l the sum
+    of the e_i, and by the determinant trick (the adjugate, Atiyah &
+    Macdonald 1969, Prop. 2.4) it vanishes at T = b in B itself, as B's
+    ideal contains the relation; so l is exact and c_j is minus its T^j
+    coefficient.  For k = 0 the relation is a, so a = 0 in B: l = 1, or 0
+    when B is trivial.
     """
-    cap = saturation_cap()
     base, ring, k = ext.base, ext.ring, ext.k
     a = ext.lead
 
     if k == 0:
-        a_in_b = ring.element(a.poly)
-        power = ring.one()
-        for l in range(cap + 1):
-            if power.is_zero():
-                return IntegralRelation(b, a, l, 0, ()).require_valid()
-            power = power * a_in_b
-        raise SaturationCapExceeded(
-            f"a^l stayed nonzero for l <= {cap} in {ring.to_text()}"
-        )
+        return IntegralRelation(b, a, 0 if ring.is_trivial() else 1, 0, ()).require_valid()
 
     tvar = _fresh_var(ext.ring.vars)
     cvars = base.vars + (tvar,)
@@ -674,14 +646,11 @@ def integral_dependence(b, ext):
         vec, exp = _reduce_in_extension(b.poly * xvar ** i, ext)
         columns.append(([v.remap(cvars) for v in vec], exp))
 
-    matrix = []
-    for j in range(k):
-        row = []
-        for i in range(k):
-            vec, exp = columns[i]
-            diag = tpoly * a_poly ** exp if i == j else Polynomial.zero(base.base, cvars)
-            row.append(diag - vec[j])
-        matrix.append(row)
+    zero = Polynomial.zero(base.base, cvars)
+    matrix = [
+        [(tpoly * a_poly ** e if i == j else zero) - v[j] for i, (v, e) in enumerate(columns)]
+        for j in range(k)
+    ]
 
     # a term takes one entry per column, the diagonal term is nonzero: a-power = column sum
     char_exp = sum(exp for _, exp in columns)
@@ -690,42 +659,11 @@ def integral_dependence(b, ext):
     if lead_coeff != ext.rel_coeffs[k] ** char_exp:
         raise AssertionError("characteristic polynomial lost monicity")
 
-    g = [
-        base.normal_form(by_t.get(j, Polynomial.zero(base.base, base.vars)).remap(base.vars))
+    coeffs = tuple(
+        base.element(-by_t.get(j, Polynomial.zero(base.base, base.vars)).remap(base.vars))
         for j in range(k)
-    ]
-    a_in_b = ring.element(a.poly)
-    denom_exp = 0 if a.is_one() else char_exp
-    value = a_in_b ** denom_exp * b ** k
-    for j in range(k):
-        value = value + ring.element(g[j]) * b ** j
-    for ep in range(cap + 1):
-        if value.is_zero():
-            coeffs = tuple(
-                base.element(-(ext.rel_coeffs[k] ** ep * gj)) for gj in g
-            )
-            return IntegralRelation(b, a, denom_exp + ep, k, coeffs).require_valid()
-        value = value * a_in_b
-    raise SaturationCapExceeded(
-        f"dependence for {b.to_text()} did not clear within a^{cap}"
     )
-
-
-def invert_in_integral_quotient(x, b, dep):
-    """From a monic dependence for b, an a with 1 - a*x in <1 - b*x> of B."""
-    if dep.l != 0:
-        raise NonMonicDependence(f"dependence has denominator power a^{dep.l}")
-    ring_b = dep.y.ring
-    base = x.ring
-    a_out = base.zero()
-    for j in range(dep.d):
-        a_out = a_out + dep.coeffs[dep.d - 1 - j] * x ** j
-    x_b = ring_b.element(x.poly)
-    target = ring_b.one() - ring_b.element(b.poly) * x_b
-    claim = ring_b.one() - ring_b.element(a_out.poly) * x_b
-    if not ring_b.quotient_extend([target]).gb.is_member(claim.poly):
-        raise InvalidCertificate("1 - a*x is not in <1 - b*x>")
-    return a_out
+    return IntegralRelation(b, a, 0 if a.is_one() else char_exp, k, coeffs).require_valid()
 
 
 def loc_key_clear(a, a1, a2p, e):
@@ -750,39 +688,26 @@ def loc_key_clear(a, a1, a2p, e):
     return ring.element(a2_raw)
 
 
-def key_elementary_transfer(a, a0, a1, b2, ext):
-    """a2 in A with 1 - a2(1 - a1*a*a0) in <1 - b2(1 - a1*a*a0)> of ext.ring.
+def key_elementary_transfer(a0, a1, b2, ext):
+    """a2 in A with 1 - a2*w in <1 - b2*w> of ext.ring, where
+    w = 1 - a1*a*a0 and a = ext.lead.
 
-    Pipeline: integral dependence for b2, inversion over the localization
-    (giving a numerator with denominator a^e), bounded saturation to land in
-    the unlocalized ring, then geometric-sum clearing.
+    The dependence a^l * b2^d = sum c_j b2^j, times w^d, gives
+    a^l = w * sum c_j w^(d-1-j) modulo 1 - b2*w, where b2*w = 1; the
+    geometric-sum clearing of ``loc_key_clear`` turns that into a2.  The
+    membership of 1 - a2*w is checked before a2 is returned.
     """
-    cap = saturation_cap()
     base = ext.base
     ring_b = ext.ring
+    a = ext.lead
     w = base.one() - a1 * a * a0
     dep = integral_dependence(b2, ext)
 
-    a2dd = base.zero()
-    for j in range(dep.d):
-        a2dd = a2dd + dep.coeffs[dep.d - 1 - j] * w ** j
-    e = dep.l
+    a2dd = sum((c * w ** (dep.d - 1 - j) for j, c in enumerate(dep.coeffs)), base.zero())
+    a2 = loc_key_clear(a, a1 * a0, a2dd, dep.l)
 
     w_b = ring_b.element(w.poly)
-    target = ring_b.one() - b2 * w_b
-    gb = ring_b.quotient_extend([target]).gb
-    found = None
-    base_probe = a ** e - a2dd * w
-    for ep in range(cap + 1):
-        if gb.is_member((a ** ep * base_probe).poly):
-            found = ep
-            break
-    if found is None:
-        raise SaturationCapExceeded(
-            f"no a-power within {cap} clears the localized inverse"
-        )
-
-    a2 = loc_key_clear(a, a1 * a0, a ** found * a2dd, e + found)
+    gb = ring_b.quotient_extend([ring_b.one() - b2 * w_b]).gb
     claim = ring_b.one() - ring_b.element(a2.poly) * w_b
     if not gb.is_member(claim.poly):
         raise InvalidCertificate("transfer output failed its membership check")

@@ -190,16 +190,15 @@ class CutStrategy(ProverStrategy):
 class IntegralTransportStrategy(ProverStrategy):
     """Play a base-ring strategy inside a monogenic extension, rescaled.
 
-    A declared base move a1 becomes the extension move a1*a*factor; each
-    extension reply b2 is converted back into a base reply via the
-    localization transfer, whose output constraint lies in the ideal of the
-    extension constraint.
+    A declared base move a1 becomes the extension move a1*a*factor, a the
+    leading coefficient of ext; each extension reply b2 is converted back
+    into a base reply via the localization transfer, whose output
+    constraint lies in the ideal of the extension constraint.
     """
 
-    def __init__(self, ring, x, sub, a, a0, ext, factor):
+    def __init__(self, ring, x, sub, a0, ext, factor):
         super().__init__(ring, x, sub.budget, sub.name)
         self.sub = sub
-        self.a = a
         self.a0 = a0
         self.ext = ext
         self.factor = factor
@@ -207,7 +206,7 @@ class IntegralTransportStrategy(ProverStrategy):
     def propose(self, pos):
         self.inner_moves = self.sub.propose(pos)
         return [
-            self.ring.element((a1 * self.a).poly) * self.factor
+            self.ring.element((a1 * self.ext.lead).poly) * self.factor
             for a1 in self.inner_moves
         ]
 
@@ -215,12 +214,12 @@ class IntegralTransportStrategy(ProverStrategy):
         if pos.tau <= 1:
             return 0, ImmediateWinStrategy(self.ring, self.x)
         inner_replies = [
-            key_elementary_transfer(self.a, self.a0, a1, b2, self.ext)
+            key_elementary_transfer(self.a0, a1, b2, self.ext)
             for a1, b2 in zip(self.inner_moves, replies)
         ]
         declared, cont = self.sub.receive(pos, self.inner_moves, inner_replies)
         return declared, IntegralTransportStrategy(
-            self.ring, self.x, cont, self.a, self.a0, self.ext, self.factor
+            self.ring, self.x, cont, self.a0, self.ext, self.factor
         )
 
 
@@ -249,7 +248,7 @@ def loc_integral_strategy(ring, y, rel, sub_factory, ext):
         ext_k = MonogenicExtension(base, ring_k, ext.var, ext.relation)
         sub = sub_factory(d - k)
         f_prev = ring_k.element(f_raw(k - 1))
-        transport = IntegralTransportStrategy(ring_k, y_k, sub, a, a0, ext_k, f_prev)
+        transport = IntegralTransportStrategy(ring_k, y_k, sub, a0, ext_k, f_prev)
         lower = build(k - 1, ring_k.quotient_extend([f_prev]))
         return CutStrategy(transport, lower, transport.name)
 

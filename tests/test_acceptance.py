@@ -15,7 +15,7 @@ from jacarena.errors import NotInJacobsonRadical
 from jacarena.game import Transcript, extract_nil_from_jac, referee_play, verify_transcript
 from jacarena.oracle import enumerate_finite, minimal_alpha_ring, oracle_nil_agrees
 from jacarena.parsing import parse_ring
-from jacarena.rings import MonogenicExtension, integral_dependence, invert_in_integral_quotient, loc_key_clear, member_in, nil_member
+from jacarena.rings import MonogenicExtension, key_elementary_transfer, loc_key_clear, member_in, nil_member
 from jacarena.strategies import (
     DiagonalRefuterPoly,
     DiagonalRefuterZ,
@@ -201,8 +201,8 @@ def test_criterion_08_integral_entailment_instance():
     Zb = parse_ring("ZZ")
     B = parse_ring("ZZ[Y]/(Y^2+1)")
     ext = MonogenicExtension(Zb, B, "Y", B.relations[0])
-    dep = integral_dependence(B.element("Y"), ext)
-    a_out = invert_in_integral_quotient(Zb.element(2), B.element("Y"), dep)
+    # a = 1, so w = 1 - a1*a*a0 = 2 for a0 = -1 and a1 = 1
+    a_out = key_elementary_transfer(Zb.element(-1), Zb.element(1), B.element("Y"), ext)
     assert a_out == Zb.element(-2)
     target = B.one() - B.element(2) * B.element("Y")
     cofs = member_in(B, B.element(5), [target])

@@ -1,6 +1,7 @@
 """Arithmetic, monomial orders, and the expression grammar."""
 
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,46 @@ def test_power_coefficients_stop_at_the_literal_digit_limit():
     assert const("1^4000000000 + (-1)^4000000001 + 0^4000000000").is_zero()
     assert const("2^4000000000", GF(7)).constant_value() == pow(2, 4000000000, 7)
     assert const("(x/2)^3", QQ).to_text() == "1/8*x^3"
+
+
+def test_built_coefficients_stop_at_the_literal_digit_limit():
+    def parse(text, ring=ZZ):
+        return parse_polynomial(text, ring, ("x",))
+
+    nines = "9" * 4300
+    # each text builds a coefficient of 4,301 or more digits at the last
+    # token op, or at the exponent after it
+    for text, op, what in [
+        ("10^4000*10^4000", "*", "product"),
+        (f"{nines}*x + x", "+", "sum"),
+        (f"-{nines}*x - x", "-", "sum"),
+        ("(x + 10^3000)*(x + 10^3000)", "*", "product"),
+        ("10^2200*(x + 10^2200)", "*", "product"),
+        ("(x + 10^3000)^2", "^", "power"),
+    ]:
+        with pytest.raises(RingSyntaxError, match=f"a {what}'s coefficient would pass 4300 digits") as info:
+            parse(text)
+        assert info.value.position == text.rindex(op) + (op == "^"), text
+    for text in ["1/10^3000/10^3000", "(x/10^3000 + 1)/10^3000"]:
+        with pytest.raises(RingSyntaxError, match="a quotient's coefficient") as info:
+            parse(text, QQ)
+        assert info.value.position == text.rindex("/")
+    # just below the cap; residues are reduced, so GF(p) has none
+    assert parse(f"{nines}*x + 0*x").to_text() == f"{nines}*x"
+    assert parse("10^2150*10^2149").constant_value() == 10**4299
+    assert parse(f"{nines} + {nines}", GF(7)).constant_value() == (2 * int(nines)) % 7
+
+
+def test_power_of_a_sum_stops_at_the_expansion_bound():
+    # over GF(2) the estimate is (e+1)^2 * (2 + 512) against 2^31
+    x1 = parse_polynomial("x + 1", GF(2), ("x",))
+    assert parse_polynomial("(x+1)^2043", GF(2), ("x",)) == x1 ** 2043
+    for text, ring in [("(x+1)^2044", GF(2)), ("(x+1)^100000", ZZ), ("(x/3+1)^300", QQ)]:
+        start = time.perf_counter()
+        with pytest.raises(RingSyntaxError, match="power of a sum is too large") as info:
+            parse_polynomial(text, ring, ("x",))
+        assert time.perf_counter() - start < 0.1
+        assert info.value.position == text.index("^") + 1
 
 
 def test_checked_constructor_rejects_bad_terms():

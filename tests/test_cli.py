@@ -58,18 +58,6 @@ def test_play_config_error(capsys):
     assert "configuration error" in err
 
 
-@pytest.mark.parametrize("command", ["play", "repl"])
-@pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
-def test_bad_saturation_cap_is_a_configuration_error(capsys, monkeypatch, command, value):
-    monkeypatch.setenv("JACARENA_SATURATION_CAP", value)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
-    code, out, err = run([command, "--ring", "ZZ", "--x", "6", "--budget", "2"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert "JACARENA_SATURATION_CAP" in err
-
-
 def test_play_with_a_large_gf_modulus_is_fast(capsys):
     start = time.perf_counter()
     code, out, _ = run(
@@ -127,6 +115,24 @@ def test_power_coefficient_past_the_digit_limit_is_a_configuration_error(capsys)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == "configuration error: a power's coefficient would pass 4300 digits (at position 2)\n"
+
+
+@pytest.mark.parametrize(
+    "ring, x, message",
+    [
+        ("ZZ[X]", "(X+1)^100000",
+         "a power of a sum is too large to expand: up to 100001 terms of 200000-bit coefficients"
+         " (at position 6)"),
+        ("ZZ", "10^4000*10^4000", "a product's coefficient would pass 4300 digits (at position 7)"),
+    ],
+    ids=["power-of-a-sum", "product-of-literals"],
+)
+def test_text_too_large_to_build_is_a_configuration_error(capsys, ring, x, message):
+    start = time.perf_counter()
+    code, out, err = run(["play", "--ring", ring, "--x", x, "--budget", "0"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: {message}\n"
 
 
 def test_product_past_the_degree_bound_is_an_engine_error(capsys):
@@ -216,6 +222,10 @@ LONG_INTEGER = "<5,000 digits>"
          "invalid: round 0: total degree 2147483648 is not below 2147483648"),
         (lambda obj: obj.update(x="2^4000000000"),
          "field 'x': a power's coefficient would pass 4300 digits (at position 2)"),
+        (lambda obj: obj.update(x="10^4000*10^4000"),
+         "field 'x': a product's coefficient would pass 4300 digits (at position 7)"),
+        (lambda obj: obj.update(x="(X+1)^100000"),
+         "field 'x': a power of a sum is too large to expand"),
         (lambda obj: _rename_cofactor(obj, "00"), "cofactor key '00'"),
         (lambda obj: _rename_cofactor(obj, "01"), "cofactor key '01'"),
     ],
@@ -224,7 +234,8 @@ LONG_INTEGER = "<5,000 digits>"
          "x-long-sign-run", "move-unknown-variable",
          "reply-zero-divisor", "cofactor-unknown-variable", "x-long-integer", "budget-long-integer",
          "budget-negative", "x-degree-past-bound", "move-degree-past-bound",
-         "constraint-degree-past-bound", "x-power-coefficient-past-limit", "key-00", "key-01"],
+         "constraint-degree-past-bound", "x-power-coefficient-past-limit",
+         "x-product-coefficient-past-limit", "x-power-of-a-sum-too-large", "key-00", "key-01"],
 )
 def test_verify_rejects_malformed_transcript(tmp_path, capsys, mutate, message):
     out = tmp_path / "t.json"

@@ -191,7 +191,7 @@ def test_extract_raises_outside_radical():
 
 
 def test_failing_prover_becomes_diagnosed_loss():
-    from jacarena.errors import SaturationCapExceeded
+    from jacarena.errors import InvalidCertificate
 
     Z = parse_ring("ZZ")
 
@@ -203,7 +203,7 @@ def test_failing_prover_becomes_diagnosed_loss():
             return [Z.element(0)]
 
         def receive(self, pos, moves, replies):
-            raise SaturationCapExceeded("hypothesis failed mid-match")
+            raise InvalidCertificate("hypothesis failed mid-match")
 
     t = referee_play(Z, Z.element(2), Z.element(2), 2, BrokenProver(), ConstantDelayer(Z, 1))
     assert t.winner == "delayer"

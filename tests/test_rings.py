@@ -9,7 +9,6 @@ from jacarena.algebra import GF, QQ, ZZ, Polynomial
 from jacarena.errors import (
     IncompatibleRings,
     LeadingCoefficientZero,
-    NonMonicDependence,
     NotFiniteDimensional,
     NotMonogenic,
     NotZeroDimensional,
@@ -21,7 +20,6 @@ from jacarena.rings import (
     MonogenicExtension,
     RingPresentation,
     integral_dependence,
-    invert_in_integral_quotient,
     key_elementary_transfer,
     loc_key_clear,
     member_in,
@@ -487,47 +485,10 @@ def test_monogenic_extension_validation():
     B2 = parse_ring("ZZ[Y]/(2, 2*Y^2+Y)")
     with pytest.raises(LeadingCoefficientZero):
         MonogenicExtension(A2, B2, "Y", parse_polynomial("2*Y^2+Y", ZZ, ("Y",)))
-
-
-def test_invert_in_integral_quotient_gaussian():
-    Zb = parse_ring("ZZ")
-    B = parse_ring("ZZ[Y]/(Y^2+1)")
-    ext = MonogenicExtension(Zb, B, "Y", B.relations[0])
-    dep = integral_dependence(B.element("Y"), ext)
-    a_out = invert_in_integral_quotient(Zb.element(2), B.element("Y"), dep)
-    assert a_out == Zb.element(-2)
-    # 5 = 1 - (-2)*2 lies in <1-2Y> of B
-    target = B.one() - B.element(2) * B.element("Y")
-    assert member_in(B, B.element(5), [target]) is not None
-
-
-def test_invert_identity_case():
-    # b already in the base: dependence of degree 1 returns b itself
-    Zb = parse_ring("ZZ")
-    B = parse_ring("ZZ[Y]/(Y-7)")
-    ext = MonogenicExtension(Zb, B, "Y", B.relations[0])
-    dep = integral_dependence(B.element("Y"), ext)
-    assert dep.d == 1 and dep.l == 0
-    out = invert_in_integral_quotient(Zb.element(3), B.element("Y"), dep)
-    assert out == Zb.element(7)
-
-
-def test_invert_trivially_satisfied():
-    QQb = parse_ring("QQ")
-    B = parse_ring("QQ[Y]/(Y^2-Y)")
-    ext = MonogenicExtension(QQb, B, "Y", B.relations[0])
-    dep = integral_dependence(B.element("Y"), ext)
-    out = invert_in_integral_quotient(QQb.element(1), B.element("Y"), dep)
-    assert out == QQb.element(1)
-
-
-def test_invert_requires_monic():
-    Zb = parse_ring("ZZ")
-    B = parse_ring("ZZ[X]/(2*X^2-1)")
-    ext = MonogenicExtension(Zb, B, "X", B.relations[0])
-    dep = integral_dependence(B.element("X"), ext)
-    with pytest.raises(NonMonicDependence):
-        invert_in_integral_quotient(Zb.element(1), B.element("X"), dep)
+    # the relation must vanish in the ring: 2 is not zero modulo (4, 2*Y^2-2)
+    B3 = parse_ring("ZZ[Y]/(4, 2*Y^2-2)")
+    with pytest.raises(NotMonogenic):
+        MonogenicExtension(Zb, B3, "Y", parse_polynomial("2", ZZ, ("Y",)))
 
 
 def test_loc_key_clear_examples():
@@ -569,27 +530,90 @@ def test_key_elementary_transfer_base_identity():
     Zb = parse_ring("ZZ")
     B = parse_ring("ZZ[X]/(X-7)")
     ext = MonogenicExtension(Zb, B, "X", B.relations[0])
-    a2 = key_elementary_transfer(Zb.element(1), Zb.element(1), Zb.element(1), B.element(7), ext)
+    a2 = key_elementary_transfer(Zb.element(1), Zb.element(1), B.element(7), ext)
     assert a2 == Zb.element(7)
+
+
+# (base, B, a0, a1, a2) for b2 = Y and a monic relation, so a = 1 and
+# w = 1 - a1*a0: with l = 0 the transfer inverts b2*w modulo the dependence
+MONIC_TRANSFERS = [
+    pytest.param("ZZ", "ZZ[Y]/(Y^2+1)", -1, 1, "-2", id="gaussian"),
+    pytest.param("ZZ", "ZZ[Y]/(Y-7)", -2, 1, "7", id="identity"),
+    pytest.param("QQ", "QQ[Y]/(Y^2-Y)", 0, 1, "1", id="idempotent"),
+]
+
+
+@pytest.mark.parametrize("base_text, ring_text, a0, a1, a2_text", MONIC_TRANSFERS)
+def test_key_elementary_transfer_monic(base_text, ring_text, a0, a1, a2_text):
+    base = parse_ring(base_text)
+    B = parse_ring(ring_text)
+    ext = MonogenicExtension(base, B, "Y", B.relations[0])
+    a2 = key_elementary_transfer(base.element(a0), base.element(a1), B.element("Y"), ext)
+    assert a2 == base.element(a2_text)
+    w = B.element(1 - a1 * a0)
+    target = B.one() - B.element("Y") * w
+    assert member_in(B, B.one() - B.element(a2.poly) * w, [target]) is not None
 
 
 def test_key_elementary_transfer_gaussian():
     Zb = parse_ring("ZZ")
     B = parse_ring("ZZ[Y]/(Y^2+1)")
     ext = MonogenicExtension(Zb, B, "Y", B.relations[0])
-    a, a0, a1 = Zb.element(1), Zb.element(1), Zb.element(2)
-    a2 = key_elementary_transfer(a, a0, a1, B.element("Y"), ext)
-    w = Zb.one() - a1 * a * a0
+    a0, a1 = Zb.element(1), Zb.element(2)
+    a2 = key_elementary_transfer(a0, a1, B.element("Y"), ext)
+    w = Zb.one() - a1 * ext.lead * a0
     target = B.one() - B.element("Y") * B.element(w.poly)
     claim = B.one() - B.element(a2.poly) * B.element(w.poly)
     assert member_in(B, claim, [target]) is not None
+
+
+@st.composite
+def _transfer_inputs(draw):
+    """(a0, a1, b2, ext) over B = A[X]/(relation), A one of ZZ, GF(3), QQ[Y]
+    and ZZ[Y], the relation of X-degree 0..3 and monic or not, b2 of
+    X-degree at most 2, and every coefficient c*Y + d with |c|, |d| <= 2."""
+    A = parse_ring(draw(st.sampled_from(["ZZ", "GF(3)", "QQ[Y]", "ZZ[Y]"])))
+    vars = A.vars + ("X",)
+
+    def coeff():
+        text = str(draw(st.integers(-2, 2)))
+        if A.vars:
+            text += f" + {draw(st.integers(-2, 2))}*Y"
+        return parse_polynomial(text, A.base, vars)
+
+    def in_x(cs):
+        return parse_polynomial(
+            " + ".join(f"({c.to_text()})*X^{j}" for j, c in enumerate(cs)), A.base, vars
+        )
+
+    k = draw(st.integers(0, 3))
+    lead = parse_polynomial("1", A.base, vars) if draw(st.booleans()) else coeff()
+    if lead.is_zero():
+        lead = parse_polynomial("2", A.base, vars)
+    relation = in_x([coeff() for _ in range(k)] + [lead])
+    B = RingPresentation(A.base, vars, [relation])
+    ext = MonogenicExtension(A, B, "X", relation)
+    b2 = B.element(in_x([coeff() for _ in range(3)]))
+    a0, a1 = (A.element(coeff().remap(A.vars)) for _ in range(2))
+    return a0, a1, b2, ext
+
+
+@settings(max_examples=50, deadline=None)
+@given(inputs=_transfer_inputs())
+def test_key_elementary_transfer_lands_in_the_extension_ideal(inputs):
+    a0, a1, b2, ext = inputs
+    B = ext.ring
+    a2 = key_elementary_transfer(a0, a1, b2, ext)
+    w = B.element((ext.base.one() - a1 * ext.lead * a0).poly)
+    claim = B.one() - B.element(a2.poly) * w
+    assert member_in(B, claim, [B.one() - b2 * w]) is not None
 
 
 def test_key_elementary_transfer_zero_a1():
     Zb = parse_ring("ZZ")
     B = parse_ring("ZZ[Y]/(Y^2+1)")
     ext = MonogenicExtension(Zb, B, "Y", B.relations[0])
-    a2 = key_elementary_transfer(Zb.element(1), Zb.element(1), Zb.element(0), B.element("Y"), ext)
+    a2 = key_elementary_transfer(Zb.element(1), Zb.element(0), B.element("Y"), ext)
     # need 1 - a2 in <1 - Y> of B
     claim = B.one() - B.element(a2.poly)
     assert member_in(B, claim, [B.one() - B.element("Y")]) is not None
@@ -599,24 +623,11 @@ def test_key_elementary_transfer_nonmonic_localized():
     Zb = parse_ring("ZZ")
     B = parse_ring("ZZ[X]/(2*X^2-1)")
     ext = MonogenicExtension(Zb, B, "X", B.relations[0])
-    a, a0, a1 = Zb.element(2), Zb.element(3), Zb.element(1)
+    a0, a1 = Zb.element(3), Zb.element(1)
     b2 = B.element("X+1")
-    a2 = key_elementary_transfer(a, a0, a1, b2, ext)
-    w = Zb.one() - a1 * a * a0
+    a2 = key_elementary_transfer(a0, a1, b2, ext)
+    assert ext.lead == Zb.element(2)
+    w = Zb.one() - a1 * ext.lead * a0
     target = B.one() - b2 * B.element(w.poly)
     claim = B.one() - B.element(a2.poly) * B.element(w.poly)
     assert member_in(B, claim, [target]) is not None
-
-
-def test_saturation_cap_env_override(monkeypatch):
-    from jacarena.rings import saturation_cap
-
-    assert saturation_cap() == 16
-    monkeypatch.setenv("JACARENA_SATURATION_CAP", "3")
-    assert saturation_cap() == 3
-    monkeypatch.setenv("JACARENA_SATURATION_CAP", "0")
-    assert saturation_cap() == 0
-    for bad in ("abc", "1.5", "-1", ""):
-        monkeypatch.setenv("JACARENA_SATURATION_CAP", bad)
-        with pytest.raises(ValueError, match="JACARENA_SATURATION_CAP"):
-            saturation_cap()

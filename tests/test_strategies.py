@@ -217,17 +217,17 @@ def test_integral_transport_move_law():
     assert isinstance(transport, IntegralTransportStrategy)
     pos = GamePosition(B, 2, ())
     expected = [
-        (B.element((a1 * transport.a).poly) * transport.factor).poly
+        (B.element((a1 * transport.ext.lead).poly) * transport.factor).poly
         for a1 in transport.sub.propose(pos)
     ]
     assert expected
     assert [m.poly for m in transport.propose(pos)] == expected
 
     unscaled = IntegralTransportStrategy(
-        B, transport.x, transport.sub, transport.a, transport.a0, transport.ext, B.one()
+        B, transport.x, transport.sub, transport.a0, transport.ext, B.one()
     )
     assert [m.poly for m in unscaled.propose(pos)] == [
-        B.element((a1 * transport.a).poly).poly for a1 in transport.sub.propose(pos)
+        B.element((a1 * transport.ext.lead).poly).poly for a1 in transport.sub.propose(pos)
     ]
 
 
@@ -295,10 +295,10 @@ def test_loc_integral_proposes_each_sub_once_per_round():
 def test_loc_integral_degenerate_immediate():
     # d = 0 relation: a^l = 0 in B, strategy wins without moving
     Zb = parse_ring("ZZ")
-    B = parse_ring("ZZ[Y]/(4, 2*Y^2-2)")
-    ext = MonogenicExtension(Zb, B, "Y", parse_ring("ZZ[Y]").element("2").poly.remap(("Y",)))
+    B = parse_ring("ZZ[Y]/(2, Y^2-1)")
+    ext = MonogenicExtension(Zb, B, "Y", B.relations[0])
     dep = integral_dependence(B.element("Y"), ext)
-    assert dep.d == 0
+    assert (dep.l, dep.d) == (1, 0)
     fac = ring_strategy_factory(Zb)
     s = loc_integral_strategy(B, B.element("Y"), dep, lambda i: fac(Zb.element(0)), ext)
     t = play(B, B.element("Y"), 1, s, EchoDelayer(B), xprime=B.element("2*Y"))
