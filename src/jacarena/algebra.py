@@ -260,19 +260,14 @@ class MonomialOrder:
         return f"MonomialOrder({self.vars})"
 
 
-def merge_vars(a, b):
-    """Union of two variable lists, keeping the order of the first."""
-    merged = list(a)
-    for name in b:
-        if name not in merged:
-            merged.append(name)
-    return tuple(merged)
-
-
 class Polynomial:
-    """Immutable sparse polynomial: variable list plus packed monomial -> coefficient map."""
+    """Immutable sparse polynomial: variable list plus packed monomial -> coefficient map.
 
-    __slots__ = ("ring", "vars", "terms", "_key_cache")
+    Arithmetic and equality take the ring and the variable list as part of
+    the type; ``remap`` is the one way from one variable list to another.
+    """
+
+    __slots__ = ("ring", "vars", "terms")
 
     def __init__(self, ring, vars, terms):
         """Checking constructor; ``terms`` maps exponent tuples to coefficients."""
@@ -288,7 +283,6 @@ class Polynomial:
                 if clean[mono] == ring.zero():
                     del clean[mono]
         self.terms = clean
-        self._key_cache = None
 
     @classmethod
     def _raw(cls, ring, vars, terms):
@@ -297,7 +291,6 @@ class Polynomial:
         obj.ring = ring
         obj.vars = vars
         obj.terms = terms
-        obj._key_cache = None
         return obj
 
     @classmethod
@@ -330,36 +323,13 @@ class Polynomial:
         at = self.vars.index(var) * _W
         return max(((m >> at) & _FIELD for m in self.terms), default=-1)
 
-    def _key(self):
-        """Hash key that ignores the order of ``vars`` and unused names in it.
-
-        Equality aligns variable lists by name, so each monomial is keyed by
-        its (name, exponent) pairs with nonzero exponent, sorted by name.
-        """
-        if self._key_cache is None:
-            vars = self.vars
-            n = len(vars)
-            self._key_cache = (
-                self.ring,
-                frozenset(
-                    (tuple(sorted((vars[i], e) for i, e in enumerate(exponents(m, n)) if e)), c)
-                    for m, c in self.terms.items()
-                ),
-            )
-        return self._key_cache
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.ring != other.ring:
-            return False
-        if self.vars == other.vars:
-            return self.terms == other.terms
-        a, b = align(self, other)
-        return a.terms == b.terms
+        return self.ring == other.ring and self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.ring, self.vars, frozenset(self.terms.items())))
 
     def remap(self, new_vars):
         """Re-express over a variable list that contains every used variable."""
@@ -401,17 +371,17 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = align(self, other)
-        terms = dict(a.terms)
-        ring = a.ring
+        _check_compatible(self, other)
+        terms = dict(self.terms)
+        ring = self.ring
         zero = ring.zero()
-        for mono, coeff in b.terms.items():
+        for mono, coeff in other.terms.items():
             c = ring.add(terms.get(mono, zero), coeff)
             if c == zero:
                 terms.pop(mono, None)
             else:
                 terms[mono] = c
-        return Polynomial._raw(ring, a.vars, terms)
+        return Polynomial._raw(ring, self.vars, terms)
 
     __radd__ = __add__
 
@@ -434,15 +404,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = align(self, other)
-        ring = a.ring
-        if not a.terms or not b.terms:
-            return Polynomial._raw(ring, a.vars, {})
-        _check_degree((max(a.terms) + max(b.terms)) >> (len(a.vars) * _W))
+        _check_compatible(self, other)
+        ring = self.ring
+        if not self.terms or not other.terms:
+            return Polynomial._raw(ring, self.vars, {})
+        _check_degree((max(self.terms) + max(other.terms)) >> (len(self.vars) * _W))
         terms = {}
         get = terms.get
-        b_terms = b.terms.items()
-        for m1, c1 in a.terms.items():
+        b_terms = other.terms.items()
+        for m1, c1 in self.terms.items():
             for m2, c2 in b_terms:
                 m = m1 + m2
                 terms[m] = get(m, 0) + c1 * c2
@@ -451,7 +421,7 @@ class Polynomial:
             terms = {m: r for m, c in terms.items() if (r := c % p)}
         else:
             terms = {m: c for m, c in terms.items() if c}
-        return Polynomial._raw(ring, a.vars, terms)
+        return Polynomial._raw(ring, self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -554,11 +524,9 @@ def _coeff_text(coeff):
     return neg, str(-coeff if neg else coeff)
 
 
-def align(a, b):
-    """Put two polynomials over a merged variable list, by name."""
+def _check_compatible(a, b):
+    """Refuse two polynomials over different coefficient rings or variable lists."""
     if a.ring != b.ring:
         raise IncompatibleRings(f"{a.ring} vs {b.ring}")
-    if a.vars == b.vars:
-        return a, b
-    merged = merge_vars(a.vars, b.vars)
-    return a.remap(merged), b.remap(merged)
+    if a.vars != b.vars:
+        raise IncompatibleRings(f"variables {a.vars} vs {b.vars}; remap one of them")

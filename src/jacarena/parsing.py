@@ -12,7 +12,8 @@ Terms are read straight into packed monomials with their coefficients, so
 text such as ``Polynomial.to_text`` prints is read without a Polynomial
 product or power.  Errors carry their position in the text: a degree past
 ``DEGREE_BOUND``, a coefficient past the 4,300 digits that cap a literal and
-a power of a sum too large to expand, at the token that built it.
+a power or product of sums that would take the text past its expansion
+budget, at the token that built it.
 """
 
 from __future__ import annotations
@@ -94,9 +95,10 @@ _LIMIT_BITS = 14284
 # A power of a sum of t terms has at most C(e+t-1, t-1) terms, of at most
 # e * bit_length(sum of |c|) bits (over QQ, of the numerators over a common
 # denominator D, and of D^e).  Repeated squaring makes about terms^2
-# products, dearer by a unit per 512 bits and 32 times dearer for a
-# Fraction; past _POWER_WORK (0.2-0.65 s on a 2-core x86-64 host) a power
-# is refused.
+# products, and a product of two sums one per pair of their terms, each
+# dearer by a unit per 512 bits and 32 times dearer for a Fraction.  One
+# text, a whole ring included, gets _POWER_WORK of that work (0.2-0.65 s on
+# a 2-core x86-64 host); the power or product that would pass it is refused.
 _POWER_WORK = 1 << 31
 
 # A single term is read as a (coefficient, packed monomial) pair, and a sum
@@ -121,6 +123,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.work = 0
         self.scope(ring, vars)
 
     def scope(self, ring, vars):
@@ -179,6 +182,9 @@ class _Parser:
         if type(a) is not tuple:
             a, b = b, a
         if type(a) is not tuple:
+            (ta, top_a, den_a), (tb, top_b, den_b) = _size(a), _size(b)
+            bits = top_a.bit_length() + top_b.bit_length()
+            self._charge("product of sums", ta * tb, ta * tb, bits, den_a * den_b, tok)
             return self._capped(_bounded(mul, a, b, tok), tok, "product")
         c, m = a
         if not c:
@@ -230,7 +236,9 @@ class _Parser:
         if type(base) is not tuple:
             # the largest packed monomial has the largest degree
             self._check_degree(degree(max(base.terms), self.n) * e, tok)
-            self._check_expansion(base, e, tok)
+            t, top, den = _size(base)
+            terms = comb(e + t - 1, t - 1)
+            self._charge("power of a sum", terms, terms * terms, e * top.bit_length(), den, tok)
             return self._capped(base**e, tok, "power")
         c, m = base
         if not c:
@@ -244,16 +252,18 @@ class _Parser:
             raise RingSyntaxError(f"a power's coefficient would pass {_MAX_DIGITS} digits", tok.pos)
         return self._capped((c**e, m), tok, "power")
 
-    def _check_expansion(self, base, e, tok):
-        """Refuse at tok a power of a sum whose expansion passes _POWER_WORK."""
-        cs = base.terms.values()
-        den = reduce(lcm, (c.denominator for c in cs), 1)  # 1 over ZZ and GF(p)
-        top = sum(abs(c.numerator) * (den // c.denominator) for c in cs)
-        bits = self.ring.p.bit_length() if self.ring.p else e * max(top, den).bit_length()
-        terms = comb(e + len(cs) - 1, len(cs) - 1)
-        if terms * terms * (bits + 512) * (32 if den > 1 else 1) > _POWER_WORK:
+    def _charge(self, what, terms, pairs, bits, den, tok):
+        """Add an expansion of ``pairs`` term products, up to ``terms`` terms
+        of ``bits``-bit coefficients over denominator ``den``, to the text's
+        work; refuse it at tok if the work would pass _POWER_WORK."""
+        if self.ring.p:
+            bits = self.ring.p.bit_length()
+        before = self.work
+        self.work += pairs * (bits + 512) * (32 if den > 1 else 1)
+        if self.work > _POWER_WORK:
+            rest = " with the rest of the text" if before else ""
             raise RingSyntaxError(
-                f"a power of a sum is too large to expand: up to {terms} terms"
+                f"a {what} is too large to expand{rest}: up to {terms} terms"
                 f" of {bits}-bit coefficients", tok.pos
             )
 
@@ -348,6 +358,16 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise RingSyntaxError(f"trailing input {tok.text!r}", tok.pos)
+
+
+def _size(poly):
+    """(terms, top, D) of a sum: D the common denominator of its coefficients
+    (1 over ZZ and GF(p)), top the larger of D and the sum of the numerators'
+    absolute values over D."""
+    cs = poly.terms.values()
+    den = reduce(lcm, (c.denominator for c in cs), 1)
+    top = sum(abs(c.numerator) * (den // c.denominator) for c in cs)
+    return len(cs), max(top, den), den
 
 
 def parse_polynomial(text, ring, vars):

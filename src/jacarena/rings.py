@@ -60,25 +60,37 @@ class RingPresentation:
         return self._gb
 
     def normal_form(self, poly):
-        poly = poly.remap(self.vars)
         if not self.relations:
             return poly
         return self.gb.normal_form(poly)
 
-    def element(self, value):
+    def _representative(self, value):
+        """The unreduced polynomial over this ring's variables for value: an
+        element of this ring, ring text, a polynomial over the base or a
+        constant.  An element of another presentation raises IncompatibleRings.
+        """
         if isinstance(value, RingElement):
-            if value.ring == self:
-                return value
-            value = value.poly
+            if value.ring != self:
+                raise IncompatibleRings(
+                    f"{value.ring.to_text()} element given to {self.to_text()}"
+                )
+            return value.poly
         if isinstance(value, str):
             from .parsing import parse_polynomial
 
-            value = parse_polynomial(value, self.base, self.vars)
-        if not isinstance(value, Polynomial):
-            value = Polynomial.constant(self.base, value, self.vars)
-        if value.ring != self.base:
-            raise IncompatibleRings(f"{value} is not over {self.base}")
-        return RingElement(self, self.normal_form(value))
+            return parse_polynomial(value, self.base, self.vars)
+        if isinstance(value, Polynomial):
+            if value.ring != self.base:
+                raise IncompatibleRings(f"{value} is not over {self.base}")
+            return value.remap(self.vars)
+        return Polynomial.constant(self.base, value, self.vars)
+
+    def element(self, value):
+        """value as an element of this ring, in normal form; see ``_representative``."""
+        poly = self._representative(value)
+        if isinstance(value, RingElement):
+            return value
+        return RingElement(self, self.normal_form(poly))
 
     def zero(self):
         return RingElement(self, Polynomial.zero(self.base, self.vars))
@@ -96,7 +108,7 @@ class RingPresentation:
         this ring's reduced basis plus the new generators.  The child's
         ``relations`` keep the raw list, which certificates index.
         """
-        polys = tuple(_as_poly(x, self) for x in extra)
+        polys = tuple(self._representative(x) for x in extra)
         child = RingPresentation(self.base, self.vars, self.relations + polys)
         child._parent = self
         return child
@@ -142,18 +154,8 @@ class RingElement:
     def is_one(self):
         return self.poly.is_constant() and self.poly.constant_value() == self.ring.base.one()
 
-    def _coerce(self, other):
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                raise IncompatibleRings(
-                    f"{other.ring.to_text()} element mixed into {self.ring.to_text()}"
-                )
-            return other
-        return self.ring.element(other)
-
     def __add__(self, other):
-        other = self._coerce(other)
-        return self.ring.element(self.poly + other.poly)
+        return self.ring.element(self.poly + self.ring.element(other).poly)
 
     __radd__ = __add__
 
@@ -161,15 +163,13 @@ class RingElement:
         return self.ring.element(-self.poly)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return self.ring.element(self.poly - other.poly)
+        return self.ring.element(self.poly - self.ring.element(other).poly)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return self.ring.element(self.poly * other.poly)
+        return self.ring.element(self.poly * self.ring.element(other).poly)
 
     __rmul__ = __mul__
 
@@ -206,24 +206,14 @@ def coefficient_ring(ring):
     return RingPresentation(ring.base, avars, [r.remap(avars) for r in ring.relations])
 
 
-def _as_poly(x, ring):
-    if isinstance(x, RingElement):
-        if x.ring != ring:
-            raise IncompatibleRings(f"{x} does not belong to {ring.to_text()}")
-        return x.poly
-    if isinstance(x, Polynomial):
-        return x.remap(ring.vars)
-    return Polynomial.constant(ring.base, x, ring.vars)
-
-
 def member_in(ring, target, extra=()):
     """Cofactors of target over relations + extra inside the presented ring.
 
     Returns a list aligned with ``list(ring.relations) + list(extra)`` or
     None when the element is not in the ideal.
     """
-    target = _as_poly(target, ring)
-    gens = list(ring.relations) + [_as_poly(g, ring) for g in extra]
+    target = ring._representative(target)
+    gens = list(ring.relations) + [ring._representative(g) for g in extra]
     return groebner(gens, ring.order, ring=ring.base).member_cofactors(target)
 
 
@@ -246,7 +236,7 @@ def nil_member(x, constraints=()):
     """
     ring = x.ring
     base = ring.base
-    gens_ring = list(ring.relations) + [_as_poly(c, ring) for c in constraints]
+    gens_ring = list(ring.relations) + [ring._representative(c) for c in constraints]
     xp = x.poly
     if xp.is_zero():
         zero = Polynomial.zero(base, ring.vars)
@@ -283,7 +273,7 @@ def nil_member(x, constraints=()):
 def nil_exponent_search(x, constraints=(), cap=12):
     """Independent oracle: smallest e <= cap with x^e in the ideal, else None."""
     ring = x.ring
-    gens = list(ring.relations) + [_as_poly(c, ring) for c in constraints]
+    gens = list(ring.relations) + [ring._representative(c) for c in constraints]
     power = Polynomial.constant(ring.base, 1, ring.vars)
     for e in range(cap + 1):
         cofs = member_in(ring, power, constraints)
@@ -429,8 +419,10 @@ def zero_dim_witness(x):
     r has degree below that of the minimal polynomial, so a is summed from
     the normal forms of the powers of x that the minimal polynomial scan
     kept; a linear combination of normal forms over a field is a normal form.
-    Finite ZZ-based rings detect a power cycle x^i = x^j and return
-    (i, x^(j-i-1)).
+    ZZ/n takes ``_modular_witness``.  Other finite ZZ-based rings take the
+    first e with x^e*R = x^(e+1)*R, where the powers of x turn periodic, and
+    a from x^e = a*x^(e+1).  Each strict step of that chain at least halves
+    the ideal, so e stays below log2|R| + 1.
     """
     ring = x.ring
     base = ring.base
@@ -454,25 +446,18 @@ def zero_dim_witness(x):
             stair, counts = finite_enumeration_data(ring)
         except NotFinite as exc:
             raise NotZeroDimensional(str(exc)) from None
-        bound = 1
+        size = 1
         for c in counts:
-            bound *= c
-        seen = {}
-        powers = []
-        value = ring.one()
-        i = j = None
-        for k in range(bound + 2):
-            key = value.poly
-            if key in seen:
-                i, j = seen[key], k
+            size *= c
+        power = ring.one()
+        for e in range(size.bit_length()):
+            cofs = member_in(ring, power, [power * x])
+            if cofs is not None:
                 break
-            seen[key] = k
-            powers.append(value)
-            value = value * x
-        if i is None:
-            raise NotZeroDimensional(f"no power cycle within {bound + 2} steps")
-        e = i
-        a = powers[j - i - 1]
+            power = power * x
+        else:
+            raise NotZeroDimensional(f"x^e*R did not stabilize while 2^e <= {size}")
+        a = ring.element(cofs[-1])
     witness = x ** e * (ring.one() - a * x)
     if not witness.is_zero():
         raise AssertionError("zero-dimensional witness identity failed")

@@ -233,11 +233,14 @@ def loc_integral_strategy(ring, y, rel, sub_factory, ext):
     """
     base = ext.base
     a, l, d, cs = rel.a, rel.l, rel.d, rel.coeffs
+    # a and the c_j live in the base, y in B: bring them to B's variables
+    a_poly = a.poly.remap(ring.vars)
+    c_polys = [c.poly.remap(ring.vars) for c in cs]
 
     def f_raw(k):
-        acc = a.poly ** l * y.poly ** k
+        acc = a_poly ** l * y.poly ** k
         for j in range(1, k + 1):
-            acc = acc - cs[d - j].poly * y.poly ** (k - j)
+            acc = acc - c_polys[d - j] * y.poly ** (k - j)
         return acc
 
     def build(k, ring_k):
@@ -374,23 +377,17 @@ def ring_strategy_factory(ring):
 class FixedMovesProver(ProverStrategy):
     """Scripted Prover: plays the given move lists round by round."""
 
-    def __init__(self, ring, x, rounds, index=0, budget=None):
+    def __init__(self, ring, x, rounds):
         rounds = [list(r) for r in rounds]
-        super().__init__(
-            ring, ring.element(x), len(rounds) if budget is None else budget, "scripted"
-        )
+        super().__init__(ring, ring.element(x), len(rounds), "scripted")
         self.rounds = rounds
-        self.index = index
 
     def propose(self, pos):
-        if self.index < len(self.rounds):
-            return [self.ring.element(m) for m in self.rounds[self.index]]
-        return []
+        return [self.ring.element(m) for m in self.rounds[0]] if self.rounds else []
 
     def receive(self, pos, moves, replies):
-        want = max(0, len(self.rounds) - self.index - 1)
-        cont = FixedMovesProver(self.ring, self.x, self.rounds, self.index + 1, self.budget)
-        return self._declare(pos, want), cont
+        cont = FixedMovesProver(self.ring, self.x, self.rounds[1:])
+        return self._declare(pos, cont.budget), cont
 
 
 class DelayerStrategy:

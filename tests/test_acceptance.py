@@ -71,7 +71,7 @@ def test_criterion_02_integers_not_one_jacobson():
                     assert 1 - q * (1 - a * n_value) == c
                 assert DiagonalRefuterZ.check_not_nil(c, n_value), (n_value, moves)
                 if checked % 379 == 0:
-                    prover = FixedMovesProver(Z, x, [[Z.element(a) for a in moves]], budget=1)
+                    prover = FixedMovesProver(Z, x, [[Z.element(a) for a in moves]])
                     t = _won(Z, x, 1, prover, DiagonalRefuterZ(Z, n_value))
                     assert t.winner == "delayer"
                     refereed += 1
@@ -164,7 +164,7 @@ def test_criterion_06_polynomial_rings_not_one_jacobson():
             h = refuter.forced_constraint(list(moves))
             assert nil_member(x, [h]) is None, (ring_text, [m.to_text() for m in moves])
             if idx % 97 == 0:
-                prover = FixedMovesProver(ring, x, [list(moves)], budget=1)
+                prover = FixedMovesProver(ring, x, [list(moves)])
                 t = _won(ring, x, 1, prover, DiagonalRefuterPoly(ring))
                 assert t.winner == "delayer"
                 refereed += 1

@@ -124,8 +124,22 @@ def test_power_coefficient_past_the_digit_limit_is_a_configuration_error(capsys)
          "a power of a sum is too large to expand: up to 100001 terms of 200000-bit coefficients"
          " (at position 6)"),
         ("ZZ", "10^4000*10^4000", "a product's coefficient would pass 4300 digits (at position 7)"),
+        ("GF(1000003)[X]", "(X+1)^2000*(X+1)^2000",
+         "a power of a sum is too large to expand with the rest of the text:"
+         " up to 2001 terms of 20-bit coefficients (at position 17)"),
+        ("GF(1000003)[X]", "(X+1)^2000+(X+1)^2000+(X+1)^2000+(X+1)^2000",
+         "a power of a sum is too large to expand with the rest of the text:"
+         " up to 2001 terms of 20-bit coefficients (at position 17)"),
+        ("GF(1000003)[X]", "(X+1)^1400*(X+1)^1400",
+         "a product of sums is too large to expand with the rest of the text:"
+         " up to 1962801 terms of 20-bit coefficients (at position 10)"),
+        # one ring text, its relations included, shares one expansion budget
+        ("GF(1000003)[X]/((X+1)^1500, (X+1)^1500)", "X",
+         "a power of a sum is too large to expand with the rest of the text:"
+         " up to 1501 terms of 20-bit coefficients (at position 34)"),
     ],
-    ids=["power-of-a-sum", "product-of-literals"],
+    ids=["power-of-a-sum", "product-of-literals", "product-of-powers", "sum-of-powers",
+         "product-of-sums", "ring-relations"],
 )
 def test_text_too_large_to_build_is_a_configuration_error(capsys, ring, x, message):
     start = time.perf_counter()

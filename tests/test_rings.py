@@ -1,6 +1,7 @@
 """Presented rings: quotients, witnesses, localization, and integral transfer."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +144,22 @@ def test_is_trivial_cases():
 def test_relations_must_match_base():
     with pytest.raises(IncompatibleRings):
         parse_ring("ZZ[x]").quotient_extend([parse_ring("QQ[x]").element("x")])
+
+
+def test_element_of_another_presentation_is_refused():
+    R = parse_ring("ZZ[X]")
+    Q = R.quotient_extend([R.element("X^2")])
+    S = parse_ring("ZZ[X,Y]")
+    for ring, foreign in [(Q, R.element("X+1")), (R, Q.element("X+1")), (S, R.element("X"))]:
+        with pytest.raises(IncompatibleRings):
+            ring.element(foreign)
+        with pytest.raises(IncompatibleRings):
+            ring.quotient_extend([foreign])
+        with pytest.raises(IncompatibleRings):
+            member_in(ring, foreign)
+    # the representative crosses explicitly, and a base polynomial is remapped
+    assert Q.element(R.element("X^3 + 1").poly) == Q.one()
+    assert S.element(R.element("X").poly) == S.element("X")
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,6 +352,10 @@ def test_minimal_polynomial_special_cases(base, ring_suffix, x_text, mu_text):
         ("GF(5)", "2", 0),
         ("ZZ/8", "2", 3),
         ("ZZ[X]/(2, X^2)", "X", 2),
+        ("ZZ[X]/(4, X^2)", "2*X", 2),
+        ("ZZ[X]/(12, X^3)", "2+X", 4),
+        ("ZZ[X,Y]/(6, X^2-Y, Y^2)", "3+X", 4),
+        ("ZZ[X]/(9, X^2+1)", "3*X+1", 0),
     ],
 )
 def test_zero_dim_witness_identity(ring_text, x_text, expected_e):
@@ -401,6 +422,17 @@ def test_zero_dim_witness_huge_modulus_is_fast():
     x = ring.element(6)
     e, a = zero_dim_witness(x)
     assert (x ** e * (ring.one() - a * x)).is_zero()
+
+
+def test_zero_dim_witness_over_a_large_finite_zz_algebra_is_fast():
+    # |R| = 1000003^2: a walk along the powers of x could take |R| steps
+    ring = parse_ring("ZZ[X]/(1000003, X^2+1)")
+    start = time.perf_counter()
+    for text in ["X+1", "X", "1000002*X^2", "0"]:
+        x = ring.element(text)
+        e, a = zero_dim_witness(x)
+        assert (x ** e * (ring.one() - a * x)).is_zero()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_zero_dim_witness_rejects_non_zero_dimensional():

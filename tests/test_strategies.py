@@ -379,14 +379,14 @@ def test_refuter_z_family_small():
         for moves in ([], [0], [1], [2, -2]):
             c = DiagonalRefuterZ(Z, n_value).forced_constant(n_value, moves)
             assert DiagonalRefuterZ(Z, n_value).check_not_nil(c, n_value)
-            p = FixedMovesProver(Z, Z.element(n_value), [[Z.element(a) for a in moves]], budget=1)
+            p = FixedMovesProver(Z, Z.element(n_value), [[Z.element(a) for a in moves]])
             t = play(Z, Z.element(n_value), 1, p, DiagonalRefuterZ(Z, n_value))
             assert t.winner == "delayer"
 
 
 def test_refuter_z_wrong_budget():
     Z = parse_ring("ZZ")
-    p = FixedMovesProver(Z, Z.element(2), [[Z.element(0)], []], budget=2)
+    p = FixedMovesProver(Z, Z.element(2), [[Z.element(0)], []])
     with pytest.raises(WrongBudget):
         referee_play(Z, Z.element(2), Z.element(2), 2, p, DiagonalRefuterZ(Z, 2))
 
@@ -408,7 +408,7 @@ def test_refuter_poly_beats_fixed_prover():
         R = parse_ring(ring_text)
         X = R.element("X")
         for moves in ([], ["0"], ["1"], ["X", "2*X-1"]):
-            p = FixedMovesProver(R, X, [[R.element(m) for m in moves]], budget=1)
+            p = FixedMovesProver(R, X, [[R.element(m) for m in moves]])
             t = play(R, X, 1, p, DiagonalRefuterPoly(R))
             assert t.winner == "delayer"
 
@@ -549,3 +549,61 @@ def test_auto_transcript_bytes_are_pinned(
     parsed = Transcript.from_json(text)
     assert parsed.to_json() == text
     assert verify_transcript(parsed)
+
+
+# -- the paper's budgets, swept --------------------------------------------------
+
+# K[X_1..X_n] is (1+n)-Jacobson and ZZ[X_1..X_n] is (2+n)-Jacobson.  The auto
+# Prover plays each ring at that budget against constant replies and, where
+# matches stay in the milliseconds, degree-1 replies (echo, random:3:1:1);
+# on three-variable field rings and ZZ[X,Y] degree-1 replies run for seconds
+# (ROADMAP item 2).
+_CONSTANT_REPLIES = ["constant(1)", "random:1:0:1", "random:2:0:2"]
+_ALL_REPLIES = _CONSTANT_REPLIES + ["echo", "random:3:1:1"]
+_SHAPES = {
+    "": ["0", "1", "2", "-6", "30"],
+    "[X]": ["X", "X+1", "X^2+X", "2*X+1"],
+    "[X,Y]": ["X", "Y", "X*Y+1", "X+Y", "X^2+Y"],
+    "[X,Y,Z]": ["X", "Z", "X+Y*Z", "Y*Z+1", "X*Y*Z"],
+}
+_SWEPT_RINGS = [
+    (base, vars, _CONSTANT_REPLIES if vars == "[X,Y,Z]" else _ALL_REPLIES)
+    for base in ["GF(2)", "GF(3)", "QQ"] for vars in ["[X]", "[X,Y]", "[X,Y,Z]"]
+] + [("ZZ", "", _ALL_REPLIES), ("ZZ", "[X]", _ALL_REPLIES), ("ZZ", "[X,Y]", _CONSTANT_REPLIES)]
+
+# Replies that are all 1 (mod p) meet the tower fault (ROADMAP item 1): the
+# auto Prover stops moving and loses with no diagnosis.
+_TOWER_FAULT = [
+    (ring, x, delayer)
+    for ring, ones in [("GF(2)[X,Y,Z]", ["constant(1)", "random:1:0:1"]),
+                       ("GF(3)[X,Y,Z]", ["constant(1)", "random:2:0:2"]),
+                       ("QQ[X,Y,Z]", ["constant(1)"])]
+    for x in ["X+Y*Z", "Y*Z+1"] for delayer in ones
+] + [("ZZ[X,Y]", "X*Y+1", "constant(1)")]
+
+
+def _auto_match(ring_text, x_text, delayer_spec):
+    ring = parse_ring(ring_text)
+    x = ring.element(x_text)
+    budget = (2 if ring.base.kind == "ZZ" else 1) + len(ring.vars)
+    prover = prover_from_spec("auto", ring, x, x, budget)
+    return referee_play(ring, x, x, budget, prover, delayer_from_spec(delayer_spec, ring, x))
+
+
+@pytest.mark.parametrize("base,vars,delayers", _SWEPT_RINGS, ids=[b + v for b, v, _ in _SWEPT_RINGS])
+def test_auto_prover_wins_at_the_paper_budget(base, vars, delayers):
+    ring_text = base + vars
+    for x_text in _SHAPES[vars]:
+        for delayer_spec in delayers:
+            if (ring_text, x_text, delayer_spec) in _TOWER_FAULT:
+                continue
+            t = _auto_match(ring_text, x_text, delayer_spec)
+            assert (t.winner, t.diagnosis) == ("prover", None), (x_text, delayer_spec)
+
+
+@pytest.mark.xfail(strict=True, reason="the tower fault, ROADMAP item 1")
+@pytest.mark.parametrize("ring_text,x_text,delayer_spec", _TOWER_FAULT,
+                         ids=[":".join(case) for case in _TOWER_FAULT])
+def test_auto_prover_loses_to_the_tower_fault(ring_text, x_text, delayer_spec):
+    t = _auto_match(ring_text, x_text, delayer_spec)
+    assert (t.winner, t.diagnosis) == ("prover", None)
