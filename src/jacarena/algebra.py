@@ -20,11 +20,21 @@ degree would reach it.
 Arithmetic builds its results canonical by construction (packed monomials,
 reduced nonzero coefficients) through the unchecked ``_raw`` constructors;
 input from outside goes through the checking ones.
+
+A product or power over QQ runs on integers, in the integer-preserving
+spirit of Bareiss 1968: ``_cleared`` writes each operand as int numerators
+over one denominator D, the lcm of its coefficients' denominators; the
+numerators are convolved, or raised by repeated squaring, as over ZZ; and
+each term of the result is divided by the product of the D's once, an
+``int`` when it divides and a reduced ``Fraction`` otherwise.  A product of
+two Fractions would take two gcds per pair of terms.  ``NilCertificate``
+checks a QQ identity through the same clearing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegreeOverflow, IncompatibleRings
 
@@ -409,19 +419,11 @@ class Polynomial:
         if not self.terms or not other.terms:
             return Polynomial._raw(ring, self.vars, {})
         _check_degree((max(self.terms) + max(other.terms)) >> (len(self.vars) * _W))
-        terms = {}
-        get = terms.get
-        b_terms = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in b_terms:
-                m = m1 + m2
-                terms[m] = get(m, 0) + c1 * c2
-        if ring.kind == "GF":
-            p = ring.p
-            terms = {m: r for m, c in terms.items() if (r := c % p)}
-        else:
-            terms = {m: c for m, c in terms.items() if c}
-        return Polynomial._raw(ring, self.vars, terms)
+        if ring.kind != "QQ":
+            return Polynomial._raw(ring, self.vars, _product(self.terms, other.terms, ring.p))
+        da, a = _cleared(self.terms)
+        db, b = _cleared(other.terms)
+        return Polynomial._raw(ring, self.vars, _over(_product(a, b, None), da * db))
 
     __rmul__ = __mul__
 
@@ -430,14 +432,12 @@ class Polynomial:
             raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
         if e == 0:
             return Polynomial.constant(self.ring, 1, self.vars)
-        base, result = self, None
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        if not self.terms:
+            return self
+        _check_degree((max(self.terms) >> (len(self.vars) * _W)) * e)
+        ring = self.ring
+        den, base = _cleared(self.terms) if ring.kind == "QQ" else (1, self.terms)
+        return Polynomial._raw(ring, self.vars, _over(_power(base, e, ring.p), den**e))
 
     def scale(self, coeff):
         ring = self.ring
@@ -530,3 +530,55 @@ def _check_compatible(a, b):
         raise IncompatibleRings(f"{a.ring} vs {b.ring}")
     if a.vars != b.vars:
         raise IncompatibleRings(f"variables {a.vars} vs {b.vars}; remap one of them")
+
+
+def _product(a, b, p):
+    """The product of two nonzero term dicts with int coefficients, reduced mod
+    p when p is set, zero terms dropped."""
+    terms = {}
+    get = terms.get
+    b_terms = b.items()
+    for m1, c1 in a.items():
+        for m2, c2 in b_terms:
+            m = m1 + m2
+            terms[m] = get(m, 0) + c1 * c2
+    if p:
+        return {m: r for m, c in terms.items() if (r := c % p)}
+    return {m: c for m, c in terms.items() if c}
+
+
+def _power(terms, e, p):
+    """terms^e for e >= 1 by repeated squaring, as ``_product`` computes."""
+    result = None
+    while True:
+        if e & 1:
+            result = terms if result is None else _product(result, terms, p)
+        e >>= 1
+        if not e:
+            return result
+        terms = _product(terms, terms, p)
+
+
+def _cleared(terms):
+    """(D, numerators) of a QQ term dict: D is the lcm of the coefficients'
+    denominators, and each numerator is the int c*D."""
+    den, plain = 1, True
+    for c in terms.values():
+        if type(c) is not int:
+            plain = False
+            den = lcm(den, c.denominator)
+    if plain:
+        return 1, terms
+    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+
+
+def _over(terms, den):
+    """The canonical QQ term dict of int numerators over den > 0: an int where
+    den divides the numerator, a reduced Fraction elsewhere."""
+    if den == 1:
+        return terms
+    out = {}
+    for m, c in terms.items():
+        q, r = divmod(c, den)
+        out[m] = Fraction(c, den) if r else q
+    return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .algebra import Polynomial
 from .errors import DegreeOverflow, EngineError, IllegalMove, MalformedTranscript, NotInJacobsonRadical
 from .ideals import NilCertificate
-from .parsing import parse_polynomial, parse_ring
+from .parsing import _check_power, parse_polynomial, parse_ring
 from .rings import nil_member
 
 
@@ -123,6 +123,8 @@ class Transcript:
             e = _field(raw, "e", int, "certificate")
             if e < 0:
                 raise MalformedTranscript(f"certificate exponent {e} is negative")
+            # x'^e is refused as it would be refused as text, before verify expands it
+            _parsed(lambda e: _check_power(xprime.poly, e), e, "certificate power x'^e")
             # the generators, relations then round constraints, are expanded
             # by verify_transcript; here only their count bounds the keys
             n_gens = len(ring.relations) + sum(min(len(r.moves), len(r.replies)) for r in rounds)

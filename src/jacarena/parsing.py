@@ -234,11 +234,7 @@ class _Parser:
         if e == 0:
             return 1, 0
         if type(base) is not tuple:
-            # the largest packed monomial has the largest degree
-            self._check_degree(degree(max(base.terms), self.n) * e, tok)
-            t, top, den = _size(base)
-            terms = comb(e + t - 1, t - 1)
-            self._charge("power of a sum", terms, terms * terms, e * top.bit_length(), den, tok)
+            self._charge_power(base, e, tok)
             return self._capped(base**e, tok, "power")
         c, m = base
         if not c:
@@ -252,6 +248,14 @@ class _Parser:
             raise RingSyntaxError(f"a power's coefficient would pass {_MAX_DIGITS} digits", tok.pos)
         return self._capped((c**e, m), tok, "power")
 
+    def _charge_power(self, base, e, tok):
+        """Check the degree of a sum's power base^e and charge its expansion."""
+        # the largest packed monomial has the largest degree
+        self._check_degree(degree(max(base.terms), self.n) * e, tok)
+        t, top, den = _size(base)
+        terms = comb(e + t - 1, t - 1)
+        self._charge("power of a sum", terms, terms * terms, e * top.bit_length(), den, tok)
+
     def _charge(self, what, terms, pairs, bits, den, tok):
         """Add an expansion of ``pairs`` term products, up to ``terms`` terms
         of ``bits``-bit coefficients over denominator ``den``, to the text's
@@ -262,8 +266,10 @@ class _Parser:
         self.work += pairs * (bits + 512) * (32 if den > 1 else 1)
         if self.work > _POWER_WORK:
             rest = " with the rest of the text" if before else ""
+            # a count past 4,300 digits would not even print
+            size = f"up to {terms}" if terms < 10**18 else "over 10^18"
             raise RingSyntaxError(
-                f"a {what} is too large to expand{rest}: up to {terms} terms"
+                f"a {what} is too large to expand{rest}: {size} terms"
                 f" of {bits}-bit coefficients", tok.pos
             )
 
@@ -376,6 +382,19 @@ def parse_polynomial(text, ring, vars):
     poly = parser.parse_poly()
     parser.expect_end()
     return poly
+
+
+def _check_power(poly, e):
+    """Refuse poly^e, with the RingSyntaxError that the text "(poly)^e" would
+    raise, before any of it is computed: past the degree bound, past 4,300
+    digits for a single term, or past one text's expansion budget for a sum.
+    A sum is charged, never expanded."""
+    parser = _Parser("", poly.ring, poly.vars)
+    tok = _Token("^", "^", None)
+    if len(poly.terms) > 1:
+        parser._charge_power(poly, e, tok)
+    else:
+        parser._power(next(((c, m) for m, c in poly.terms.items()), _ZERO), e, tok)
 
 
 def parse_ring(text):

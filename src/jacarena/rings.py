@@ -546,12 +546,14 @@ class IntegralRelation:
     coeffs: tuple
 
     def verify(self):
+        if len(self.coeffs) != self.d:
+            return False
+        # Horner's rule from the top: acc = acc*y - c_j, starting at a^l
         ring = self.y.ring
-        lhs = ring.element(self.a.poly) ** self.l * self.y ** self.d
-        rhs = ring.zero()
-        for j, c in enumerate(self.coeffs):
-            rhs = rhs + ring.element(c.poly) * self.y ** j
-        return (lhs - rhs).is_zero()
+        acc = ring.element(self.a.poly) ** self.l
+        for c in reversed(self.coeffs):
+            acc = acc * self.y - ring.element(c.poly)
+        return acc.is_zero()
 
     def require_valid(self):
         if not self.verify():

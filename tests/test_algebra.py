@@ -248,6 +248,10 @@ def test_power_of_a_sum_stops_at_the_expansion_bound():
             parse_polynomial(text, ring, ("x",))
         assert time.perf_counter() - start < 0.1
         assert info.value.position == text.index("^") + 1
+    # a term count past the 4,300 digits that str() prints is named by its size
+    names = tuple(f"x{i}" for i in range(700))
+    with pytest.raises(RingSyntaxError, match="power of a sum is too large to expand: over 10"):
+        parse_polynomial("(" + "+".join(names) + ")^2000000000", QQ, names)
 
 
 def test_checked_constructor_rejects_bad_terms():
@@ -445,16 +449,24 @@ VAR_LISTS = st.permutations(["x", "y", "z"]).flatmap(
 DIFF_RINGS = st.sampled_from([ZZ, QQ, GF(7)])
 
 
+# Pairwise coprime denominators up to 10^6 (999983 is prime): a QQ product
+# clears each operand with a true lcm, and a denominator cancels against an
+# even or a multiple-of-3 numerator often enough to give integral terms.
+QQ_DENOMINATORS = st.sampled_from([1, 2, 3, 5, 7, 999983, 6, 10, 35])
+
+
 @st.composite
 def operands(draw, ring, vars=None):
     if vars is None:
         vars = draw(VAR_LISTS)
     if ring == QQ:
-        coeffs = st.fractions(-4, 4, max_denominator=6)
+        coeffs = st.builds(Fraction, st.integers(-10**6, 10**6), QQ_DENOMINATORS)
+        size = 6
     else:
         coeffs = st.integers(-9, 9)
+        size = 4
     exps = st.tuples(*[st.integers(0, 3)] * len(vars))
-    return Polynomial(ring, vars, draw(st.dictionaries(exps, coeffs, max_size=4)))
+    return Polynomial(ring, vars, draw(st.dictionaries(exps, coeffs, max_size=size)))
 
 
 def _reference_product(a, b):
@@ -470,11 +482,15 @@ def _reference_product(a, b):
 
 
 def _is_canonical(p):
+    """Packed monomials, reduced coefficients, and over QQ an int for each
+    integral coefficient."""
     n = len(p.vars)
     terms = {exponents(m, n): c for m, c in p.terms.items()}
-    return all(pack(exponents(m, n), n) == m for m in p.terms) and Polynomial(
-        p.ring, p.vars, terms
-    ).terms == p.terms
+    return (
+        all(pack(exponents(m, n), n) == m for m in p.terms)
+        and Polynomial(p.ring, p.vars, terms).terms == p.terms
+        and all(type(c) is int or c.denominator > 1 for c in p.terms.values())
+    )
 
 
 @settings(max_examples=150, deadline=None)

@@ -200,6 +200,13 @@ def _set_round_text(obj, field, text):
     obj["rounds"][0][field][0] = text
 
 
+def _set_certificate(obj, ring, xprime, e, cofactors):
+    """A Prover win at budget 0 in ``ring`` claiming xprime^e = sum of the cofactors
+    times the relations."""
+    obj.update(ring=ring, x=xprime, xPrime=xprime, budget=0, rounds=[])
+    obj["certificate"] = {"e": e, "cofactors": cofactors}
+
+
 # json.dumps cannot print an integer past Python's 4,300-digit limit, so a
 # mutation sets this placeholder and the test writes the digits in its place.
 LONG_INTEGER = "<5,000 digits>"
@@ -242,6 +249,12 @@ LONG_INTEGER = "<5,000 digits>"
          "field 'x': a power of a sum is too large to expand"),
         (lambda obj: _rename_cofactor(obj, "00"), "cofactor key '00'"),
         (lambda obj: _rename_cofactor(obj, "01"), "cofactor key '01'"),
+        (lambda obj: _set_certificate(obj, "ZZ", "6", 10000000, {}),
+         "certificate power x'^e: a power's coefficient would pass 4300 digits"),
+        (lambda obj: _set_certificate(obj, "ZZ[X,Y]/(X^2 + 2*X*Y + Y^2)", "X + Y", 3000, {"0": "1"}),
+         "certificate power x'^e: a power of a sum is too large to expand: up to 3001 terms"),
+        (lambda obj: _set_certificate(obj, "ZZ[X]/(X^2)", "X", 2147483648, {}),
+         "certificate power x'^e: total degree 2147483648 is not below 2147483648"),
     ],
     ids=["key-out-of-range", "key-negative", "missing-winner", "rounds-not-list", "negative-e",
          "ring-not-a-field", "ring-modulus-too-large", "x-unknown-variable", "xprime-unparseable", "x-deep-parentheses",
@@ -249,7 +262,9 @@ LONG_INTEGER = "<5,000 digits>"
          "reply-zero-divisor", "cofactor-unknown-variable", "x-long-integer", "budget-long-integer",
          "budget-negative", "x-degree-past-bound", "move-degree-past-bound",
          "constraint-degree-past-bound", "x-power-coefficient-past-limit",
-         "x-product-coefficient-past-limit", "x-power-of-a-sum-too-large", "key-00", "key-01"],
+         "x-product-coefficient-past-limit", "x-power-of-a-sum-too-large", "key-00", "key-01",
+         "certificate-power-coefficient-past-limit", "certificate-power-of-a-sum-too-large",
+         "certificate-power-degree-past-bound"],
 )
 def test_verify_rejects_malformed_transcript(tmp_path, capsys, mutate, message):
     out = tmp_path / "t.json"
@@ -262,7 +277,9 @@ def test_verify_rejects_malformed_transcript(tmp_path, capsys, mutate, message):
     assert code == 0 and set(obj["certificate"]["cofactors"]) == {"0", "1"}
     mutate(obj)
     out.write_text(json.dumps(obj).replace(json.dumps(LONG_INTEGER), "9" * 5000))
+    start = time.perf_counter()
     code, text, err = run(["verify", str(out)], capsys)
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert text.count("\n") == 1 and text.startswith("invalid: ") and message in text
     assert err == ""

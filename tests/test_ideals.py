@@ -1,6 +1,8 @@
 """Groebner bases, membership cofactors, and nilpotency certificates."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -204,3 +206,38 @@ def test_certificate_with_a_cofactor_count_off_fails():
     assert not NilCertificate(c(5), 1, (c(5), c(7)), (c(1),)).verify()
     with pytest.raises(InvalidCertificate):
         NilCertificate(c(5), 1, (c(5),), (c(1), c(5))).require_valid()
+
+
+def _qq_identity():
+    """x'^3 = c1*g1 + c2*g2 over QQ[X], the four polynomials with different
+    denominators; g1 is solved for, so the identity holds exactly."""
+    def q(text):
+        return parse_polynomial(text, QQ, ("X",))
+
+    x = q("X/5 + 1/2")
+    c1, c2, g2 = q("2/3"), q("5/4*X + 1/6"), q("X/7 + 2/9")
+    g1 = (x**3 - c2 * g2) * q("3/2")
+    return x, 3, (g1, g2), (c1, c2)
+
+
+def test_qq_certificate_with_different_denominators_verifies():
+    x, e, gens, cofs = _qq_identity()
+    assert len({c.denominator for p in (x,) + gens + cofs for c in p.terms.values()}) > 3
+    NilCertificate(x, e, gens, cofs).require_valid()
+
+
+def test_qq_certificate_off_by_a_factor_of_two_fails():
+    x, e, gens, cofs = _qq_identity()
+    assert not NilCertificate(x.scale(2), e, gens, cofs).verify()
+    assert not NilCertificate(x, e, gens, tuple(c.scale(2) for c in cofs)).verify()
+    with pytest.raises(InvalidCertificate):
+        NilCertificate(x, e, gens, tuple(c.scale(2) for c in cofs)).require_valid()
+
+
+def test_qq_certificate_with_a_cofactor_off_by_one_over_the_common_denominator_fails():
+    x, e, gens, cofs = _qq_identity()
+    den = math.lcm(*(c.denominator for p in (x,) + gens + cofs for c in p.terms.values()))
+    for i in range(len(cofs)):
+        changed = list(cofs)
+        changed[i] = changed[i] + Fraction(1, den)
+        assert not NilCertificate(x, e, gens, tuple(changed)).verify()

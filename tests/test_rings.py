@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from jacarena.algebra import GF, QQ, ZZ, Polynomial
 from jacarena.errors import (
     IncompatibleRings,
+    InvalidCertificate,
     LeadingCoefficientZero,
     NotFiniteDimensional,
     NotMonogenic,
@@ -502,10 +503,18 @@ def test_integral_dependence_pinned(base_text, ring_text, b_text, l, d, coeffs):
 def test_integral_relation_validates_at_construction():
     Zb = parse_ring("ZZ")
     B = parse_ring("ZZ[Y]/(Y^2+1)")
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidCertificate):
         IntegralRelation(
             B.element("Y"), Zb.element(1), 0, 2, (Zb.element(5), Zb.element(0))
         ).require_valid()
+
+    # 2*Y^3 = 4*Y^2 + 0*Y + 10 in ZZ[Y]/(Y^3 - 2*Y^2 - 5); with c_0 and c_2
+    # swapped it fails, so the identity is read from the top coefficient down
+    C = parse_ring("ZZ[Y]/(Y^3 - 2*Y^2 - 5)")
+    coeffs = tuple(Zb.element(c) for c in (10, 0, 4))
+    IntegralRelation(C.element("Y"), Zb.element(2), 1, 3, coeffs).require_valid()
+    with pytest.raises(InvalidCertificate):
+        IntegralRelation(C.element("Y"), Zb.element(2), 1, 3, coeffs[::-1]).require_valid()
 
 
 def test_monogenic_extension_validation():
