@@ -27,8 +27,8 @@ over one denominator D, the lcm of its coefficients' denominators; the
 numerators are convolved, or raised by repeated squaring, as over ZZ; and
 each term of the result is divided by the product of the D's once, an
 ``int`` when it divides and a reduced ``Fraction`` otherwise.  A product of
-two Fractions would take two gcds per pair of terms.  ``NilCertificate``
-checks a QQ identity through the same clearing.
+two Fractions would take two gcds per pair of terms.  A QQ
+``NilCertificate`` identity is checked with these products and powers.
 """
 
 from __future__ import annotations

@@ -92,7 +92,9 @@ _MAX_DIGITS = 4300
 _COEFF_LIMIT = 10**_MAX_DIGITS
 _LIMIT_BITS = 14284
 
-# A power of a sum of t terms has at most C(e+t-1, t-1) terms, of at most
+# A power of a sum of t terms, of total degree at most d in n variables,
+# has at most C(e+t-1, t-1) terms, and no more than the C(n+e*d, n)
+# monomials of total degree at most e*d; its coefficients have at most
 # e * bit_length(sum of |c|) bits (over QQ, of the numerators over a common
 # denominator D, and of D^e).  Repeated squaring makes about terms^2
 # products, and a product of two sums one per pair of their terms, each
@@ -251,9 +253,10 @@ class _Parser:
     def _charge_power(self, base, e, tok):
         """Check the degree of a sum's power base^e and charge its expansion."""
         # the largest packed monomial has the largest degree
-        self._check_degree(degree(max(base.terms), self.n) * e, tok)
+        d = degree(max(base.terms), self.n)
+        self._check_degree(d * e, tok)
         t, top, den = _size(base)
-        terms = comb(e + t - 1, t - 1)
+        terms = min(comb(e + t - 1, t - 1), comb(self.n + d * e, self.n))
         self._charge("power of a sum", terms, terms * terms, e * top.bit_length(), den, tok)
 
     def _charge(self, what, terms, pairs, bits, den, tok):

@@ -248,6 +248,10 @@ def test_power_of_a_sum_stops_at_the_expansion_bound():
             parse_polynomial(text, ring, ("x",))
         assert time.perf_counter() - start < 0.1
         assert info.value.position == text.index("^") + 1
+    # a power has no more terms than monomials of its degree: 57 for a sum of
+    # 7 terms of degree 7 to the 8th, where C(14, 6) = 3003 would pass the bound
+    x7 = parse_polynomial("+".join(f"x^{i}" for i in range(1, 8)), QQ, ("x",))
+    assert parse_polynomial(f"({x7.to_text()})^8", QQ, ("x",)) == x7 ** 8
     # a term count past the 4,300 digits that str() prints is named by its size
     names = tuple(f"x{i}" for i in range(700))
     with pytest.raises(RingSyntaxError, match="power of a sum is too large to expand: over 10"):
