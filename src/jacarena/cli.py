@@ -13,7 +13,7 @@ import csv
 import itertools
 import sys
 
-from .errors import EngineError, MalformedTranscript, RingSyntaxError
+from .errors import EngineError, MalformedTranscript, RingSyntaxError, UnknownAgentSpec
 from .game import Transcript, referee_play, verify_transcript
 from .oracle import enumerate_finite, minimal_alpha, minimal_alpha_ring
 from .parsing import parse_ring
@@ -51,7 +51,7 @@ def _build_parser():
     repl.add_argument("--out", default=None)
 
     refute = sub.add_parser("refute", help="run a diagonal refuter over a move family")
-    refute.add_argument("kind", choices=["z", "poly"])
+    refute.add_argument("kind", help="z (the refuter on ZZ) or poly (on a polynomial ring)")
     refute.add_argument("--N", default="2,3,10", help="integers for kind z")
     refute.add_argument("--ring", default="ZZ[X]", help="polynomial ring for kind poly")
     refute.add_argument("--max-moves", type=int, default=2)
@@ -215,6 +215,8 @@ def cmd_refute(args):
         print(f"refuted all {checked} one-round move lists for N in {targets}")
         return 0
 
+    if args.kind != "poly":
+        raise UnknownAgentSpec(f"unknown refuter kind {args.kind!r}")
     ring = parse_ring(args.ring)
     if not ring.vars:
         raise ValueError(f"refute poly needs a polynomial ring, got {ring.to_text()}")
@@ -286,7 +288,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (RingSyntaxError, OSError, ValueError) as exc:
+    except (RingSyntaxError, UnknownAgentSpec, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except EngineError as exc:

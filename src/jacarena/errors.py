@@ -59,6 +59,10 @@ class UnsupportedRing(EngineError):
     """The strategy or factory does not cover this ring presentation."""
 
 
+class UnknownAgentSpec(EngineError):
+    """An agent spec string names no Prover or Delayer the engine knows."""
+
+
 class BudgetOverflow(EngineError):
     """A combinator would declare a budget not strictly below the current one."""
 

@@ -654,48 +654,62 @@ def integral_dependence(b, ext):
 
 
 def loc_key_clear(a, a1, a2p, e):
-    """Geometric-sum clearing: a2 with 1 - a2(1-a1*a) = a1^e (a^e - a2p(1-a1*a)).
+    """Geometric-sum clearing: a2 = (1 + c + ... + c^(e-1)) + a1^e * a2p,
+    c = a1*a, so that 1 - a2(1 - c) = a1^e (a^e - a2p(1 - c)).
 
-    The identity is verified by expansion in the raw polynomial ring before
-    the normalized element is returned.
+    The identity holds for the unreduced polynomials; a2 is returned in
+    normal form.  It is not checked here: the cofactor check of
+    ``key_elementary_transfer``, which uses it, covers it.
     """
     ring = a.ring
-    ap, a1p, a2pp = a.poly, a1.poly, a2p.poly
-    one = Polynomial.constant(ring.base, 1, ring.vars)
+    c = a1.poly * a.poly
     geo = Polynomial.zero(ring.base, ring.vars)
-    term = one
+    term = Polynomial.constant(ring.base, 1, ring.vars)
     for _ in range(e):
         geo = geo + term
-        term = term * (a1p * ap)
-    a2_raw = geo + a1p ** e * a2pp
-    lhs = one - a2_raw * (one - a1p * ap)
-    rhs = a1p ** e * (ap ** e - a2pp * (one - a1p * ap))
-    if lhs != rhs:
-        raise AssertionError("clearing identity failed to expand")
-    return ring.element(a2_raw)
+        term = term * c
+    return ring.element(geo + a1.poly ** e * a2p.poly)
 
 
 def key_elementary_transfer(a0, a1, b2, ext):
-    """a2 in A with 1 - a2*w in <1 - b2*w> of ext.ring, where
+    """a2 in A with 1 - a2*w in <1 - b2*w> of B = ext.ring, where
     w = 1 - a1*a*a0 and a = ext.lead.
 
-    The dependence a^l * b2^d = sum c_j b2^j, times w^d, gives
-    a^l = w * sum c_j w^(d-1-j) modulo 1 - b2*w, where b2*w = 1; the
-    geometric-sum clearing of ``loc_key_clear`` turns that into a2.  The
-    membership of 1 - a2*w is checked before a2 is returned.
+    Let t = b2*w and S_j = 1 + t + ... + t^(j-1).  The dependence
+    a^l * b2^d = sum c_j b2^j, times w^d, gives a^l - w*a2dd = (1 - t)*Q in
+    B, where a2dd = sum c_j w^(d-1-j) and Q = a^l*S_d - sum c_j w^(d-j) S_j.
+    The geometric-sum clearing of ``loc_key_clear`` turns a2dd into a2 with
+    1 - a2*w = (a1*a0)^l (a^l - w*a2dd), so
+
+        1 - a2*w = q * (1 - b2*w),   q = (a1*a0)^l * Q.
+
+    q is built on unreduced polynomials from the dependence alone, not from
+    a2, and one normal form of 1 - a2*w - q*(1 - t) in B checks the identity
+    before a2 is returned.
     """
     base = ext.base
     ring_b = ext.ring
     a = ext.lead
-    w = base.one() - a1 * a * a0
+    a1a0 = a1 * a0
+    w = base.one() - a1a0 * a
     dep = integral_dependence(b2, ext)
 
     a2dd = sum((c * w ** (dep.d - 1 - j) for j, c in enumerate(dep.coeffs)), base.zero())
-    a2 = loc_key_clear(a, a1 * a0, a2dd, dep.l)
+    a2 = loc_key_clear(a, a1a0, a2dd, dep.l)
 
-    w_b = ring_b.element(w.poly)
-    gb = ring_b.quotient_extend([ring_b.one() - b2 * w_b]).gb
-    claim = ring_b.one() - ring_b.element(a2.poly) * w_b
-    if not gb.is_member(claim.poly):
-        raise InvalidCertificate("transfer output failed its membership check")
+    # Q by Horner's rule in t: its t^i coefficient is a^l - sum_(j>i) c_j w^(d-j)
+    vars_b = ring_b.vars
+    one = Polynomial.constant(ring_b.base, 1, vars_b)
+    w_b = w.poly.remap(vars_b)
+    t = b2.poly * w_b
+    coeff = a.poly.remap(vars_b) ** dep.l
+    w_pow = one
+    q = Polynomial.zero(ring_b.base, vars_b)
+    for c in reversed(dep.coeffs):
+        q = q * t + coeff
+        w_pow = w_pow * w_b
+        coeff = coeff - c.poly.remap(vars_b) * w_pow
+    q = q * a1a0.poly.remap(vars_b) ** dep.l
+    if not ring_b.normal_form(one - a2.poly.remap(vars_b) * w_b - q * (one - t)).is_zero():
+        raise InvalidCertificate("transfer output failed its cofactor check")
     return a2

@@ -21,6 +21,7 @@ from .algebra import Polynomial
 from .errors import (
     BudgetOverflow,
     NotInJacobsonRadical,
+    UnknownAgentSpec,
     UnsupportedRing,
     WrongBudget,
 )
@@ -619,19 +620,24 @@ def delayer_from_spec(spec, ring, x):
         inner = spec[len("jacWitness(") : -1]
         base = [ring.element(part) for part in inner.split(";") if part.strip()]
         return JacWitnessDelayer(ring, x, base)
-    raise UnsupportedRing(f"unknown delayer spec {spec!r}")
+    raise UnknownAgentSpec(f"unknown delayer spec {spec!r}")
 
 
 def _factory_from_spec(spec, ring):
-    spec = spec.strip()
-    if spec == "auto":
-        return ring_strategy_factory(ring)
-    if spec in _LEAVES:
-        return _Factory(ring, leaf=spec)
-    if spec.startswith("polyLift(") and spec.endswith(")"):
-        inner = _factory_from_spec(spec[len("polyLift(") : -1], coefficient_ring(ring))
-        return _Factory(ring, inner=inner)
-    raise UnsupportedRing(f"unknown prover spec {spec!r}")
+    """The factory of a prover spec: the spec is read in full before any
+    coefficient ring is taken, so unknown text is refused on every ring."""
+    core, lifts = spec.strip(), 0
+    while core.startswith("polyLift(") and core.endswith(")"):
+        core, lifts = core[len("polyLift(") : -1].strip(), lifts + 1
+    if core != "auto" and core not in _LEAVES:
+        raise UnknownAgentSpec(f"unknown prover spec {spec.strip()!r}")
+    rings = [ring]
+    for _ in range(lifts):
+        rings.append(coefficient_ring(rings[-1]))
+    factory = ring_strategy_factory(rings[-1]) if core == "auto" else _Factory(rings[-1], leaf=core)
+    for lifted in reversed(rings[:-1]):
+        factory = _Factory(lifted, inner=factory)
+    return factory
 
 
 def prover_from_spec(spec, ring, x, xprime, budget):

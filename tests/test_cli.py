@@ -172,6 +172,32 @@ def test_play_poly_lift_rejects_relation_in_lift_variable(capsys):
     assert "relation X^2 involves the variable 'X'" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, spec, message",
+    [
+        ("play", "--prover", "nope", "unknown prover spec 'nope'"),
+        ("repl", "--prover", "nope", "unknown prover spec 'nope'"),
+        # the spec is refused before polyLift asks ZZ for a coefficient ring
+        ("play", "--prover", "polyLift(nope)", "unknown prover spec 'polyLift(nope)'"),
+        ("play", "--delayer", "random:x:1:1", "unknown delayer spec 'random:x:1:1'"),
+        ("play", "--delayer", "random:1:-1:1", "unknown delayer spec 'random:1:-1:1'"),
+    ],
+    ids=["play-prover", "repl-prover", "play-lifted-prover", "play-delayer-seed",
+         "play-delayer-degree"],
+)
+def test_unknown_agent_spec_is_a_configuration_error(capsys, monkeypatch, command, flag, spec, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code, out, err = run([command, "--ring", "ZZ", "--x", "6", "--budget", "2", flag, spec], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: {message}\n"
+
+
+def test_unknown_refuter_kind_is_a_configuration_error(capsys):
+    code, out, err = run(["refute", "nope"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "configuration error: unknown refuter kind 'nope'\n"
+
+
 def test_verify_round_trip_and_tamper(tmp_path, capsys):
     out = tmp_path / "t.json"
     code, _, _ = run(

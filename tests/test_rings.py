@@ -608,6 +608,18 @@ def test_key_elementary_transfer_gaussian():
     assert member_in(B, claim, [target]) is not None
 
 
+def test_key_elementary_transfer_refuses_a_wrong_output(monkeypatch):
+    # w = 1 - a1*a0 = 2: the right a2 = -2 gives 1 - a2*w = 5 = (1 - 2Y)(1 + 2Y),
+    # a2 + 1 gives 3, which 1 - 2Y (norm 5) does not divide in ZZ[Y]/(Y^2+1)
+    clear = rings.loc_key_clear
+    monkeypatch.setattr(rings, "loc_key_clear", lambda *args: clear(*args) + 1)
+    Zb = parse_ring("ZZ")
+    B = parse_ring("ZZ[Y]/(Y^2+1)")
+    ext = MonogenicExtension(Zb, B, "Y", B.relations[0])
+    with pytest.raises(InvalidCertificate, match="cofactor check"):
+        key_elementary_transfer(Zb.element(-1), Zb.element(1), B.element("Y"), ext)
+
+
 @st.composite
 def _transfer_inputs(draw):
     """(a0, a1, b2, ext) over B = A[X]/(relation), A one of ZZ, GF(3), QQ[Y]

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from jacarena.errors import UnsupportedRing, WrongBudget
+from jacarena.errors import UnknownAgentSpec, UnsupportedRing, WrongBudget
 from jacarena.game import GamePosition, Transcript, referee_play, verify_transcript
 from jacarena.parsing import parse_ring
 from jacarena.rings import MonogenicExtension, integral_dependence, nil_member
@@ -431,7 +431,7 @@ def test_delayer_spec_round_trip():
     d2 = delayer_from_spec("random:7", Z, Z.element(2))
     assert d2.seed == 7
     assert delayer_from_spec("refuterZ", Z, Z.element(2)).name == "refuterZ"
-    with pytest.raises(UnsupportedRing):
+    with pytest.raises(UnknownAgentSpec):
         delayer_from_spec("nonsense", Z, Z.element(2))
 
 
@@ -556,8 +556,9 @@ def test_auto_transcript_bytes_are_pinned(
 # K[X_1..X_n] is (1+n)-Jacobson and ZZ[X_1..X_n] is (2+n)-Jacobson.  The auto
 # Prover plays each ring at that budget against constant replies and, where
 # matches stay in the milliseconds, degree-1 replies (echo, random:3:1:1);
-# on three-variable field rings and ZZ[X,Y] degree-1 replies run for seconds
-# (ROADMAP item 2).
+# on three-variable field rings and ZZ[X,Y] degree-1 replies still stall in
+# _det's cofactor expansion (ROADMAP item 3), except the ZZ[X,Y] echo matches
+# played after the sweep.
 _CONSTANT_REPLIES = ["constant(1)", "random:1:0:1", "random:2:0:2"]
 _ALL_REPLIES = _CONSTANT_REPLIES + ["echo", "random:3:1:1"]
 _SHAPES = {
@@ -599,6 +600,14 @@ def test_auto_prover_wins_at_the_paper_budget(base, vars, delayers):
                 continue
             t = _auto_match(ring_text, x_text, delayer_spec)
             assert (t.winner, t.diagnosis) == ("prover", None), (x_text, delayer_spec)
+
+
+# X*Y+1 and X^2+Y against echo still stall in _det (ROADMAP item 3).
+@pytest.mark.parametrize("x_text", ["X", "Y", "X+Y"])
+def test_auto_prover_wins_zz_xy_against_echo(x_text):
+    t = _auto_match("ZZ[X,Y]", x_text, "echo")
+    assert (t.winner, t.diagnosis) == ("prover", None)
+    assert verify_transcript(Transcript.from_json(t.to_json()))
 
 
 @pytest.mark.xfail(strict=True, reason="the tower fault, ROADMAP item 1")
