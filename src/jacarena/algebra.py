@@ -377,7 +377,8 @@ class Polynomial:
             return Polynomial.constant(self.ring, other, self.vars)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other, one pass over other's terms, for op ring.add or ring.sub."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -386,12 +387,15 @@ class Polynomial:
         ring = self.ring
         zero = ring.zero()
         for mono, coeff in other.terms.items():
-            c = ring.add(terms.get(mono, zero), coeff)
+            c = op(terms.get(mono, zero), coeff)
             if c == zero:
                 terms.pop(mono, None)
             else:
                 terms[mono] = c
         return Polynomial._raw(ring, self.vars, terms)
+
+    def __add__(self, other):
+        return self._combine(other, self.ring.add)
 
     __radd__ = __add__
 
@@ -402,10 +406,7 @@ class Polynomial:
         )
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, self.ring.sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -526,9 +527,9 @@ def _coeff_text(coeff):
 
 def _check_compatible(a, b):
     """Refuse two polynomials over different coefficient rings or variable lists."""
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise IncompatibleRings(f"{a.ring} vs {b.ring}")
-    if a.vars != b.vars:
+    if a.vars is not b.vars and a.vars != b.vars:
         raise IncompatibleRings(f"variables {a.vars} vs {b.vars}; remap one of them")
 
 

@@ -200,6 +200,10 @@ def _int_range(bound):
 
 
 def cmd_refute(args):
+    flags = {"--max-moves": args.max_moves, "--bound": args.bound, "--deg": args.deg}
+    for flag, value in flags.items():
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     checked = 0
     if args.kind == "z":
         ring = parse_ring("ZZ")

@@ -6,6 +6,10 @@ queue carries both S-polynomials and gcd-completion (G-) polynomials, and
 term reduction uses canonical nonnegative remainders, which makes normal
 forms unique on cosets.  Every basis element carries cofactors expressing it
 over the input generators, exactly.
+
+The reduced basis of the unit ideal is [1]: a completion stops at its first
+unit row (a nonzero constant over a field, +-1 over ZZ), and an untracked one
+at a unit input, before any reduction.
 """
 
 from __future__ import annotations
@@ -225,6 +229,12 @@ def groebner(gens, order, ring, track=True):
     basis element equals its cofactor combination over the inputs.  With
     track=False the cofactor bookkeeping is skipped, which is much faster
     when only membership answers are needed.
+
+    The first unit row ends the completion: every later candidate reduces
+    to zero by it and it dominates every other row, so the full run would
+    return it alone, with the same cofactors.  Untracked, a unit input gives
+    [1] at once; tracked, a unit reached earlier by reduction keeps other
+    cofactors, so the inputs are not scanned for one.
     """
     vars = order.vars
     inputs = [g.remap(vars) for g in gens]
@@ -252,8 +262,11 @@ def groebner(gens, order, ring, track=True):
         heapq.heappush(queue, ((order.key(lcm), i, j, kind), kind, i, j))
 
     def push(poly, cof):
+        """Add a row; a unit row ends the completion and is returned."""
         poly, cof = normalized(poly, cof)
         row = _Row(poly, cof, order)
+        if row.lm == 0 and row.lc == 1:
+            return row
         new_index = len(rows)
         rows.append(row)
         for i in range(new_index):
@@ -261,7 +274,12 @@ def groebner(gens, order, ring, track=True):
             if integer:
                 enqueue("g", i, new_index)
 
-    for j, g in enumerate(inputs):
+    def is_unit(g):
+        return list(g.terms) == [0] and (not integer or abs(g.terms[0]) == 1)
+
+    # Untracked, a unit input settles the ideal before any reduction.
+    todo = inputs if track else [g for g in inputs if is_unit(g)][:1] or inputs
+    for j, g in enumerate(todo):
         if g.is_zero():
             continue
         nf, quots = _reduce_full(g, rows, order, track)
@@ -270,9 +288,11 @@ def groebner(gens, order, ring, track=True):
         if track:
             base = [zero] * len(inputs)
             base[j] = Polynomial.constant(ring, 1, vars)
-            push(nf, _combine_cofs(ring, vars, base, quots, rows))
+            unit = push(nf, _combine_cofs(ring, vars, base, quots, rows))
         else:
-            push(nf, None)
+            unit = push(nf, None)
+        if unit:
+            return GroebnerBasis(ring, order, inputs, [unit], tracked=track)
 
     while queue:
         _, kind, i, j = heapq.heappop(queue)
@@ -308,7 +328,9 @@ def groebner(gens, order, ring, track=True):
         nf, quots = _reduce_full(cand, rows, order, track)
         if nf.is_zero():
             continue
-        push(nf, _combine_cofs(ring, vars, cof, quots, rows) if track else None)
+        unit = push(nf, _combine_cofs(ring, vars, cof, quots, rows) if track else None)
+        if unit:
+            return GroebnerBasis(ring, order, inputs, [unit], tracked=track)
 
     rows_sorted = sorted(rows, key=lambda r: (order.key(r.lm), r.lc))
     kept = []

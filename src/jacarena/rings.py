@@ -70,7 +70,7 @@ class RingPresentation:
         constant.  An element of another presentation raises IncompatibleRings.
         """
         if isinstance(value, RingElement):
-            if value.ring != self:
+            if value.ring is not self and value.ring != self:
                 raise IncompatibleRings(
                     f"{value.ring.to_text()} element given to {self.to_text()}"
                 )
@@ -546,13 +546,18 @@ class IntegralRelation:
     coeffs: tuple
 
     def verify(self):
+        """Horner's rule from the top on polynomials over B's variables:
+        acc = NF(a^l), then acc = NF(acc*y - c_j) for j = d-1 down to 0; the
+        identity holds when the last acc is zero.  Normal forms are
+        canonical, so one per step checks the same identity in B as reducing
+        every product and difference would."""
         if len(self.coeffs) != self.d:
             return False
-        # Horner's rule from the top: acc = acc*y - c_j, starting at a^l
         ring = self.y.ring
-        acc = ring.element(self.a.poly) ** self.l
+        y = self.y.poly
+        acc = ring.normal_form(self.a.poly.remap(ring.vars) ** self.l)
         for c in reversed(self.coeffs):
-            acc = acc * self.y - ring.element(c.poly)
+            acc = ring.normal_form(acc * y - c.poly.remap(ring.vars))
         return acc.is_zero()
 
     def require_valid(self):

@@ -333,6 +333,9 @@ def test_ring_axioms(data):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert a + (-a) == Polynomial.zero(ring, a.vars)
+    assert a - b == a + (-b)
+    assert a - a == Polynomial.zero(ring, a.vars)
+    assert (a - b) + b == a
 
 
 # -- packed monomials against plain exponent tuples ---------------------------

@@ -472,6 +472,21 @@ def test_refute_poly_without_a_variable_is_a_configuration_error(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["refute", "poly", "--ring", "ZZ[X]", "--max-moves", "-1"],
+        ["refute", "z", "--N", "2", "--bound", "-1"],
+        ["refute", "poly", "--ring", "ZZ[X]", "--deg", "-1"],
+    ],
+)
+def test_refute_with_an_empty_sweep_is_a_configuration_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"configuration error: {argv[-2]} must be nonnegative, got -1\n"
+
+
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacarena.algebra import GF, QQ, ZZ, MonomialOrder, Polynomial, exponents, pack
 from jacarena.errors import InvalidCertificate
@@ -119,6 +120,54 @@ def test_groebner_random_transformation_invariant():
             gb = groebner(gens, MonomialOrder(vars), ring=ring)
             _check_transformation(gb)
             _check_s_and_g_polys_reduce(gb)
+
+
+UNIT_IDEALS = [
+    (QQ, ["X+1", "X", "3"], ("X",), [["1", "-1", "0"]]),
+    (ZZ, ["2", "3"], ("X",), [["-1", "1"]]),
+    (ZZ, ["2*X+1", "X"], ("X",), [["1", "-2"]]),
+    (GF(5), ["X*Y+1", "X*Y", "Y^2"], ("X", "Y"), [["1", "4", "0"]]),
+]
+
+
+@pytest.mark.parametrize("ring,texts,vars,cofactors", UNIT_IDEALS)
+def test_groebner_stops_at_a_unit_row(ring, texts, vars, cofactors):
+    # the cofactors the full completion gives, pinned before it stopped at a unit
+    gb = gb_of(texts, ring, vars)
+    assert [b.to_text() for b in gb.basis] == ["1"]
+    assert [[c.to_text() for c in cofs] for cofs in gb.cofactors] == cofactors
+    _check_transformation(gb)
+    gens = [parse_polynomial(t, ring, vars) for t in texts]
+    untracked = groebner(gens, MonomialOrder(vars), ring=ring, track=False)
+    assert [b.to_text() for b in untracked.basis] == ["1"]
+
+
+def test_groebner_over_zz_does_not_stop_at_a_non_unit_constant():
+    for track in (True, False):
+        gens = [parse_polynomial(t, ZZ, ("X",)) for t in ["6", "4"]]
+        gb = groebner(gens, MonomialOrder(("X",)), ring=ZZ, track=track)
+        assert [b.to_text() for b in gb.basis] == ["2"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_groebner_with_a_unit_input_is_the_unit_ideal(data):
+    ring = data.draw(st.sampled_from([QQ, ZZ, GF(5)]))
+    vars = ("X", "Y")
+    gens = [
+        Polynomial(ring, vars, data.draw(st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4), max_size=3
+        )))
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    unit = data.draw(st.sampled_from([1, -1] if ring == ZZ else [1, 2, -3]))
+    gens.insert(data.draw(st.integers(0, len(gens))), Polynomial.constant(ring, unit, vars))
+    order = MonomialOrder(vars)
+    tracked = groebner(gens, order, ring=ring)
+    untracked = groebner(gens, order, ring=ring, track=False)
+    assert [b.to_text() for b in tracked.basis] == ["1"]
+    assert [b.to_text() for b in untracked.basis] == ["1"]
+    _check_transformation(tracked)
 
 
 def test_ideal_member_bezout():

@@ -517,6 +517,23 @@ def test_integral_relation_validates_at_construction():
         IntegralRelation(C.element("Y"), Zb.element(2), 1, 3, coeffs[::-1]).require_valid()
 
 
+def test_integral_relation_checks_in_b_when_b_has_non_unit_leading_coefficients():
+    # B's basis is 12, 4*X + 4, X^3 + 2*X + 9: leading coefficients 12, 4, 1
+    Zb = parse_ring("ZZ")
+    B = parse_ring("ZZ[X]/(3*X^3 + 2*X - 1, 12)")
+    ext = MonogenicExtension(Zb, B, "X", parse_polynomial("3*X^3 + 2*X - 1", ZZ, ("X",)))
+    dep = integral_dependence(B.element("X + 2"), ext)
+    assert (dep.l, [c.to_text() for c in dep.coeffs]) == (1, ["29", "-38", "18"])
+
+    def relation(c0):
+        coeffs = (Zb.element(c0),) + dep.coeffs[1:]
+        return IntegralRelation(dep.y, dep.a, dep.l, dep.d, coeffs)
+
+    assert relation(29 + 12).verify()  # 12 = 0 in B
+    assert not relation(29 + 1).verify()
+    assert not relation(29 + 6).verify()
+
+
 def test_monogenic_extension_validation():
     Zb = parse_ring("ZZ")
     B = parse_ring("ZZ[Y,W]/(Y^2+1)")
