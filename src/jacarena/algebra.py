@@ -28,7 +28,10 @@ numerators are convolved, or raised by repeated squaring, as over ZZ; and
 each term of the result is divided by the product of the D's once, an
 ``int`` when it divides and a reduced ``Fraction`` otherwise.  A product of
 two Fractions would take two gcds per pair of terms.  A QQ
-``NilCertificate`` identity is checked with these products and powers.
+``NilCertificate`` identity is checked with these products and powers, and
+``scale`` works the same way.  Reduction over QQ (``ideals._reduce_full``)
+and the sum of powers in ``rings.zero_dim_witness`` also run on the
+numerators that ``_cleared`` gives, with one division per result term.
 """
 
 from __future__ import annotations
@@ -445,6 +448,12 @@ class Polynomial:
         c0 = ring.normalize(coeff)
         if c0 == ring.zero():
             return Polynomial.zero(ring, self.vars)
+        if ring.kind == "QQ":
+            den, nums = _cleared(self.terms)
+            k = c0.numerator
+            return Polynomial._raw(
+                ring, self.vars, _over({m: c * k for m, c in nums.items()}, den * c0.denominator)
+            )
         return Polynomial._raw(
             ring, self.vars, {m: ring.mul(c, c0) for m, c in self.terms.items()}
         )
@@ -456,6 +465,8 @@ class Polynomial:
         if c0 == ring.zero() or not self.terms:
             return Polynomial.zero(ring, self.vars)
         _check_degree((max(self.terms) + mono) >> (len(self.vars) * _W))
+        if c0 == 1:
+            return Polynomial._raw(ring, self.vars, {m + mono: c for m, c in self.terms.items()})
         return Polynomial._raw(
             ring,
             self.vars,

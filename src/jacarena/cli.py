@@ -209,6 +209,10 @@ def cmd_refute(args):
         ring = parse_ring("ZZ")
         targets = [int(s) for s in args.N.split(",")]
         for n_value in targets:
+            if abs(n_value) <= 1:
+                # 0 is nilpotent and +-1 are units: there is nothing to refute
+                raise ValueError(f"--N must not be 0, 1 or -1, got {n_value}")
+        for n_value in targets:
             for n_moves in range(args.max_moves + 1):
                 for moves in itertools.product(_int_range(args.bound), repeat=n_moves):
                     c = DiagonalRefuterZ.forced_constant(n_value, list(moves))

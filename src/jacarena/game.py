@@ -200,6 +200,8 @@ def referee_play(ring, x, xprime, budget, prover, delayer):
     strategy whose internal hypothesis fails at runtime does not abort the
     match: it stops moving, the budget drops to zero, and the leaf check
     decides the winner; the failure is kept on the transcript's diagnosis.
+    A Delayer win with no such failure is diagnosed by the first round in
+    which the Prover proposed no move at a positive budget, if there is one.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -210,6 +212,7 @@ def referee_play(ring, x, xprime, budget, prover, delayer):
     pos = GamePosition(ring, budget, ())
     rounds = []
     diagnosis = None
+    silent = None
     while pos.tau > 0:
         try:
             moves = list(prover.propose(pos))
@@ -223,6 +226,8 @@ def referee_play(ring, x, xprime, budget, prover, delayer):
             raise IllegalMove(
                 "delayer", f"{len(moves)} moves got {len(replies)} replies"
             )
+        if not moves and silent is None:
+            silent = f"prover proposed no move at budget {pos.tau} in round {len(rounds)}"
         if diagnosis is None:
             try:
                 declared, prover = prover.receive(pos, moves, replies)
@@ -243,6 +248,8 @@ def referee_play(ring, x, xprime, budget, prover, delayer):
 
     cert = nil_member(xprime, list(pos.constraints))
     winner = "prover" if cert is not None else "delayer"
+    if winner == "delayer" and diagnosis is None:
+        diagnosis = silent
     return Transcript(
         ring,
         x,

@@ -10,6 +10,10 @@ over the input generators, exactly.
 The reduced basis of the unit ideal is [1]: a completion stops at its first
 unit row (a nonzero constant over a field, +-1 over ZZ), and an untracked one
 at a unit input, before any reduction.
+
+Over QQ, reduction runs on ints: the polynomial being reduced is kept as
+int numerators over one running scale, and each row as int numerators over
+its own denominator, cleared once per row (see ``_reduce_full``).
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .algebra import Polynomial, exponents, pack
+from .algebra import Polynomial, _cleared, _over, exponents, pack
 from .errors import InvalidCertificate
 
 
@@ -38,12 +43,15 @@ def _egcd(a, b):
 
 
 class _Row:
-    __slots__ = ("poly", "cof", "lm", "lc")
+    __slots__ = ("poly", "cof", "lm", "lc", "ints")
 
     def __init__(self, poly, cof, order):
         self.poly = poly
         self.cof = cof
         self.lm, self.lc = order.leading(poly.terms)
+        # over QQ, (L, P) with poly = P/L and P on ints; the terms themselves
+        # when L = 1
+        self.ints = _cleared(poly.terms) if poly.ring.kind == "QQ" else (1, poly.terms)
 
 
 def _combine_cofs(ring, vars, base, quots, rows):
@@ -67,14 +75,26 @@ def _reduce_full(p, rows, order, track):
     leading coefficient; a term survives only when no row can shrink it.
     Terms are visited largest first through a lazy min-heap of negated
     DEGREVLEX keys, so reductions only ever touch strictly smaller monomials.
+
+    Over QQ the work runs on ints, fraction-free in the spirit of Bareiss
+    1968: the work and the remainder are int numerators over one running
+    scale S, and each row is P/L with P on ints (``_Row.ints``).  A step on
+    a term with numerator c, coefficient c/S, multiplies the work and the
+    remainder by u = L/gcd(c, L), so that the term's numerator is c*L/g for
+    g = gcd(c, L), and subtracts (c/g)*P; the quotient term is c/S.  When
+    every row has L = 1 the scale never moves.  The remainder is divided by
+    S once, at the end, and a quotient term once, when it is recorded: an
+    int where the division is exact and a reduced Fraction otherwise.  The
+    results are the rationals that Fraction arithmetic gives.
     """
     ring = p.ring
     vars = order.vars
-    zero = ring.zero()
-    work = dict(p.terms)
+    integer = ring.kind == "ZZ"
+    mod = ring.p
+    scale, work = _cleared(p.terms) if ring.kind == "QQ" else (1, p.terms)
+    work = dict(work)
     remainder = {}
     quots = [{} for _ in rows] if track else None
-    integer = ring.kind == "ZZ"
     guards = order.guards
     lms = [row.lm for row in rows]
     # The negated key of m is h = m - (deg(m) << (s + 1)); the same map takes
@@ -105,6 +125,9 @@ def _reduce_full(p, rows, order, track):
             continue
         idx = best
         row = rows[idx]
+        shift = m - lms[idx]
+        den, terms = row.ints
+        r = 0
         if integer:
             q, r = divmod(c, row.lc)
             if q == 0:
@@ -112,27 +135,35 @@ def _reduce_full(p, rows, order, track):
                 del work[m]
                 continue
         else:
-            q, r = c, zero
-        shift = m - lms[idx]
-        for m2, c2 in row.poly.terms.items():
+            q = c
+        if track:
+            # m is reduced once, so each (row, shift) is set once, to q != 0
+            quots[idx][shift] = ring.normalize(Fraction(c, scale)) if scale != 1 else q
+        if den != 1:
+            g = math.gcd(c, den)
+            q, u = c // g, den // g
+            if u != 1:
+                scale *= u
+                work = {k: v * u for k, v in work.items()}
+                remainder = {k: v * u for k, v in remainder.items()}
+        for m2, c2 in terms.items():
             mm = m2 + shift
             old = work.get(mm)
-            cc = ring.sub(old if old is not None else zero, ring.mul(q, c2))
-            if cc == zero:
+            cc = (0 if old is None else old) - q * c2
+            if mod:
+                cc %= mod
+            if cc == 0:
                 if old is not None:
                     del work[mm]
             else:
                 work[mm] = cc
                 if old is None and mm != m:
                     heappush(heap, mm - ((mm >> s) << s1))
-        if integer and r != 0:
+        if r != 0:
             remainder[m] = r
             work.pop(m, None)
-        if track:
-            # m is reduced once, so each (row, shift) is set once, to q != 0
-            quots[idx][shift] = q
-    # Every remainder coefficient is already canonical and nonzero.
-    nf = Polynomial._raw(ring, vars, remainder)
+    # Every remainder coefficient is canonical and nonzero once over the scale.
+    nf = Polynomial._raw(ring, vars, _over(remainder, scale))
     if track:
         return nf, [Polynomial._raw(ring, vars, q) for q in quots]
     return nf, None

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from .algebra import MonomialOrder, Polynomial, exponents
+from .algebra import MonomialOrder, Polynomial, _cleared, _over, exponents
 from .errors import (
     IncompatibleRings,
     InvalidCertificate,
@@ -325,13 +325,17 @@ def minimal_polynomial(x):
     combination of powers it stands for, so the first row whose coordinates
     vanish is a multiple of the minimal polynomial.
 
-    Over GF(p) a row holds residues and every pivot is 1.  Over QQ a row
-    holds integers: v_k is kept as integer numerators over one denominator,
-    and a row is eliminated fraction-free as in Bareiss 1968, except that
-    after each step, cross-multiplied by the pivot, it is divided by its
-    content rather than by the previous pivot; without that division the
-    entries grow with every pivot.  Over a field a combination of staircase
-    monomials is a normal form, so the powers are built from their
+    Over GF(p) a pivot row holds residues with pivot 1.  A new row is
+    eliminated on plain ints, with each multiplier reduced mod p, so after
+    k steps its entries stay below (k+1)*p^2; it is reduced mod p once, when
+    it is made a pivot or found dependent.  Over QQ a row holds integers:
+    v_k is kept as integer numerators over one denominator, and a row is
+    eliminated fraction-free as in Bareiss 1968, except that after each
+    step, cross-multiplied by the pivot, it is divided by its content
+    rather than by the previous pivot; without that division the entries
+    grow with every pivot.  Over a field a combination of staircase
+    monomials is a normal form.  So a column x*s_j whose monomials all lie
+    in the staircase is used as it is, and the powers are built from their
     coordinates with no multiplication or reduction.
     """
     ring = x.ring
@@ -362,13 +366,13 @@ def minimal_polynomial(x):
         return [c // g for c in w], den // g
 
     def column(j):
-        # (denominator, [(i, numerator)]) of the normal form of x * stair[j]
-        terms = ring.normal_form(x.poly.mul_term(stair[j], 1)).terms
-        cden = reduce(lcm, (c.denominator for c in terms.values()), 1)
-        columns[j] = col = (
-            cden,
-            [(index[m], c.numerator * (cden // c.denominator)) for m, c in terms.items()],
-        )
+        # (denominator, [(i, numerator)]) of the normal form of x * stair[j];
+        # a product whose monomials all lie in the staircase is one already
+        poly = x.poly.mul_term(stair[j], 1)
+        if not all(m in index for m in poly.terms):
+            poly = ring.normal_form(poly)
+        cden, terms = _cleared(poly.terms) if p is None else (1, poly.terms)
+        columns[j] = col = (cden, [(index[m], c) for m, c in terms.items()])
         return col
 
     # the staircase is sorted by degree, so its first monomial is 1
@@ -382,11 +386,12 @@ def minimal_polynomial(x):
         row[dim + k] = den
         for i, prow in pivots:
             f = row[i]
-            if not f:
-                continue
             if p is not None:
-                row = [(a - f * b) % p for a, b in zip(row, prow)]
-            else:
+                # entries stay below (k+1)*p^2 until the one reduction below
+                f %= p
+                if f:
+                    row = [a - f * b for a, b in zip(row, prow)]
+            elif f:
                 q = prow[i]
                 g = gcd(f, q)
                 f, q = f // g, q // g
@@ -394,10 +399,11 @@ def minimal_polynomial(x):
                 g = reduce(gcd, row, 0)
                 if g != 1:
                     row = [a // g for a in row]
-        lead = next((i for i in range(dim) if row[i]), None)
+        lead = next((i for i in range(dim) if (row[i] % p if p else row[i])), None)
         if lead is None:
-            top = row[dim + k]
-            terms = {(j,): Fraction(c, top) for j, c in enumerate(row[dim:]) if c}
+            tail = [c % p for c in row[dim:]] if p else row[dim:]
+            top = tail[k]
+            terms = {(j,): Fraction(c, top) for j, c in enumerate(tail) if c}
             return Polynomial(base, ("T",), terms), powers
         if p is not None:
             inv = pow(row[lead], -1, p)
@@ -419,6 +425,9 @@ def zero_dim_witness(x):
     r has degree below that of the minimal polynomial, so a is summed from
     the normal forms of the powers of x that the minimal polynomial scan
     kept; a linear combination of normal forms over a field is a normal form.
+    The sum runs on the powers' int numerators over one common denominator
+    (over GF(p), on residues), with one division (or one reduction mod p)
+    per coefficient.
     ZZ/n takes ``_modular_witness``.  Other finite ZZ-based rings take the
     first e with x^e*R = x^(e+1)*R, where the powers of x turn periodic, and
     a from x^e = a*x^(e+1).  Each strict step of that chain at least halves
@@ -434,11 +443,25 @@ def zero_dim_witness(x):
         by_deg = {exponents(m, 1)[0]: c for m, c in mu.terms.items()}
         e = min(by_deg)
         factor = base.neg(base.invert(by_deg[e]))
-        a_poly = Polynomial.zero(base, ring.vars)
+        # a = sum of w_j * N_j / D_j over the powers' numerators N_j over D_j,
+        # with the weights w_j = factor * c_j
+        parts = []
         for j, cj in by_deg.items():
             if j > e:
-                a_poly = a_poly + powers[j - e - 1].scale(base.mul(factor, cj))
-        a = RingElement(ring, a_poly)
+                w = base.mul(factor, cj)
+                den, nums = _cleared(powers[j - e - 1].terms)
+                parts.append((w.numerator, w.denominator * den, nums))
+        common = reduce(lcm, (den for _, den, _ in parts), 1)
+        sums = {}
+        for num, den, nums in parts:
+            num *= common // den
+            for m, c in nums.items():
+                sums[m] = sums.get(m, 0) + num * c
+        if base.p:
+            terms = {m: r for m, c in sums.items() if (r := c % base.p)}
+        else:
+            terms = _over({m: c for m, c in sums.items() if c}, common)
+        a = RingElement(ring, Polynomial._raw(base, ring.vars, terms))
     elif not ring.vars:
         e, a = _modular_witness(x)
     else:

@@ -487,6 +487,13 @@ def test_refute_with_an_empty_sweep_is_a_configuration_error(argv, capsys):
     assert err == f"configuration error: {argv[-2]} must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("n_value", ["0", "1", "-1"])
+def test_refute_z_refuses_a_nilpotent_or_unit_n(n_value, capsys):
+    code, out, err = run(["refute", "z", f"--N={n_value}", "--max-moves", "1", "--bound", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: --N must not be 0, 1 or -1, got {n_value}\n"
+
+
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

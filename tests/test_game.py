@@ -211,6 +211,18 @@ def test_failing_prover_becomes_diagnosed_loss():
     assert verify_transcript(t)
 
 
+@pytest.mark.parametrize("x_value,winner,diagnosis", [
+    (2, "delayer", "prover proposed no move at budget 2 in round 1"),
+    (0, "prover", None),
+])
+def test_a_round_with_no_move_diagnoses_only_a_loss(x_value, winner, diagnosis):
+    Z = parse_ring("ZZ")
+    prover = FixedMovesProver(Z, Z.element(x_value), [[Z.element(0)], [], []])
+    t = referee_play(Z, Z.element(x_value), Z.element(x_value), 3, prover, ConstantDelayer(Z, 1))
+    assert [len(r.moves) for r in t.rounds] == [1, 0, 0]
+    assert (t.winner, t.diagnosis) == (winner, diagnosis)
+
+
 def test_scripted_prover_plays_given_moves():
     Z = parse_ring("ZZ")
     prover = FixedMovesProver(Z, Z.element(5), [[Z.element(2)], [Z.element(0)]])

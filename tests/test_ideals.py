@@ -290,3 +290,74 @@ def test_qq_certificate_with_a_cofactor_off_by_one_over_the_common_denominator_f
         changed = list(cofs)
         changed[i] = changed[i] + Fraction(1, den)
         assert not NilCertificate(x, e, gens, tuple(changed)).verify()
+
+
+def _fraction_reduce(p, rows, order, track):
+    """Reference reducer over QQ on Fraction arithmetic, as the reducer was
+    before it ran on ints: every row is monic, so the quotient of the
+    largest reducible term c*m is c itself."""
+    work = {m: Fraction(c) for m, c in p.terms.items()}
+    remainder = {}
+    quots = [{} for _ in rows]
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        idx = next((i for i, row in enumerate(rows) if order.divides(row.lm, m)), None)
+        if idx is None:
+            remainder[m] = c
+            continue
+        shift = m - rows[idx].lm
+        quots[idx][shift] = c
+        for m2, c2 in rows[idx].poly.terms.items():
+            if m2 != rows[idx].lm:
+                v = work.get(m2 + shift, 0) - c * c2
+                if v:
+                    work[m2 + shift] = v
+                else:
+                    work.pop(m2 + shift, None)
+    nf = Polynomial._raw(p.ring, order.vars, remainder)
+    if not track:
+        return nf, None
+    return nf, [Polynomial._raw(p.ring, order.vars, q) for q in quots]
+
+
+def _assert_canonical(poly):
+    for c in poly.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+_qq_coefficients = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 97))
+_qq_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), _qq_coefficients, min_size=1, max_size=4
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_qq_polys, min_size=1, max_size=3), st.lists(_qq_polys, min_size=1, max_size=3))
+def test_integer_reducer_matches_the_fraction_reducer(gen_terms, target_terms):
+    import jacarena.ideals as ideals
+
+    vars = ("X", "Y")
+    order = MonomialOrder(vars)
+    gens = [Polynomial(QQ, vars, t) for t in gen_terms]
+    targets = [Polynomial(QQ, vars, t) for t in target_terms]
+    for track in (True, False):
+        gb = groebner(gens, order, ring=QQ, track=track)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ideals, "_reduce_full", _fraction_reduce)
+            ref = groebner(gens, order, ring=QQ, track=track)
+        assert gb.basis == ref.basis
+        assert gb.cofactors == ref.cofactors
+        for poly in gb.basis:
+            _assert_canonical(poly)
+        for p in targets:
+            nf = gb.normal_form(p)
+            assert nf == _fraction_reduce(p, gb._rows, order, False)[0]
+            _assert_canonical(nf)
+            if track:
+                nf, quots = gb.reduce_tracked(p)
+                ref_nf, ref_quots = _fraction_reduce(p, gb._rows, order, True)
+                assert (nf, quots) == (ref_nf, ref_quots)
+                for q in quots:
+                    _assert_canonical(q)

@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,9 +296,9 @@ def _zero_dim_elements(draw):
     """x in K[X]/(f) or K[X,Y]/(f, g), f = X^a + lower, g = Y^b + lower in
     total degree; the coprime leading terms make {f, g} a Groebner basis,
     so the quotient has dimension a*b."""
-    base = draw(st.sampled_from([QQ, GF(2), GF(7), GF(32003)]))
+    base = draw(st.sampled_from([QQ, GF(2), GF(7), GF(32003), GF(2**61 - 1)]))
     if base.kind == "QQ":
-        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=97)
     else:
         coeff = st.integers(0, base.p - 1)
     names = ("X", "Y")[: draw(st.integers(1, 2))]
@@ -383,14 +384,20 @@ def _witness_by_power_formula(x):
 def _random_univariate_cases(base, seed):
     rng = random.Random(seed)
     ring = parse_ring(f"{base!r}[X]")
+
+    def coeff(bound):
+        # over QQ, with denominators up to 97
+        c = rng.randint(-bound, bound)
+        return Fraction(c, rng.randint(1, 97)) if base.kind == "QQ" else c
+
     cases = []
     for _ in range(4):
         deg = rng.randint(1, 12)
         nil = rng.randint(0, min(deg, 3))
-        terms = {(nil + i,): rng.randint(-5, 5) for i in range(deg - nil)}
+        terms = {(nil + i,): coeff(5) for i in range(deg - nil)}
         terms[(deg,)] = 1
         m = Polynomial(base, ("X",), terms)
-        x_terms = {(i,): rng.randint(-3, 3) for i in range(rng.randint(1, deg + 1))}
+        x_terms = {(i,): coeff(3) for i in range(rng.randint(1, deg + 1))}
         if rng.random() < 0.5:
             x_terms = {(i + 1,): c for (i,), c in x_terms.items()}
         quotient = ring.quotient_extend([m])
@@ -404,7 +411,7 @@ def _assert_witness_matches_power_formula(x):
     assert (x ** e * (x.ring.one() - a * x)).is_zero()
 
 
-@pytest.mark.parametrize("base", [QQ, GF(2), GF(7)], ids=repr)
+@pytest.mark.parametrize("base", [QQ, GF(2), GF(7), GF(2**61 - 1)], ids=repr)
 @pytest.mark.parametrize("seed", range(4))
 def test_zero_dim_witness_matches_power_formula(base, seed):
     for x in _random_univariate_cases(base, seed):

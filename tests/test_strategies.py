@@ -573,7 +573,8 @@ _SWEPT_RINGS = [
 ] + [("ZZ", "", _ALL_REPLIES), ("ZZ", "[X]", _ALL_REPLIES), ("ZZ", "[X,Y]", _CONSTANT_REPLIES)]
 
 # Replies that are all 1 (mod p) meet the tower fault (ROADMAP item 1): the
-# auto Prover stops moving and loses with no diagnosis.
+# auto Prover stops moving and loses; the diagnosis names the first round in
+# which it proposed no move.
 _TOWER_FAULT = [
     (ring, x, delayer)
     for ring, ones in [("GF(2)[X,Y,Z]", ["constant(1)", "random:1:0:1"]),
@@ -607,6 +608,15 @@ def test_auto_prover_wins_at_the_paper_budget(base, vars, delayers):
 def test_auto_prover_wins_zz_xy_against_echo(x_text):
     t = _auto_match("ZZ[X,Y]", x_text, "echo")
     assert (t.winner, t.diagnosis) == ("prover", None)
+    assert verify_transcript(Transcript.from_json(t.to_json()))
+
+
+def test_a_silent_loss_names_the_round_with_no_move():
+    t = _auto_match("GF(2)[X,Y,Z]", "X+Y*Z", "random:1:0:1")
+    assert t.winner == "delayer"
+    assert t.diagnosis == "prover proposed no move at budget 2 in round 2"
+    assert [len(r.moves) for r in t.rounds] == [1, 2, 0]
+    assert "diagnosis" not in t.to_json()
     assert verify_transcript(Transcript.from_json(t.to_json()))
 
 
