@@ -162,7 +162,7 @@ def _reduce_full(p, rows, order, track):
         if r != 0:
             remainder[m] = r
             work.pop(m, None)
-    # Every remainder coefficient is canonical and nonzero once over the scale.
+    # Divided by the scale, every remainder coefficient is canonical and nonzero.
     nf = Polynomial._raw(ring, vars, _over(remainder, scale))
     if track:
         return nf, [Polynomial._raw(ring, vars, q) for q in quots]
