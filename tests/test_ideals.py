@@ -293,9 +293,8 @@ def test_qq_certificate_with_a_cofactor_off_by_one_over_the_common_denominator_f
 
 
 def _fraction_reduce(p, rows, order, track):
-    """Reference reducer over QQ on Fraction arithmetic, as the reducer was
-    before it ran on ints: every row is monic, so the quotient of the
-    largest reducible term c*m is c itself."""
+    """Reference reducer over QQ on Fraction arithmetic: every row is monic,
+    so the quotient of the largest reducible term c*m is c itself."""
     work = {m: Fraction(c) for m, c in p.terms.items()}
     remainder = {}
     quots = [{} for _ in rows]
