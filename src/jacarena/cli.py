@@ -13,7 +13,7 @@ import csv
 import itertools
 import sys
 
-from .errors import EngineError, MalformedTranscript, RingSyntaxError, UnknownAgentSpec
+from .errors import EngineError, MalformedTranscript, NotFinite, RingSyntaxError, UnknownAgentSpec
 from .game import Transcript, referee_play, verify_transcript
 from .oracle import enumerate_finite, minimal_alpha, minimal_alpha_ring
 from .parsing import parse_ring
@@ -226,8 +226,9 @@ def cmd_refute(args):
     if args.kind != "poly":
         raise UnknownAgentSpec(f"unknown refuter kind {args.kind!r}")
     ring = parse_ring(args.ring)
-    if not ring.vars:
-        raise ValueError(f"refute poly needs a polynomial ring, got {ring.to_text()}")
+    # A[X] has no relation in X, and over the zero ring X is nilpotent
+    if not ring.vars or any(r.degree_in(ring.vars[-1]) for r in ring.relations) or ring.is_trivial():
+        raise ValueError(f"refute poly needs A[X] over a nontrivial A, got {ring.to_text()}")
     x = ring.element(ring.vars[-1])
     moves_pool = []
     for coeffs in itertools.product(_int_range(args.bound), repeat=args.deg + 1):
@@ -252,11 +253,13 @@ def cmd_refute(args):
 
 
 def cmd_alpha(args):
+    try:
+        tables = [(text, enumerate_finite(parse_ring(text))) for text in args.rings]
+    except NotFinite as exc:
+        raise ValueError(f"alpha needs a finite ring: {exc}") from None
     writer = csv.writer(sys.stdout)
     writer.writerow(["ring", "x", "xPrime", "minimalAlpha"])
-    for text in args.rings:
-        ring = parse_ring(text)
-        table = enumerate_finite(ring)
+    for text, table in tables:
         if args.per_element:
             for x in table.elements:
                 alpha = minimal_alpha(table, x, x)

@@ -60,7 +60,8 @@ class UnsupportedRing(EngineError):
 
 
 class UnknownAgentSpec(EngineError):
-    """An agent spec string names no Prover or Delayer the engine knows."""
+    """An agent spec string names no Prover or Delayer the engine knows, or
+    asks a known one for more than the engine bounds."""
 
 
 class BudgetOverflow(EngineError):

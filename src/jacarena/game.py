@@ -202,6 +202,8 @@ def referee_play(ring, x, xprime, budget, prover, delayer):
     decides the winner; the failure is kept on the transcript's diagnosis.
     A Delayer win with no such failure is diagnosed by the first round in
     which the Prover proposed no move at a positive budget, if there is one.
+    At budget 1 the only legal declaration is 0, so the referee records 0
+    and never calls the Prover's ``receive`` there.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -228,16 +230,14 @@ def referee_play(ring, x, xprime, budget, prover, delayer):
             )
         if not moves and silent is None:
             silent = f"prover proposed no move at budget {pos.tau} in round {len(rounds)}"
-        if diagnosis is None:
+        declared = 0
+        if diagnosis is None and pos.tau > 1:
             try:
                 declared, prover = prover.receive(pos, moves, replies)
             except IllegalMove:
                 raise
             except EngineError as exc:
                 diagnosis = f"prover strategy failed on the replies: {exc}"
-                declared = 0
-        else:
-            declared = 0
         if not (0 <= declared < pos.tau):
             raise IllegalMove(
                 "prover", f"declared budget {declared} at position budget {pos.tau}"

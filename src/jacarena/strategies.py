@@ -5,11 +5,12 @@ round's elements, ``receive`` consumes the Delayer's replies and returns the
 declared next budget together with a continuation strategy.  A strategy's
 ``receive`` is called only after its ``propose``, at the same position, so a
 combinator keeps the sub-moves its ``propose`` got and hands exactly those to
-the sub's ``receive``; no ``receive`` proposes again.  Correctness is
-enforced semantically by the referee's leaf check, so combinators only have
-to produce the right moves.  Declared budgets are clamped to stay strictly
-below the current position budget; a starved strategy plays on and simply
-loses.
+the sub's ``receive``; no ``receive`` proposes again.  The referee never
+calls ``receive`` at budget 1, where 0 is the only legal declaration.
+Correctness is enforced semantically by the referee's leaf check, so
+combinators only have to produce the right moves.  Declared budgets are
+clamped to stay strictly below the current position budget; a starved
+strategy plays on and simply loses.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from .rings import (
 class ProverStrategy:
     """Base move generator; subclasses override propose/receive."""
 
-    def __init__(self, ring, x, budget, name):
+    def __init__(self, ring, budget, name):
         self.ring = ring
-        self.x = x
         self.budget = budget
         self.name = name
 
@@ -61,8 +61,8 @@ class ProverStrategy:
 class ImmediateWinStrategy(ProverStrategy):
     """Never moves; relies on the leaf check already holding."""
 
-    def __init__(self, ring, x):
-        super().__init__(ring, x, 0, "immediate")
+    def __init__(self, ring):
+        super().__init__(ring, 0, "immediate")
 
 
 class ZeroDimStrategy(ProverStrategy):
@@ -73,14 +73,15 @@ class ZeroDimStrategy(ProverStrategy):
     """
 
     def __init__(self, ring, x):
-        super().__init__(ring, ring.element(x), 1, "zeroDim")
+        super().__init__(ring, 1, "zeroDim")
+        self.x = ring.element(x)
         self.exponent, self.move = zero_dim_witness(self.x)
 
     def propose(self, pos):
         return [self.move]
 
     def receive(self, pos, moves, replies):
-        return self._declare(pos, 0), ImmediateWinStrategy(self.ring, self.x)
+        return self._declare(pos, 0), ImmediateWinStrategy(self.ring)
 
 
 class EuclideanDim1Strategy(ProverStrategy):
@@ -88,7 +89,8 @@ class EuclideanDim1Strategy(ProverStrategy):
     finish with a zero-dimensional witness in the finite quotient."""
 
     def __init__(self, ring, x):
-        super().__init__(ring, ring.element(x), 2, "euclideanDim1")
+        super().__init__(ring, 2, "euclideanDim1")
+        self.x = ring.element(x)
         base = ring.base
         if ring.relations or (base.kind == "ZZ" and ring.vars) or (
             base.kind != "ZZ" and len(ring.vars) > 1
@@ -116,21 +118,21 @@ class EuclideanDim1Strategy(ProverStrategy):
         return [] if self.move is None else [self.move]
 
     def receive(self, pos, moves, replies):
-        if self.move is None or pos.tau <= 1:
-            return self._declare(pos, 0), ImmediateWinStrategy(self.ring, self.x)
+        if self.move is None:
+            return self._declare(pos, 0), ImmediateWinStrategy(self.ring)
         b = replies[0]
         m = self.ring.one() - b * (self.ring.one() - self.move * self.x)
         quotient = self.ring.quotient_extend([m])
         inner = ZeroDimStrategy(quotient, self.x.poly)
-        return self._declare(pos, 1), _Bridge(self.ring, self.x, 1, inner, self.name)
+        return self._declare(pos, 1), _Bridge(self.ring, 1, inner, self.name)
 
 
 class _Bridge(ProverStrategy):
     """Play a strategy that lives over another presentation of the same
     ambient polynomials; moves and replies cross by representative."""
 
-    def __init__(self, ring, x, budget, sub, name):
-        super().__init__(ring, x, budget, name)
+    def __init__(self, ring, budget, sub, name):
+        super().__init__(ring, budget, name)
         self.sub = sub
 
     def propose(self, pos):
@@ -141,18 +143,13 @@ class _Bridge(ProverStrategy):
         sub_moves = [self.sub.ring.element(m.poly) for m in moves]
         sub_replies = [self.sub.ring.element(b.poly) for b in replies]
         declared, cont = self.sub.receive(pos, sub_moves, sub_replies)
-        return (
-            self._declare(pos, declared),
-            _Bridge(self.ring, self.x, declared, cont, self.name),
-        )
+        return self._declare(pos, declared), _Bridge(self.ring, declared, cont, self.name)
 
 
 def quotient_push(strategy, extra):
     """Transport a strategy along a quotient: same moves, larger relation ideal."""
     ring = strategy.ring.quotient_extend(extra)
-    return _Bridge(
-        ring, ring.element(strategy.x.poly), strategy.budget, strategy, strategy.name
-    )
+    return _Bridge(ring, strategy.budget, strategy, strategy.name)
 
 
 class CutStrategy(ProverStrategy):
@@ -164,7 +161,7 @@ class CutStrategy(ProverStrategy):
 
     def __init__(self, s1, s2, name=None):
         budget = max(s1.budget, s2.budget)
-        super().__init__(s1.ring, s1.x, budget, name or f"cut({s1.name}|{s2.name})")
+        super().__init__(s1.ring, budget, name or f"cut({s1.name}|{s2.name})")
         self.s1 = s1
         self.s2 = s2
 
@@ -174,8 +171,6 @@ class CutStrategy(ProverStrategy):
         return self.moves1 + [self.ring.element(m.poly) for m in self.moves2]
 
     def receive(self, pos, moves, replies):
-        if pos.tau <= 1:
-            return 0, ImmediateWinStrategy(self.ring, self.x)
         n1 = len(self.moves1)
         b1, c1 = self.s1.receive(pos, self.moves1, replies[:n1])
         down_r = [self.s2.ring.element(b.poly) for b in replies[n1:]]
@@ -197,8 +192,8 @@ class IntegralTransportStrategy(ProverStrategy):
     constraint lies in the ideal of the extension constraint.
     """
 
-    def __init__(self, ring, x, sub, a0, ext, factor):
-        super().__init__(ring, x, sub.budget, sub.name)
+    def __init__(self, ring, sub, a0, ext, factor):
+        super().__init__(ring, sub.budget, sub.name)
         self.sub = sub
         self.a0 = a0
         self.ext = ext
@@ -212,16 +207,12 @@ class IntegralTransportStrategy(ProverStrategy):
         ]
 
     def receive(self, pos, moves, replies):
-        if pos.tau <= 1:
-            return 0, ImmediateWinStrategy(self.ring, self.x)
         inner_replies = [
             key_elementary_transfer(self.a0, a1, b2, self.ext)
             for a1, b2 in zip(self.inner_moves, replies)
         ]
         declared, cont = self.sub.receive(pos, self.inner_moves, inner_replies)
-        return declared, IntegralTransportStrategy(
-            self.ring, self.x, cont, self.a0, self.ext, self.factor
-        )
+        return declared, IntegralTransportStrategy(self.ring, cont, self.a0, self.ext, self.factor)
 
 
 def loc_integral_strategy(ring, y, rel, sub_factory, ext):
@@ -245,14 +236,13 @@ def loc_integral_strategy(ring, y, rel, sub_factory, ext):
         return acc
 
     def build(k, ring_k):
-        y_k = ring_k.element(y.poly)
         if k == 0:
-            return ImmediateWinStrategy(ring_k, y_k)
+            return ImmediateWinStrategy(ring_k)
         a0 = cs[d - k]
         ext_k = MonogenicExtension(base, ring_k, ext.var, ext.relation)
         sub = sub_factory(d - k)
         f_prev = ring_k.element(f_raw(k - 1))
-        transport = IntegralTransportStrategy(ring_k, y_k, sub, a0, ext_k, f_prev)
+        transport = IntegralTransportStrategy(ring_k, sub, a0, ext_k, f_prev)
         lower = build(k - 1, ring_k.quotient_extend([f_prev]))
         return CutStrategy(transport, lower, transport.name)
 
@@ -272,9 +262,8 @@ class PolyLiftStrategy(ProverStrategy):
 
     def __init__(self, ring, f, factory):
         self.coeff_ring = coefficient_ring(ring)
-        super().__init__(
-            ring, ring.element(f), factory.budget + 1, f"polyLift({factory.name})"
-        )
+        super().__init__(ring, factory.budget + 1, f"polyLift({factory.name})")
+        self.x = ring.element(f)
         self.var = ring.vars[-1]
         self.factory = factory
 
@@ -284,17 +273,17 @@ class PolyLiftStrategy(ProverStrategy):
         return [self.ring.element(Polynomial.variable(self.ring.base, self.var, self.ring.vars))]
 
     def receive(self, pos, moves, replies):
-        if self.x.is_zero() or pos.tau <= 1:
-            return self._declare(pos, 0), ImmediateWinStrategy(self.ring, self.x)
+        if self.x.is_zero():
+            return self._declare(pos, 0), ImmediateWinStrategy(self.ring)
         g = replies[0]
         h = self.ring.one() - g * (self.ring.one() - moves[0] * self.x)
         declared = self._declare(pos, self.factory.budget)
-        return declared, _Bridge(self.ring, self.x, declared, self._chain_for(h), self.name)
+        return declared, _Bridge(self.ring, declared, self._chain_for(h), self.name)
 
     def _chain_for(self, h):
         ring, f = self.ring, self.x
         if h.is_zero():
-            return ImmediateWinStrategy(ring, f)
+            return ImmediateWinStrategy(ring)
         split = h.poly.coefficients_in(self.var)
         degree = max(split)
         coeffs = {
@@ -303,12 +292,12 @@ class PolyLiftStrategy(ProverStrategy):
         }
 
         def chain(k, ring_k, base_k):
-            f_k = ring_k.element(f.poly)
             if k == -1:
-                return ImmediateWinStrategy(ring_k, f_k)
+                return ImmediateWinStrategy(ring_k)
             a_k = base_k.element(coeffs[k])
             if a_k.is_zero():
                 return chain(k - 1, ring_k, base_k)
+            f_k = ring_k.element(f.poly)
             lower_ring = ring_k.quotient_extend([ring_k.element(coeffs[k].remap(ring_k.vars))])
             deeper = chain(k - 1, lower_ring, base_k.quotient_extend([a_k]))
             rel_poly = Polynomial.zero(ring.base, ring.vars)
@@ -380,7 +369,8 @@ class FixedMovesProver(ProverStrategy):
 
     def __init__(self, ring, x, rounds):
         rounds = [list(r) for r in rounds]
-        super().__init__(ring, ring.element(x), len(rounds), "scripted")
+        super().__init__(ring, len(rounds), "scripted")
+        self.x = ring.element(x)
         self.rounds = rounds
 
     def propose(self, pos):
@@ -591,6 +581,9 @@ class DiagonalRefuterPoly(DelayerStrategy):
         return self.ring.one() - h
 
 
+# most candidate monomials, (degLE+1)^nvars, that a random reply may draw from
+_RANDOM_MAX_MONOMIALS = 1024
+
 _RANDOM_SPEC = re.compile(
     r"random\(seed=(-?\d+),degLE=(\d+),absLE=(\d+)\)$|random:(-?\d+)(?::(\d+))?(?::(\d+))?$"
 )
@@ -606,6 +599,8 @@ def delayer_from_spec(spec, ring, x):
             seed = int(m.group(4))
             deg = int(m.group(5)) if m.group(5) else 0
             bound = int(m.group(6)) if m.group(6) else 1
+        if (deg + 1) ** len(ring.vars) > _RANDOM_MAX_MONOMIALS:
+            raise UnknownAgentSpec(f"{spec!r} allows replies of more than {_RANDOM_MAX_MONOMIALS} terms")
         return RandomDelayer(ring, seed, deg, bound)
     if spec == "refuterZ":
         value = x.poly.constant_value() if not x.poly.is_zero() else 0

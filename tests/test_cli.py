@@ -217,6 +217,33 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     assert "invalid" in text
 
 
+def test_random_delayer_with_too_large_replies_is_a_configuration_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        ["play", "--ring", "ZZ[X,Y,Z]", "--x", "X", "--budget", "2", "--delayer", "random:0:200:1"],
+        capsys,
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("configuration error: ")
+
+
+def test_replay_with_too_large_random_replies_is_invalid(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    code, _, _ = run(
+        ["play", "--ring", "ZZ[X,Y,Z]", "--x", "0", "--budget", "0", "--out", str(path)], capsys
+    )
+    assert code == 0
+    obj = json.loads(path.read_text())
+    obj["delayer"] = "random(seed=0,degLE=1000,absLE=1)"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, out, err = run(["verify", str(path), "--replay"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (1, "")
+    assert out.count("\n") == 1 and out.startswith("invalid: cannot reconstruct agents: ")
+
+
 def _rename_cofactor(obj, new_key):
     cofactors = obj["certificate"]["cofactors"]
     cofactors[new_key] = cofactors.pop("1")
@@ -372,6 +399,12 @@ def test_alpha_csv(capsys):
     assert lines[2] == "GF(2),*,*,1"
 
 
+def test_alpha_refuses_an_infinite_ring_before_any_output(capsys):
+    code, out, err = run(["alpha", "ZZ/4", "QQ[X]"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "configuration error: alpha needs a finite ring: QQ[X] has an infinite staircase\n"
+
+
 def test_alpha_per_element(capsys):
     code, out, _ = run(["alpha", "ZZ/4", "--per-element"], capsys)
     assert code == 0
@@ -405,6 +438,9 @@ def test_repl_scripted_session(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "Winner: prover" in text
     assert "Special inputs" in text
+    # the referee asks for no declaration at budget 1: it can only be 0
+    assert "Prover declares next budget 1." in text
+    assert "next budget 0" not in text
     obj = json.loads(out.read_text())
     assert obj["delayer"] == "human"
     code, text, _ = run(["verify", str(out)], capsys)
@@ -470,6 +506,25 @@ def test_refute_poly_without_a_variable_is_a_configuration_error(capsys):
     assert code == 2
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "ring, code",
+    [
+        ("ZZ[X]/(X)", 2),  # a relation in the last variable
+        ("GF(5)[X,Y]/(Y^2)", 2),
+        ("ZZ[X]/(1)", 2),  # the trivial ring, where X is nilpotent
+        ("GF(5)[X,Y]/(X^2)", 0),  # A = GF(5)[X]/(X^2) is nontrivial
+    ],
+)
+def test_refute_poly_needs_a_ring_over_a_nontrivial_coefficient_ring(ring, code, capsys):
+    code_run, out, err = run(["refute", "poly", "--ring", ring, "--max-moves", "1"], capsys)
+    assert code_run == code
+    if code == 2:
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("configuration error: ")
+    else:
+        assert out.startswith("refuted all ") and err == ""
 
 
 @pytest.mark.parametrize(

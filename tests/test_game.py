@@ -13,6 +13,7 @@ from jacarena.strategies import (
     DiagonalRefuterZ,
     EuclideanDim1Strategy,
     ImmediateWinStrategy,
+    ProverStrategy,
     RandomDelayer,
 )
 
@@ -20,7 +21,7 @@ from jacarena.strategies import (
 def test_budget_zero_with_nilpotent_target():
     R = parse_ring("QQ[x]")
     t = referee_play(R, R.element(0), R.element(0), 0,
-                     ImmediateWinStrategy(R, R.element(0)),
+                     ImmediateWinStrategy(R),
                      ConstantDelayer(R, 0))
     assert t.winner == "prover"
     assert t.rounds == []
@@ -42,6 +43,32 @@ def test_refuter_defeats_budget_one():
     t = referee_play(Z, x, x, 1, EuclideanDim1Strategy(Z, x), DiagonalRefuterZ(Z, 2))
     assert t.winner == "delayer"
     assert t.certificate is None
+    assert verify_transcript(t)
+
+
+class _ReceivesAboveBudgetOne(ProverStrategy):
+    """Plays its inner strategy and refuses a receive at budget 1."""
+
+    def __init__(self, inner):
+        super().__init__(inner.ring, inner.budget, inner.name)
+        self.inner = inner
+
+    def propose(self, pos):
+        return self.inner.propose(pos)
+
+    def receive(self, pos, moves, replies):
+        assert pos.tau > 1, "receive called at budget 1"
+        declared, cont = self.inner.receive(pos, moves, replies)
+        return declared, _ReceivesAboveBudgetOne(cont)
+
+
+def test_referee_declares_zero_at_budget_one_without_receive():
+    Z = parse_ring("ZZ")
+    x = Z.element(6)
+    prover = _ReceivesAboveBudgetOne(EuclideanDim1Strategy(Z, x))
+    t = referee_play(Z, x, x, 2, prover, RandomDelayer(Z, 7, 0, 10))
+    assert [r.declared for r in t.rounds] == [1, 0]
+    assert t.winner == "prover"
     assert verify_transcript(t)
 
 

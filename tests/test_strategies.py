@@ -115,14 +115,14 @@ def test_cut_strategy_z12():
     # (Z/12, 2, 6) is immediate (6^2 = 0) and (Z/12 / <3>, 2, 2) is one round;
     # the cut on 3 wins (Z/12, 2, 2) at the oracle's exact budget.
     Z12 = parse_ring("ZZ/12")
-    s1 = ImmediateWinStrategy(Z12, Z12.element(2))
+    s1 = ImmediateWinStrategy(Z12)
     inner_ring = Z12.quotient_extend([Z12.element(3)])
     s2 = ZeroDimStrategy(inner_ring, 2)
     combined = CutStrategy(s1, s2)
     assert combined.budget == 1
     for d in (RandomDelayer(Z12, 1, 0, 11), EchoDelayer(Z12), ConstantDelayer(Z12, 5)):
         t = play(Z12, Z12.element(2), 1, CutStrategy(
-            ImmediateWinStrategy(Z12, Z12.element(2)), ZeroDimStrategy(inner_ring, 2)), d)
+            ImmediateWinStrategy(Z12), ZeroDimStrategy(inner_ring, 2)), d)
         assert t.winner == "prover"
     table = enumerate_finite(Z12)
     assert minimal_alpha(table, Z12.element(2), Z12.element(2)) == combined.budget
@@ -131,7 +131,7 @@ def test_cut_strategy_z12():
 def test_cut_budget_law():
     Z12 = parse_ring("ZZ/12")
     inner_ring = Z12.quotient_extend([Z12.element(3)])
-    s1 = ImmediateWinStrategy(Z12, Z12.element(2))
+    s1 = ImmediateWinStrategy(Z12)
     s2 = ZeroDimStrategy(inner_ring, 2)
     combined = CutStrategy(s1, s2)
     pos = GamePosition(Z12, 2, ())
@@ -224,7 +224,7 @@ def test_integral_transport_move_law():
     assert [m.poly for m in transport.propose(pos)] == expected
 
     unscaled = IntegralTransportStrategy(
-        B, transport.x, transport.sub, transport.a0, transport.ext, B.one()
+        B, transport.sub, transport.a0, transport.ext, B.one()
     )
     assert [m.poly for m in unscaled.propose(pos)] == [
         B.element((a1 * transport.ext.lead).poly).poly for a1 in transport.sub.propose(pos)
@@ -235,7 +235,7 @@ class _Spy(ProverStrategy):
     """Counts its propose calls; its continuation is a fresh spy on the same log."""
 
     def __init__(self, inner, log):
-        super().__init__(inner.ring, inner.x, inner.budget, inner.name)
+        super().__init__(inner.ring, inner.budget, inner.name)
         self.inner = inner
         self.log = log
         self.proposed = 0
@@ -435,6 +435,16 @@ def test_delayer_spec_round_trip():
         delayer_from_spec("nonsense", Z, Z.element(2))
 
 
+def test_random_delayer_spec_bounds_its_candidate_monomials():
+    R = parse_ring("GF(7)[X,Y]")
+    # (31+1)^2 = 1024 candidate monomials is the most a reply may draw from
+    assert delayer_from_spec("random:0:31:1", R, R.element("X")).deg_le == 31
+    with pytest.raises(UnknownAgentSpec, match="more than 1024 terms"):
+        delayer_from_spec("random:0:32:1", R, R.element("X"))
+    with pytest.raises(UnknownAgentSpec, match="more than 1024 terms"):
+        delayer_from_spec("random(seed=0,degLE=1000,absLE=1)", R, R.element("X"))
+
+
 # -- soundness suite ---------------------------------------------------------------
 
 SOUNDNESS_CASES = [
@@ -618,6 +628,24 @@ def test_a_silent_loss_names_the_round_with_no_move():
     assert [len(r.moves) for r in t.rounds] == [1, 2, 0]
     assert "diagnosis" not in t.to_json()
     assert verify_transcript(Transcript.from_json(t.to_json()))
+
+
+def test_auto_prover_completes_no_basis_that_play_does_not_read(monkeypatch):
+    # the chains normalize x only where integral dependence reads it, so the
+    # quotients at their bottom are never completed
+    from jacarena import rings
+
+    completions = []
+    groebner = rings.groebner
+
+    def counting(*args, **kwargs):
+        completions.append(args)
+        return groebner(*args, **kwargs)
+
+    monkeypatch.setattr(rings, "groebner", counting)
+    t = _auto_match("GF(2)[X,Y,Z]", "X*Y+Z", "random:1:0:1")
+    assert t.winner == "prover"
+    assert len(completions) <= 9
 
 
 @pytest.mark.xfail(strict=True, reason="the tower fault, ROADMAP item 1")
