@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedRing,
     WrongBudget,
 )
+from .parsing import _MAX_DIGITS
 from .rings import (
     MonogenicExtension,
     coefficient_ring,
@@ -122,14 +123,18 @@ class EuclideanDim1Strategy(ProverStrategy):
             return self._declare(pos, 0), ImmediateWinStrategy(self.ring)
         b = replies[0]
         m = self.ring.one() - b * (self.ring.one() - self.move * self.x)
-        quotient = self.ring.quotient_extend([m])
-        inner = ZeroDimStrategy(quotient, self.x.poly)
-        return self._declare(pos, 1), _Bridge(self.ring, 1, inner, self.name)
+        inner = ZeroDimStrategy(self.ring.quotient_extend([m]), self.x.poly)
+        return self._declare(pos, 1), CutStrategy(self.ring, [inner])
 
 
 class _Bridge(ProverStrategy):
-    """Play a strategy that lives over another presentation of the same
-    ambient polynomials; moves and replies cross by representative."""
+    """Play a strategy over a quotient of its ring: moves cross down, by
+    representative, into the larger relation ideal.
+
+    Only ``quotient_push`` makes one.  Unlike a cut, whose parts get back
+    their own moves, a bridge hands its sub the crossed moves, which is the
+    tower fault (ROADMAP item 1); a one-part cut would mend it.
+    """
 
     def __init__(self, ring, budget, sub, name):
         super().__init__(ring, budget, name)
@@ -146,41 +151,45 @@ class _Bridge(ProverStrategy):
         return self._declare(pos, declared), _Bridge(self.ring, declared, cont, self.name)
 
 
-def quotient_push(strategy, extra):
-    """Transport a strategy along a quotient: same moves, larger relation ideal."""
-    ring = strategy.ring.quotient_extend(extra)
+def quotient_push(strategy, ring):
+    """Transport a strategy to ring, a quotient of its own: same moves,
+    larger relation ideal."""
     return _Bridge(ring, strategy.budget, strategy, strategy.name)
 
 
 class CutStrategy(ProverStrategy):
-    """Interleave a strategy for (A, y, x*z) with one for (A/<x>, y, z).
+    """Play parts side by side, each over ring or a quotient of it.
 
-    Each round plays the concatenation of both sub-strategies' moves and
-    splits the replies back; the declared budget is the max of the two.
+    A cut along x plays a strategy for (A, y, x*z) beside one for
+    (A/<x>, y, z); a chain of cuts is one cut with a part per link.  Each
+    round plays the concatenation of the parts' moves, read into ring, and
+    hands each part its own moves and its replies read into its own ring.
+    A normal form modulo a larger ideal is already reduced modulo a smaller
+    one, so a move crosses up unchanged.  The declared budget is the
+    largest any part declares.
     """
 
-    def __init__(self, s1, s2, name=None):
-        budget = max(s1.budget, s2.budget)
-        super().__init__(s1.ring, budget, name or f"cut({s1.name}|{s2.name})")
-        self.s1 = s1
-        self.s2 = s2
+    def __init__(self, ring, parts):
+        budget = max((s.budget for s in parts), default=0)
+        super().__init__(ring, budget, "cut(" + "|".join(s.name for s in parts) + ")")
+        self.parts = list(parts)
 
     def propose(self, pos):
-        self.moves2 = self.s2.propose(pos)
-        self.moves1 = list(self.s1.propose(pos))
-        return self.moves1 + [self.ring.element(m.poly) for m in self.moves2]
+        self.part_moves = [list(s.propose(pos)) for s in self.parts]
+        return [self.ring.element(m.poly) for moves in self.part_moves for m in moves]
 
     def receive(self, pos, moves, replies):
-        n1 = len(self.moves1)
-        b1, c1 = self.s1.receive(pos, self.moves1, replies[:n1])
-        down_r = [self.s2.ring.element(b.poly) for b in replies[n1:]]
-        b2, c2 = self.s2.receive(pos, self.moves2, down_r)
-        declared = max(b1, b2)
+        declared, conts, rest = 0, [], iter(replies)
+        for s, own in zip(self.parts, self.part_moves):
+            mine = [s.ring.element(next(rest).poly) for _ in own]
+            budget, cont = s.receive(pos, own, mine)
+            declared = max(declared, budget)
+            conts.append(cont)
         if declared >= pos.tau:
             raise BudgetOverflow(
                 f"cut continuation needs budget {declared} at position {pos.tau}"
             )
-        return declared, CutStrategy(c1, c2, self.name)
+        return declared, CutStrategy(self.ring, conts)
 
 
 class IntegralTransportStrategy(ProverStrategy):
@@ -218,35 +227,26 @@ class IntegralTransportStrategy(ProverStrategy):
 def loc_integral_strategy(ring, y, rel, sub_factory, ext):
     """Strategy for (B, y, a*y) from a dependence a^l y^d = sum c_j y^j.
 
-    Descends the chain B = B_d, B_{k-1} = B_k / <f_{k-1}> with
-    f_k = a^l y^k - (c_{d-1} y^{k-1} + ... + c_{d-k}); each level transports
-    the base strategy for a*c_{d-k}, rescales moves by f_{k-1}, and closes
-    with a cut on f_{k-1}.  Level zero wins outright since f_0 = a^l dies.
+    Walks the chain B = B_d, B_{k-1} = B_k / <f_{k-1}> with f_0 = a^l and
+    f_k = f_{k-1} y - c_{d-k}: the cut has one part per level k >= 1, which
+    transports the base strategy for a*c_{d-k} into B_k and rescales its
+    moves by f_{k-1}.  B_0 needs no part, since f_0 = a^l dies there.
     """
     base = ext.base
     a, l, d, cs = rel.a, rel.l, rel.d, rel.coeffs
     # a and the c_j live in the base, y in B: bring them to B's variables
-    a_poly = a.poly.remap(ring.vars)
-    c_polys = [c.poly.remap(ring.vars) for c in cs]
-
-    def f_raw(k):
-        acc = a_poly ** l * y.poly ** k
-        for j in range(1, k + 1):
-            acc = acc - c_polys[d - j] * y.poly ** (k - j)
-        return acc
-
-    def build(k, ring_k):
-        if k == 0:
-            return ImmediateWinStrategy(ring_k)
-        a0 = cs[d - k]
+    fs = [a.poly.remap(ring.vars) ** l]
+    for k in range(1, d):
+        fs.append(fs[-1] * y.poly - cs[d - k].poly.remap(ring.vars))
+    parts, ring_k = [], ring
+    for k in range(d, 0, -1):
         ext_k = MonogenicExtension(base, ring_k, ext.var, ext.relation)
+        f_prev = ring_k.element(fs[k - 1])
         sub = sub_factory(d - k)
-        f_prev = ring_k.element(f_raw(k - 1))
-        transport = IntegralTransportStrategy(ring_k, sub, a0, ext_k, f_prev)
-        lower = build(k - 1, ring_k.quotient_extend([f_prev]))
-        return CutStrategy(transport, lower, transport.name)
-
-    return build(d, ring)
+        parts.append(IntegralTransportStrategy(ring_k, sub, cs[d - k], ext_k, f_prev))
+        if k > 1:
+            ring_k = ring_k.quotient_extend([f_prev])
+    return CutStrategy(ring, parts)
 
 
 class PolyLiftStrategy(ProverStrategy):
@@ -256,8 +256,9 @@ class PolyLiftStrategy(ProverStrategy):
     Round one declares the single move X; the reply g pins the constraint
     h = 1 - g(1 - X f), and the continuation walks the chain
     C_k = A[X]/<h, a_{k+1}, ..., a_d> over the X-coefficients a_j of h,
-    cutting on each nonzero a_k with an integral-transport strategy for
-    (C_k, f, a_k f); a level whose a_k already vanishes adds nothing.
+    adding for each nonzero a_k the parts of an integral-transport strategy
+    for (C_k, f, a_k f) to one cut; a level whose a_k already vanishes adds
+    nothing.
     """
 
     def __init__(self, ring, f, factory):
@@ -277,49 +278,34 @@ class PolyLiftStrategy(ProverStrategy):
             return self._declare(pos, 0), ImmediateWinStrategy(self.ring)
         g = replies[0]
         h = self.ring.one() - g * (self.ring.one() - moves[0] * self.x)
-        declared = self._declare(pos, self.factory.budget)
-        return declared, _Bridge(self.ring, declared, self._chain_for(h), self.name)
+        return self._declare(pos, self.factory.budget), CutStrategy(self.ring, self._chain_for(h))
 
     def _chain_for(self, h):
-        ring, f = self.ring, self.x
-        if h.is_zero():
-            return ImmediateWinStrategy(ring)
+        """The parts of every level of the chain, deepest level last."""
+        ring, base = self.ring, self.coeff_ring
         split = h.poly.coefficients_in(self.var)
-        degree = max(split)
-        coeffs = {
-            j: split.get(j, Polynomial.zero(ring.base, self.coeff_ring.vars))
-            for j in range(degree + 1)
-        }
-
-        def chain(k, ring_k, base_k):
-            if k == -1:
-                return ImmediateWinStrategy(ring_k)
-            a_k = base_k.element(coeffs[k])
+        xvar = Polynomial.variable(ring.base, self.var, ring.vars)
+        parts, ring_k, base_k = [], ring.quotient_extend([h]), base
+        for k in sorted(split, reverse=True):
+            a_k = base_k.element(split[k])
             if a_k.is_zero():
-                return chain(k - 1, ring_k, base_k)
-            f_k = ring_k.element(f.poly)
-            lower_ring = ring_k.quotient_extend([ring_k.element(coeffs[k].remap(ring_k.vars))])
-            deeper = chain(k - 1, lower_ring, base_k.quotient_extend([a_k]))
+                continue
             rel_poly = Polynomial.zero(ring.base, ring.vars)
-            xvar = Polynomial.variable(ring.base, self.var, ring.vars)
             for j in range(k + 1):
-                rel_poly = rel_poly + base_k.element(coeffs[j]).poly.remap(ring.vars) * xvar ** j
+                if j in split:
+                    rel_poly = rel_poly + base_k.element(split[j]).poly.remap(ring.vars) * xvar ** j
             ext_k = MonogenicExtension(base_k, ring_k, self.var, rel_poly)
+            f_k = ring_k.element(self.x.poly)
             dep = integral_dependence(f_k, ext_k)
-            extra = [
-                self.coeff_ring.element(r.remap(self.coeff_ring.vars))
-                for r in base_k.relations[len(self.coeff_ring.relations):]
-            ]
 
-            def sub_factory(idx):
-                target = dep.a * dep.coeffs[idx]
-                return quotient_push(self.factory(self.coeff_ring.element(target.poly)), extra)
+            def sub_factory(idx, base_k=base_k, dep=dep):
+                target = base.element((dep.a * dep.coeffs[idx]).poly)
+                return quotient_push(self.factory(target), base_k)
 
-            side = loc_integral_strategy(ring_k, f_k, dep, sub_factory, ext_k)
-            return CutStrategy(side, deeper, self.name)
-
-        top_ring = ring.quotient_extend([h])
-        return chain(degree, top_ring, self.coeff_ring)
+            parts += loc_integral_strategy(ring_k, f_k, dep, sub_factory, ext_k).parts
+            ring_k = ring_k.quotient_extend([ring_k.element(split[k].remap(ring.vars))])
+            base_k = base_k.quotient_extend([a_k])
+        return parts
 
 
 # (strategy class, budget) of each leaf spec
@@ -593,6 +579,8 @@ def delayer_from_spec(spec, ring, x):
     spec = spec.strip()
     m = _RANDOM_SPEC.match(spec)
     if m:
+        if any(g and len(g.lstrip("-")) > _MAX_DIGITS for g in m.groups()):
+            raise UnknownAgentSpec(f"a number in a random delayer spec passes {_MAX_DIGITS} digits")
         if m.group(1) is not None:
             seed, deg, bound = int(m.group(1)), int(m.group(2)), int(m.group(3))
         else:

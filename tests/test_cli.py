@@ -181,9 +181,12 @@ def test_play_poly_lift_rejects_relation_in_lift_variable(capsys):
         ("play", "--prover", "polyLift(nope)", "unknown prover spec 'polyLift(nope)'"),
         ("play", "--delayer", "random:x:1:1", "unknown delayer spec 'random:x:1:1'"),
         ("play", "--delayer", "random:1:-1:1", "unknown delayer spec 'random:1:-1:1'"),
+        # a number int() cannot read is refused before it is converted
+        ("play", "--delayer", "random:0:0:1" + "0" * 5000,
+         "a number in a random delayer spec passes 4300 digits"),
     ],
     ids=["play-prover", "repl-prover", "play-lifted-prover", "play-delayer-seed",
-         "play-delayer-degree"],
+         "play-delayer-degree", "play-delayer-digits"],
 )
 def test_unknown_agent_spec_is_a_configuration_error(capsys, monkeypatch, command, flag, spec, message):
     monkeypatch.setattr(sys, "stdin", io.StringIO(""))
@@ -235,13 +238,33 @@ def test_replay_with_too_large_random_replies_is_invalid(tmp_path, capsys):
     )
     assert code == 0
     obj = json.loads(path.read_text())
-    obj["delayer"] = "random(seed=0,degLE=1000,absLE=1)"
-    path.write_text(json.dumps(obj))
-    start = time.perf_counter()
-    code, out, err = run(["verify", str(path), "--replay"], capsys)
-    assert time.perf_counter() - start < 1
-    assert (code, err) == (1, "")
-    assert out.count("\n") == 1 and out.startswith("invalid: cannot reconstruct agents: ")
+    # too many candidate monomials, and a number int() cannot read
+    for delayer, reason in [
+        ("random(seed=0,degLE=1000,absLE=1)", "allows replies of more than 1024 terms"),
+        ("random(seed=0,degLE=0,absLE=1" + "0" * 5000 + ")",
+         "a number in a random delayer spec passes 4300 digits"),
+    ]:
+        obj["delayer"] = delayer
+        path.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        code, out, err = run(["verify", str(path), "--replay"], capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (1, "")
+        assert out.count("\n") == 1 and out.startswith("invalid: cannot reconstruct agents: ")
+        assert out.endswith(reason + "\n")
+
+
+def test_jac_witness_delayer_spec_plays_and_replays(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    code, _, _ = run(
+        ["play", "--ring", "GF(5)[X]", "--x", "X", "--budget", "2",
+         "--delayer", "jacWitness(X^2)", "--out", str(path)],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(path.read_text())["delayer"] == "jacWitness(X^2)"
+    code, out, _ = run(["verify", str(path), "--replay"], capsys)
+    assert (code, out) == (0, "valid\n")
 
 
 def _rename_cofactor(obj, new_key):

@@ -232,10 +232,16 @@ def test_failing_prover_becomes_diagnosed_loss():
         def receive(self, pos, moves, replies):
             raise InvalidCertificate("hypothesis failed mid-match")
 
-    t = referee_play(Z, Z.element(2), Z.element(2), 2, BrokenProver(), ConstantDelayer(Z, 1))
-    assert t.winner == "delayer"
-    assert "hypothesis failed" in t.diagnosis
-    assert verify_transcript(t)
+    class BrokenProposer(BrokenProver):
+        def propose(self, pos):
+            raise InvalidCertificate("hypothesis failed before moving")
+
+    for prover, stage in [(BrokenProver(), "on the replies"), (BrokenProposer(), "while proposing")]:
+        t = referee_play(Z, Z.element(2), Z.element(2), 2, prover, ConstantDelayer(Z, 1))
+        assert t.winner == "delayer"
+        assert "hypothesis failed" in t.diagnosis
+        assert f"prover strategy failed {stage}" in t.diagnosis
+        assert verify_transcript(t)
 
 
 @pytest.mark.parametrize("x_value,winner,diagnosis", [

@@ -118,11 +118,11 @@ def test_cut_strategy_z12():
     s1 = ImmediateWinStrategy(Z12)
     inner_ring = Z12.quotient_extend([Z12.element(3)])
     s2 = ZeroDimStrategy(inner_ring, 2)
-    combined = CutStrategy(s1, s2)
+    combined = CutStrategy(Z12, [s1, s2])
     assert combined.budget == 1
     for d in (RandomDelayer(Z12, 1, 0, 11), EchoDelayer(Z12), ConstantDelayer(Z12, 5)):
         t = play(Z12, Z12.element(2), 1, CutStrategy(
-            ImmediateWinStrategy(Z12), ZeroDimStrategy(inner_ring, 2)), d)
+            Z12, [ImmediateWinStrategy(Z12), ZeroDimStrategy(inner_ring, 2)]), d)
         assert t.winner == "prover"
     table = enumerate_finite(Z12)
     assert minimal_alpha(table, Z12.element(2), Z12.element(2)) == combined.budget
@@ -133,7 +133,7 @@ def test_cut_budget_law():
     inner_ring = Z12.quotient_extend([Z12.element(3)])
     s1 = ImmediateWinStrategy(Z12)
     s2 = ZeroDimStrategy(inner_ring, 2)
-    combined = CutStrategy(s1, s2)
+    combined = CutStrategy(Z12, [s1, s2])
     pos = GamePosition(Z12, 2, ())
     moves = combined.propose(pos)
     declared, _ = combined.receive(pos, moves, [Z12.element(1) for _ in moves])
@@ -148,12 +148,12 @@ def test_cut_trivial_x_cases():
     s1 = ZeroDimStrategy(Z8, x2)
     q = Z8.quotient_extend([Z8.zero()])
     s2 = ZeroDimStrategy(q, q.element(2))
-    t = play(Z8, x2, 1, CutStrategy(s1, s2), RandomDelayer(Z8, 4, 0, 7))
+    t = play(Z8, x2, 1, CutStrategy(Z8, [s1, s2]), RandomDelayer(Z8, 4, 0, 7))
     assert t.winner == "prover"
     # a cut on 1: the quotient side lives in the trivial ring
     q1 = Z8.quotient_extend([Z8.one()])
     s2t = ZeroDimStrategy(q1, q1.element(2))
-    t = play(Z8, x2, 1, CutStrategy(ZeroDimStrategy(Z8, x2), s2t),
+    t = play(Z8, x2, 1, CutStrategy(Z8, [ZeroDimStrategy(Z8, x2), s2t]),
              RandomDelayer(Z8, 4, 0, 7))
     assert t.winner == "prover"
 
@@ -161,20 +161,20 @@ def test_cut_trivial_x_cases():
 def test_quotient_push_behaviour():
     Z = parse_ring("ZZ")
     base = EuclideanDim1Strategy(Z, Z.element(6))
-    pushed = quotient_push(base, [])
+    pushed = quotient_push(base, Z.quotient_extend([]))
     pos = GamePosition(Z, 2, ())
     assert [m.poly for m in pushed.propose(pos)] == [m.poly for m in base.propose(pos)]
 
-    pushed_trivial = quotient_push(EuclideanDim1Strategy(Z, Z.element(6)), [Z.element(1)])
+    pushed_trivial = quotient_push(EuclideanDim1Strategy(Z, Z.element(6)), Z.quotient_extend([Z.element(1)]))
     ring_t = pushed_trivial.ring
     t = play(ring_t, ring_t.element(6), 2, pushed_trivial, RandomDelayer(ring_t, 1, 0, 5))
     assert t.winner == "prover"
 
-    pushed30 = quotient_push(EuclideanDim1Strategy(Z, Z.element(6)), [Z.element(30)])
+    pushed30 = quotient_push(EuclideanDim1Strategy(Z, Z.element(6)), Z.quotient_extend([Z.element(30)]))
     ring30 = pushed30.ring
     for seed in (1, 2, 3):
         t = play(ring30, ring30.element(6), 2,
-                 quotient_push(EuclideanDim1Strategy(Z, Z.element(6)), [Z.element(30)]),
+                 quotient_push(EuclideanDim1Strategy(Z, Z.element(6)), Z.quotient_extend([Z.element(30)])),
                  RandomDelayer(ring30, seed, 0, 29))
         assert t.winner == "prover"
 
@@ -213,7 +213,7 @@ def test_loc_integral_inverted_two():
 def test_integral_transport_move_law():
     # a base move a1 becomes ring.element((a1*a).poly) * factor
     B, loc = _loc_strategy("ZZ[Y]/(Y^2-6)", "Y")
-    transport = loc.s1
+    transport = loc.parts[0]
     assert isinstance(transport, IntegralTransportStrategy)
     pos = GamePosition(B, 2, ())
     expected = [
@@ -266,10 +266,10 @@ def test_cut_proposes_each_sub_once_per_round():
     lower = Z.quotient_extend([Z.element(4)])
     for seed in (1, 2, 3):
         log = []
-        cut = CutStrategy(
+        cut = CutStrategy(Z, [
             _Spy(EuclideanDim1Strategy(Z, 6), log),
             _Spy(ZeroDimStrategy(lower, 6), log),
-        )
+        ])
         play(Z, Z.element(6), 2, cut, RandomDelayer(Z, seed, 0, 5))
         _assert_asked_once_per_round(log)
 
@@ -511,6 +511,15 @@ PINNED_TRANSCRIPTS = [
      "566df09834137ba316bef4a63ec49481b4fc07010aa7f03817149871d97b7f30"),
     ("QQ[X,Y]", "X+Y", 3, "auto", "random:1:1:1",
      "42372f99fa812c616529034d961063cf7935ce21406d80e482c2531853cdedbe"),
+    # lift chains: ZZ coefficients pushed into ZZ/(2), a two-variable GF(p)
+    # ring, and QQ[T,T0], whose chain pushes into QQ[T]/(2*T) and whose
+    # variables make _fresh_var pass over T and T0
+    ("ZZ[X]", "2*X+1", 3, "auto", "random:3:1:1",
+     "102dfc174058d0ac7d5310eab381ebbd84e698eab7e8405fecfbee72957e53a6"),
+    ("GF(101)[X,Y]", "X+Y", 3, "auto", "random:5:1:1",
+     "c84f4519bb1aec562c6832a77ef6336a35add27ae81f7d3710812a82190e360f"),
+    ("QQ[T,T0]", "T*T0", 3, "auto", "random:1:1:2",
+     "1207a1e5f07b236b95a11db9f116b882bcb756af03c3302bcd73f5856752650c"),
     # reply degree 14: the leaf quotient K[X]/(m) has dimension 18 and 16
     ("QQ[X]", "5*X^4-3*X^3+X-7", 2, "auto", "random:3:14:9",
      "2973d930a2fb64bc4b66fcaf884c1b417ad0a43a96840bdd8be1f47f12f3adcf"),
