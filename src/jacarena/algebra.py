@@ -380,25 +380,28 @@ class Polynomial:
             return Polynomial.constant(self.ring, other, self.vars)
         return None
 
-    def _combine(self, other, op):
-        """self op other, one pass over other's terms, for op ring.add or ring.sub."""
+    def _combine(self, other, negate):
+        """self + other, or self - other if negate is set: one pass over
+        other's terms, with arithmetic only on the monomials both have."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         _check_compatible(self, other)
-        terms = dict(self.terms)
         ring = self.ring
-        zero = ring.zero()
+        op = ring.sub if negate else ring.add
+        terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            c = op(terms.get(mono, zero), coeff)
-            if c == zero:
-                terms.pop(mono, None)
-            else:
+            c = terms.get(mono)
+            if c is None:
+                terms[mono] = ring.neg(coeff) if negate else coeff
+            elif c := op(c, coeff):
                 terms[mono] = c
+            else:
+                del terms[mono]
         return Polynomial._raw(ring, self.vars, terms)
 
     def __add__(self, other):
-        return self._combine(other, self.ring.add)
+        return self._combine(other, False)
 
     __radd__ = __add__
 
@@ -409,7 +412,7 @@ class Polynomial:
         )
 
     def __sub__(self, other):
-        return self._combine(other, self.ring.sub)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return (-self) + other

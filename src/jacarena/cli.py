@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import itertools
+import os
 import sys
 
 from .errors import EngineError, MalformedTranscript, NotFinite, RingSyntaxError, UnknownAgentSpec
@@ -78,20 +79,33 @@ def _load_match(args):
     return ring, x, xprime
 
 
-def _open_out(path, default=None):
-    """The --out file, opened before the match so that a bad path costs no play."""
-    return open(path, "w") if path else contextlib.nullcontext(default)
+def _check_out(path):
+    """Refuse an --out path that cannot be written before any play; the
+    probe leaves the file system as it found it."""
+    if path:
+        new = not os.path.lexists(path)
+        open(path, "a").close()
+        if new:
+            os.remove(path)
+
+
+def _write_out(path, transcript):
+    """Serialize the transcript, then write it to the --out path or stdout:
+    a transcript that cannot be serialized leaves an old file as it was."""
+    text = transcript.to_json(indent=2) + "\n"
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 def cmd_play(args):
     ring, x, xprime = _load_match(args)
     prover = prover_from_spec(args.prover, ring, x, xprime, args.budget)
     delayer = delayer_from_spec(args.delayer, ring, x)
-    with _open_out(args.out, sys.stdout) as fh:
-        transcript = referee_play(ring, x, xprime, args.budget, prover, delayer)
-        if transcript.diagnosis:
-            print(f"note: {transcript.diagnosis}", file=sys.stderr)
-        fh.write(transcript.to_json(indent=2) + "\n")
+    _check_out(args.out)
+    transcript = referee_play(ring, x, xprime, args.budget, prover, delayer)
+    if transcript.diagnosis:
+        print(f"note: {transcript.diagnosis}", file=sys.stderr)
+    _write_out(args.out, transcript)
     return 0 if transcript.winner == "prover" else 1
 
 
@@ -173,14 +187,14 @@ def cmd_repl(args):
             return declared, self
 
     prover_state = [prover]
-    with _open_out(args.out) as fh:
-        print(f"Match on {ring.to_text()}: x = {x.to_text()}, x' = {xprime.to_text()}, budget {args.budget}")
-        print("You are Delayer. '?' lists the input forms.")
-        transcript = referee_play(ring, x, xprime, args.budget, _Announcer(), human)
-        transcript.prover_name = prover.name
-        transcript.delayer_name = "human"
-        if fh is not None:
-            fh.write(transcript.to_json(indent=2) + "\n")
+    _check_out(args.out)
+    print(f"Match on {ring.to_text()}: x = {x.to_text()}, x' = {xprime.to_text()}, budget {args.budget}")
+    print("You are Delayer. '?' lists the input forms.")
+    transcript = referee_play(ring, x, xprime, args.budget, _Announcer(), human)
+    transcript.prover_name = prover.name
+    transcript.delayer_name = "human"
+    if args.out:
+        _write_out(args.out, transcript)
     print(f"\nWinner: {transcript.winner}")
     if transcript.certificate is not None:
         cert = transcript.certificate

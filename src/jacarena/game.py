@@ -12,13 +12,14 @@ certificate.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .algebra import Polynomial
 from .errors import DegreeOverflow, EngineError, IllegalMove, MalformedTranscript, NotInJacobsonRadical
 from .ideals import NilCertificate
 from .parsing import _check_power, parse_polynomial, parse_ring
-from .rings import nil_member
+from .rings import is_nil, nil_member
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,11 @@ class Transcript:
         }
 
     def to_json(self, indent=None):
-        return json.dumps(self.to_json_obj(), indent=indent)
+        try:
+            return json.dumps(self.to_json_obj(), indent=indent)
+        except ValueError:  # str() of an int past Python's digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"a transcript coefficient passes {limit} digits and cannot be written") from None
 
     @classmethod
     def from_json(cls, text):
@@ -284,8 +289,9 @@ def verify_transcript(transcript, replay=False):
     x'^e = sum c_i g_i over the relations and the game constraints, checked
     by expansion in the ambient polynomial ring, proves that a power of x'
     lies in their ideal, which is all a recomputation could establish.  A
-    Delayer claim carries no certificate, so the nilpotency test is rerun
-    and must find no power of x' in that ideal.
+    Delayer claim carries no certificate, so the Rabinowitsch test is rerun
+    (``rings.is_nil``, one basis without cofactors and no certificate) and
+    must find no power of x' in that ideal.
 
     With replay=True the named prover and delayer are reconstructed and the
     match re-run; any divergence from the recorded rounds is reported.  This
@@ -322,7 +328,7 @@ def verify_transcript(transcript, replay=False):
     if not problems:
         cert = transcript.certificate
         if transcript.winner == "delayer":
-            if nil_member(xprime, constraints) is not None:
+            if is_nil(xprime, constraints):
                 problems.append("recorded winner 'delayer', recomputation says 'prover'")
             if cert is not None:
                 problems.append("delayer win recorded with a certificate")

@@ -8,9 +8,12 @@
              identifiers; "/" divides by an invertible constant so that
              rational coefficients round-trip.
 
-Terms are read straight into packed monomials with their coefficients, so
-text such as ``Polynomial.to_text`` prints is read without a Polynomial
-product or power.  Errors carry their position in the text: a degree past
+Text exactly as ``Polynomial.to_text`` prints it, terms joined by " + " and
+" - ", each [-]c[/d]*V^e*..., is read by one regular-expression scan
+(``_scan``) straight into a {packed monomial: coefficient} dict.  Any other
+text goes to the recursive-descent ``_Parser``, which reads a term as a
+(coefficient, packed monomial) pair without a Polynomial product or power,
+and raises every error, with its position in the text: a degree past
 ``DEGREE_BOUND``, a coefficient past the 4,300 digits that cap a literal and
 a power or product of sums that would take the text past its expansion
 budget, at the token that built it.
@@ -18,6 +21,8 @@ budget, at the token that built it.
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, lcm
 from operator import mul
@@ -379,8 +384,60 @@ def _size(poly):
     return len(cs), max(top, den), den
 
 
+# One term as ``Polynomial.to_text`` prints it, after its " + " or " - ":
+# c, c/d, c*M, c/d*M or M, with ASCII literals c and d of at most _MAX_DIGITS
+# digits, and M names or powers name^e (e of at most 10 digits) joined by
+# "*".  The last group takes any other character, so the matches cover the text.
+_TERM = re.compile(
+    rf" ([-+]) (?:(\d{{1,{_MAX_DIGITS}}})(?:/(\d{{1,{_MAX_DIGITS}}}))?(?:\*(?=[A-Za-z_])|(?= |\Z))"
+    r"|(?=[A-Za-z_]))((?:[A-Za-z_]\w*(?:\^\d{1,10})?\*)*[A-Za-z_]\w*(?:\^\d{1,10})?)?(?= |\Z)|(.)",
+    re.ASCII | re.DOTALL,
+)
+
+
+def _scan(text, ring, vars):
+    """The terms of text printed as ``to_text`` prints, as ``_Parser`` reads
+    them, or None for any other text: other spacing or symbols, a literal
+    _TERM refuses, an unknown name, a total degree of DEGREE_BOUND or more,
+    a repeated monomial, a zero coefficient or "/" over ZZ."""
+    if text == "0":
+        return {}
+    monomials = _variable_monomials(vars)
+    p = ring.p
+    terms = {}
+    signed = f" - {text[1:]}" if text[:1] == "-" else f" + {text}"
+    for sign, num, den, mono, other in _TERM.findall(signed):
+        if other:
+            return None
+        c = int(num) if num else 1
+        if den:
+            d = int(den) % p if p else int(den)
+            if not d or ring.kind == "ZZ":
+                return None
+            c = c * pow(d, -1, p) if p else ring.normalize(Fraction(c, d))
+        if p:
+            c %= p
+        if not c:
+            return None
+        m = total = 0
+        for name, _, e in (f.partition("^") for f in mono.split("*")) if mono else ():
+            if name not in monomials:
+                return None
+            e = int(e) if e else 1
+            total += e
+            m += monomials[name] * e
+        if total >= DEGREE_BOUND or m in terms:
+            return None
+        terms[m] = ring.neg(c) if sign == "-" else c
+    return terms
+
+
 def parse_polynomial(text, ring, vars):
-    """Parse an expression into a raw Polynomial over the given variables."""
+    """Parse an expression into a raw Polynomial over the given variables:
+    printed text through ``_scan``, all other text through ``_Parser``."""
+    terms = _scan(text, ring, vars)
+    if terms is not None:
+        return Polynomial._raw(ring, vars, terms)
     parser = _Parser(text, ring, vars)
     poly = parser.parse_poly()
     parser.expect_end()

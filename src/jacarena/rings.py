@@ -226,6 +226,24 @@ def _fresh_var(vars):
     return f"T{i}"
 
 
+def _rabinowitsch(x, constraints):
+    """(gens, gens and 1 - t*x over x's variables and a fresh t, their
+    order), where gens are the ring's relations and the constraints."""
+    ring, base = x.ring, x.ring.base
+    gens = list(ring.relations) + [ring._representative(c) for c in constraints]
+    bigvars = ring.vars + (_fresh_var(ring.vars),)
+    t = Polynomial.variable(base, bigvars[-1], bigvars)
+    rab = Polynomial.constant(base, 1, bigvars) - t * x.poly.remap(bigvars)
+    return gens, [g.remap(bigvars) for g in gens] + [rab], MonomialOrder(bigvars)
+
+
+def is_nil(x, constraints=()):
+    """``nil_member``'s decision alone, from one untracked basis."""
+    _, gens, order = _rabinowitsch(x, constraints)
+    gb = groebner(gens, order, ring=x.ring.base, track=False)
+    return gb.is_member(Polynomial.constant(x.ring.base, 1, order.vars))
+
+
 def nil_member(x, constraints=()):
     """Nilpotency membership by the Rabinowitsch construction.
 
@@ -236,20 +254,15 @@ def nil_member(x, constraints=()):
     """
     ring = x.ring
     base = ring.base
-    gens_ring = list(ring.relations) + [ring._representative(c) for c in constraints]
     xp = x.poly
+    gens_ring, gens, order = _rabinowitsch(x, constraints)
     if xp.is_zero():
         zero = Polynomial.zero(base, ring.vars)
         return NilCertificate(xp, 1, tuple(gens_ring), tuple(zero for _ in gens_ring))
 
-    t = _fresh_var(ring.vars)
-    bigvars = ring.vars + (t,)
-    order = MonomialOrder(bigvars)
-    tpoly = Polynomial.variable(base, t, bigvars)
-    rab = Polynomial.constant(base, 1, bigvars) - tpoly * xp.remap(bigvars)
-    gens = [g.remap(bigvars) for g in gens_ring] + [rab]
+    t = order.vars[-1]
     gb = groebner(gens, order, ring=base)
-    cofs = gb.member_cofactors(Polynomial.constant(base, 1, bigvars))
+    cofs = gb.member_cofactors(Polynomial.constant(base, 1, order.vars))
     if cofs is None:
         return None
 

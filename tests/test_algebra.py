@@ -20,7 +20,7 @@ from jacarena.algebra import (
     pack,
 )
 from jacarena.errors import DegreeOverflow, IncompatibleRings, RingSyntaxError, UnknownVariable
-from jacarena.parsing import MAX_NESTING, parse_polynomial, parse_ring
+from jacarena.parsing import MAX_NESTING, _Parser, _scan, parse_polynomial, parse_ring
 
 
 def poly(text, ring=ZZ, vars=("x", "y")):
@@ -418,6 +418,80 @@ def test_print_parse_round_trip(data):
     p = data.draw(polynomials(ring=ring, max_vars=2))
     text = p.to_text()
     assert parse_polynomial(text, ring, p.vars) == p
+
+
+SCAN_RINGS = st.sampled_from([ZZ, QQ, GF(2), GF(5), GF(1000000007)])
+SCAN_VARS = st.sampled_from([("x",), ("X", "Y"), ("x", "y", "z"), ("X1", "_t", "ab")])
+
+
+@st.composite
+def printed_polynomials(draw):
+    """A polynomial over 1-3 variables, with coefficients up to 60 digits,
+    fractions over QQ, and exponents small or near the degree bound."""
+    ring, vars = draw(SCAN_RINGS), draw(SCAN_VARS)
+    coeffs = st.one_of(st.integers(-9, 9), st.integers(-10**60, 10**60))
+    if ring == QQ:
+        coeffs = st.builds(Fraction, coeffs, st.integers(1, 10**20))
+    vectors = draw(exponent_vectors(len(vars), draw(st.integers(0, 5))))
+    return Polynomial(ring, vars, {e: draw(coeffs) for e in vectors})
+
+
+def _outcome(read, text, ring, vars):
+    """The terms and coefficient types read, or the error's class and message
+    (which carries the position)."""
+    try:
+        terms = read(text, ring, vars).terms
+    except (RingSyntaxError, ValueError) as exc:
+        return type(exc), str(exc)
+    return {m: (c, type(c)) for m, c in terms.items()}
+
+
+def _parser_alone(text, ring, vars):
+    parser = _Parser(text, ring, vars)
+    poly = parser.parse_poly()
+    parser.expect_end()
+    return poly
+
+
+@settings(max_examples=200, deadline=None)
+@given(printed_polynomials())
+def test_term_scanner_reads_printed_text_exactly(p):
+    text = p.to_text()
+    assert _scan(text, p.ring, p.vars) is not None, text
+    assert _outcome(parse_polynomial, text, p.ring, p.vars) == {
+        m: (c, type(c)) for m, c in p.terms.items()
+    }
+
+
+# Texts that leave the printed form, each built from a printed polynomial.
+DEVIATIONS = {
+    "spacing": lambda t, v, r: t.replace(" ", "") if " " in t else f" {t}",
+    "wide spacing": lambda t, v, r: t.replace(" ", "  ") + " ",
+    "parentheses": lambda t, v, r: f"({t})",
+    "non-ASCII digit": lambda t, v, r: f"{t} + \u0663*{v[0]}",
+    "superscript digit": lambda t, v, r: f"{t} - \u00b2",
+    "long literal": lambda t, v, r: f"{t} + {'7' * (4301 + r)}*{v[0]}",
+    "degree bound": lambda t, v, r: f"{v[0]}^{DEGREE_BOUND - r}*{v[-1]}^{r + 1}",
+    "unknown name": lambda t, v, r: f"{t} + 3*w",
+    "repeated monomial": lambda t, v, r: f"{t} + {t}",
+    "zero coefficient": lambda t, v, r: f"{t} - 0*{v[0]}",
+    "multiple of p": lambda t, v, r: f"{t} + {2 * 1000000007 * 5}*{v[-1]}",
+    "division": lambda t, v, r: f"{t} + {4 * r}/{r + 1}*{v[0]}",
+    "zero divisor": lambda t, v, r: f"{t} + 3/{5 * r}",
+    "signs": lambda t, v, r: f"-{v[0]}^{DEGREE_BOUND - 1 - r} - {t}",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(printed_polynomials(), st.sampled_from(sorted(DEVIATIONS)), st.integers(0, 3))
+def test_term_scanner_leaves_other_text_to_the_parser(p, kind, r):
+    text = DEVIATIONS[kind](p.to_text(), p.vars, r)
+    # c/d is printed form over QQ and GF(p), a multiple of p outside GF(p),
+    # and signs are printed form everywhere, though GF(p) prints none
+    if kind not in ("division", "zero divisor", "multiple of p", "signs"):
+        assert _scan(text, p.ring, p.vars) is None, (kind, text)
+    expected = _outcome(_parser_alone, text, p.ring, p.vars)
+    assert _outcome(parse_polynomial, text, p.ring, p.vars) == expected, (kind, text)
 
 
 def test_polynomials_over_different_variable_lists_are_unequal():

@@ -231,6 +231,24 @@ def test_random_delayer_with_too_large_replies_is_a_configuration_error(capsys):
     assert err.count("\n") == 1 and err.startswith("configuration error: ")
 
 
+def test_transcript_past_the_digit_limit_is_not_written(tmp_path, capsys):
+    old = tmp_path / "old.json"
+    old.write_text("kept\n")
+    new = tmp_path / "new.json"
+    # replies of 2,200 digits give a certificate cofactor of over 4,300
+    delayer = "random:0:0:" + "9" * 2200
+    for path in (old, new):
+        code, out, err = run(
+            ["play", "--ring", "ZZ", "--x", "6", "--budget", "2", "--delayer", delayer,
+             "--out", str(path)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "configuration error: a transcript coefficient passes 4300 digits and cannot be written\n"
+    assert old.read_text() == "kept\n"
+    assert not new.exists()
+
+
 def test_replay_with_too_large_random_replies_is_invalid(tmp_path, capsys):
     path = tmp_path / "t.json"
     code, _, _ = run(

@@ -15,6 +15,8 @@ from jacarena.strategies import (
     ImmediateWinStrategy,
     ProverStrategy,
     RandomDelayer,
+    delayer_from_spec,
+    prover_from_spec,
 )
 
 
@@ -129,6 +131,54 @@ def test_transcript_json_round_trip_and_field_order():
     assert again.to_json_obj() == obj
     assert verify_transcript(again)
     assert verify_transcript(again, replay=True)
+
+
+@pytest.mark.parametrize(
+    "ring_text, x, budget, prover, delayer",
+    [
+        ("ZZ", "6", 2, "euclideanDim1", "random:7"),
+        ("ZZ", "2", 1, "euclideanDim1", "refuterZ"),
+        ("ZZ/12", "6", 1, "zeroDim", "random:5"),
+        ("QQ[X]", "X^2+X", 2, "auto", "random:3:1:2"),
+        ("QQ[X]", "X", 1, "auto", "refuterPoly"),
+        ("QQ[X,Y]/(X^2, Y^3)", "X+Y", 1, "zeroDim", "random:4:1:3"),
+        ("GF(5)[X]", "X^2+X", 2, "auto", "random:3:1:2"),
+        ("GF(5)[X]/(X^2+1)", "X", 1, "zeroDim", "random:3:1:2"),
+    ],
+)
+def test_transcript_text_survives_a_read_and_a_write(ring_text, x, budget, prover, delayer):
+    R = parse_ring(ring_text)
+    x = R.element(x)
+    t = referee_play(R, x, x, budget, prover_from_spec(prover, R, x, x, budget),
+                     delayer_from_spec(delayer, R, x))
+    text = t.to_json()
+    again = Transcript.from_json(text)
+    assert again.to_json() == text
+    assert verify_transcript(again)
+
+
+@pytest.mark.parametrize(
+    "ring_text, x, xprime, winner",
+    [
+        ("QQ[X]", "X", "0", "prover"),  # 1 - T*0 is a unit
+        ("ZZ/12", "2", "6", "prover"),
+        ("ZZ/12", "6", "2", "delayer"),
+        ("GF(5)[X,Y]/(X*Y, Y^2)", "X", "Y", "prover"),
+        ("QQ[X,Y]/(X*Y)", "X", "X + Y", "delayer"),
+    ],
+)
+def test_verify_rechecks_a_delayer_claim(ring_text, x, xprime, winner):
+    R = parse_ring(ring_text)
+    # the move 0 answered by 1 adds the constraint 0, so x' alone decides
+    t = referee_play(R, R.element(x), R.element(xprime), 1,
+                     FixedMovesProver(R, x, [["0"]]), ConstantDelayer(R, 1))
+    assert t.winner == winner
+    obj = t.to_json_obj()
+    obj["winner"] = "delayer"
+    obj["certificate"] = None
+    result = verify_transcript(Transcript.from_json(json.dumps(obj)))
+    forged = ["recorded winner 'delayer', recomputation says 'prover'"]
+    assert result.problems == ([] if winner == "delayer" else forged)
 
 
 def test_verify_rejects_non_decreasing_budget():

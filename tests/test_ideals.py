@@ -11,7 +11,7 @@ from jacarena.algebra import GF, QQ, ZZ, MonomialOrder, Polynomial, exponents, p
 from jacarena.errors import InvalidCertificate
 from jacarena.ideals import NilCertificate, groebner
 from jacarena.parsing import parse_polynomial, parse_ring
-from jacarena.rings import member_in, nil_exponent_search, nil_member
+from jacarena.rings import is_nil, member_in, nil_exponent_search, nil_member
 
 
 def gb_of(texts, ring, vars):
@@ -200,6 +200,7 @@ def test_nil_member_integer_example():
 def test_nil_member_absent():
     R = parse_ring("QQ[X]")
     assert nil_member(R.element("X"), [R.element("X^2+X^3")]) is None
+    assert not is_nil(R.element("X"), [R.element("X^2+X^3")])
     found = nil_exponent_search(R.element("X"), [R.element("X^2+X^3")], cap=10)
     assert found is None
 
@@ -208,6 +209,7 @@ def test_nil_member_zero_element():
     Z = parse_ring("ZZ")
     cert = nil_member(Z.element(0), [])
     assert cert.exponent == 1 and cert.cofactors == () and cert.verify()
+    assert is_nil(Z.element(0))
 
 
 def test_nil_member_agrees_with_exponent_search():
@@ -225,6 +227,7 @@ def test_nil_member_agrees_with_exponent_search():
             x = rand_elt()
             constraints = [rand_elt() for _ in range(rng.randint(1, 2))]
             cert = nil_member(x, constraints)
+            assert is_nil(x, constraints) == (cert is not None)
             search = nil_exponent_search(x, constraints, cap=12)
             if search is not None:
                 e, cert2 = search
