@@ -18,7 +18,7 @@ from .errors import EngineError, MalformedTranscript, NotFinite, RingSyntaxError
 from .game import Transcript, referee_play, verify_transcript
 from .oracle import enumerate_finite, minimal_alpha, minimal_alpha_ring
 from .parsing import parse_ring
-from .rings import nil_member
+from .rings import is_nil
 from .strategies import (
     DiagonalRefuterPoly,
     DiagonalRefuterZ,
@@ -258,7 +258,7 @@ def cmd_refute(args):
             moves = [moves_pool[i] for i in combo]
             refuter = DiagonalRefuterPoly(ring)
             h = refuter.forced_constraint(moves)
-            if nil_member(x, [h]) is not None:
+            if is_nil(x, [h]):
                 print(f"FAILED on {args.ring} at moves={[m.to_text() for m in moves]}")
                 return 1
             checked += 1

@@ -11,12 +11,11 @@
 Text exactly as ``Polynomial.to_text`` prints it, terms joined by " + " and
 " - ", each [-]c[/d]*V^e*..., is read by one regular-expression scan
 (``_scan``) straight into a {packed monomial: coefficient} dict.  Any other
-text goes to the recursive-descent ``_Parser``, which reads a term as a
-(coefficient, packed monomial) pair without a Polynomial product or power,
-and raises every error, with its position in the text: a degree past
-``DEGREE_BOUND``, a coefficient past the 4,300 digits that cap a literal and
-a power or product of sums that would take the text past its expansion
-budget, at the token that built it.
+text goes to the recursive-descent ``_Parser``, which builds each term as a
+Polynomial and raises every error, with its position in the text: a degree
+past ``DEGREE_BOUND``, a coefficient past the 4,300 digits that cap a
+literal and a power or product of sums that would take the text past its
+expansion budget, at the token that built it.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, lcm
-from operator import mul
 
 from .algebra import DEGREE_BOUND, GF, QQ, ZZ, Polynomial, degree, pack
-from .errors import DegreeOverflow, RingSyntaxError, UnknownVariable
+from .errors import RingSyntaxError, UnknownVariable
 
 
 class _Token:
@@ -79,14 +77,6 @@ def _tokenize(text):
     return tokens
 
 
-def _bounded(op, a, b, tok):
-    """op(a, b), with a degree past the bound reported at tok."""
-    try:
-        return op(a, b)
-    except DegreeOverflow as exc:
-        raise RingSyntaxError(str(exc), tok.pos) from None
-
-
 # Python's default limit on int <-> str conversion, which already caps a
 # literal; no coefficient built over ZZ or QQ may pass it either.  A number
 # of b bits is at least 2^(b-1), so (b-1)*e above _LIMIT_BITS =
@@ -107,14 +97,6 @@ _LIMIT_BITS = 14284
 # text, a whole ring included, gets _POWER_WORK of that work (0.2-0.65 s on
 # a 2-core x86-64 host); the power or product that would pass it is refused.
 _POWER_WORK = 1 << 31
-
-# A single term is read as a (coefficient, packed monomial) pair, and a sum
-# of terms into one dict.  Only a parenthesised sub-expression of two or
-# more terms is a Polynomial; its zeroth power and its product with zero
-# are pairs, and all else computed from it keeps two or more terms, so a
-# constant is always a pair.  A zero term is (0, 0), so that, as in
-# Polynomial arithmetic, a product with zero checks no degree.
-_ZERO = (0, 0)
 
 
 @lru_cache(maxsize=64)
@@ -159,12 +141,10 @@ class _Parser:
         negate = False
         op = None
         while True:
-            term = self.parse_term()
-            pairs = ((term[1], term[0]),) if type(term) is tuple else term.terms.items()
-            for m, c in pairs:
+            for m, c in self.parse_term().terms.items():
                 if m in acc:
                     acc[m] = v = acc[m] - c if negate else acc[m] + c
-                    self._capped((v, m), op, "sum")
+                    self._check_digits((v,), op, "sum")
                 else:
                     acc[m] = -c if negate else c
             if self.peek().kind not in ("+", "-"):
@@ -186,48 +166,36 @@ class _Parser:
         return result
 
     def _multiply(self, a, b, tok):
-        if type(a) is not tuple:
-            a, b = b, a
-        if type(a) is not tuple:
+        if len(a.terms) > 1 and len(b.terms) > 1:
             (ta, top_a, den_a), (tb, top_b, den_b) = _size(a), _size(b)
             bits = top_a.bit_length() + top_b.bit_length()
             self._charge("product of sums", ta * tb, ta * tb, bits, den_a * den_b, tok)
-            return self._capped(_bounded(mul, a, b, tok), tok, "product")
-        c, m = a
-        if not c:
-            return _ZERO
-        if type(b) is not tuple:
-            return self._capped(_bounded(b.mul_term, m, c, tok), tok, "product")
-        if not b[0]:
-            return _ZERO
-        m += b[1]
-        self._check_degree(degree(m, self.n), tok)
-        return self._capped((self.ring.normalize(c * b[0]), m), tok, "product")
+        if a.terms and b.terms:
+            # the largest packed monomials have the largest degrees
+            self._check_degree(degree(max(a.terms) + max(b.terms), self.n), tok)
+        product = a * b
+        self._check_digits(product.terms.values(), tok, "product")
+        return product
 
     def _divide(self, lhs, rhs, tok):
-        if type(rhs) is not tuple or rhs[1] or not rhs[0]:
+        d = rhs.terms.get(0)
+        if not d or len(rhs.terms) > 1:
             raise RingSyntaxError("divisor must be a nonzero constant", tok.pos)
-        d = rhs[0]
         ring = self.ring
         try:
-            if type(lhs) is tuple:
-                return self._capped((ring.exact_div(lhs[0], d), lhs[1]), tok, "quotient")
             # an exact quotient of a nonzero coefficient is nonzero
             quotient = {m: ring.exact_div(c, d) for m, c in lhs.terms.items()}
-            return self._capped(Polynomial._raw(ring, self.vars, quotient), tok, "quotient")
         except ValueError as exc:
             raise RingSyntaxError(str(exc), tok.pos) from None
+        self._check_digits(quotient.values(), tok, "quotient")
+        return Polynomial._raw(ring, self.vars, quotient)
 
     def parse_signed(self):
         negate = False
         while self.peek().kind in ("+", "-"):
             negate ^= self.take().kind == "-"
         result = self.parse_power()
-        if not negate:
-            return result
-        if type(result) is tuple:
-            return self.ring.neg(result[0]), result[1]
-        return -result
+        return -result if negate else result
 
     def parse_power(self):
         base = self.parse_atom()
@@ -238,31 +206,29 @@ class _Parser:
         return base
 
     def _power(self, base, e, tok):
-        if e == 0:
-            return 1, 0
-        if type(base) is not tuple:
-            self._charge_power(base, e, tok)
-            return self._capped(base**e, tok, "power")
-        c, m = base
-        if not c:
-            return _ZERO
-        self._check_degree(degree(m, self.n) * e, tok)
-        m *= e
-        ring = self.ring
-        if ring.kind == "GF":
-            return pow(c, e, ring.p), m
-        if any((x.bit_length() - 1) * e > _LIMIT_BITS for x in (c.numerator, c.denominator)):
-            raise RingSyntaxError(f"a power's coefficient would pass {_MAX_DIGITS} digits", tok.pos)
-        return self._capped((c**e, m), tok, "power")
+        self._check_power(base, e, tok)
+        power = base**e
+        self._check_digits(power.terms.values(), tok, "power")
+        return power
 
-    def _charge_power(self, base, e, tok):
-        """Check the degree of a sum's power base^e and charge its expansion."""
+    def _check_power(self, base, e, tok):
+        """Refuse base^e at tok before it is expanded: past the degree bound,
+        past _MAX_DIGITS digits for a single term, or past the text's
+        expansion budget for a sum."""
+        if not (base.terms and e):
+            return
         # the largest packed monomial has the largest degree
         d = degree(max(base.terms), self.n)
         self._check_degree(d * e, tok)
-        t, top, den = _size(base)
-        terms = min(comb(e + t - 1, t - 1), comb(self.n + d * e, self.n))
-        self._charge("power of a sum", terms, terms * terms, e * top.bit_length(), den, tok)
+        if len(base.terms) > 1:
+            t, top, den = _size(base)
+            terms = min(comb(e + t - 1, t - 1), comb(self.n + d * e, self.n))
+            self._charge("power of a sum", terms, terms * terms, e * top.bit_length(), den, tok)
+        elif self.ring.kind != "GF":
+            (c,) = base.terms.values()
+            if any((x.bit_length() - 1) * e > _LIMIT_BITS for x in (c.numerator, c.denominator)):
+                raise RingSyntaxError(f"a power's coefficient would pass {_MAX_DIGITS} digits", tok.pos)
+            self._check_digits((c**e,), tok, "power")
 
     def _charge(self, what, terms, pairs, bits, den, tok):
         """Add an expansion of ``pairs`` term products, up to ``terms`` terms
@@ -281,14 +247,13 @@ class _Parser:
                 f" of {bits}-bit coefficients", tok.pos
             )
 
-    def _capped(self, value, tok, what):
-        """value, a pair or a Polynomial, unless one of its coefficients passes
-        _MAX_DIGITS digits; residues mod p are reduced and always pass."""
-        for c in (value[0],) if type(value) is tuple else value.terms.values():
+    def _check_digits(self, coeffs, tok, what):
+        """Refuse at tok a coefficient past _MAX_DIGITS digits; residues mod p
+        are reduced and always pass."""
+        for c in coeffs:
             if not (-_COEFF_LIMIT < c.numerator < _COEFF_LIMIT and c.denominator < _COEFF_LIMIT):
                 message = f"a {what}'s coefficient would pass {_MAX_DIGITS} digits"
                 raise RingSyntaxError(message, tok.pos)
-        return value
 
     def _check_degree(self, d, tok):
         if d >= DEGREE_BOUND:
@@ -297,13 +262,13 @@ class _Parser:
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "int":
-            return self.ring.normalize(self.take_int()), 0
+            return Polynomial.constant(self.ring, self.take_int(), self.vars)
         if tok.kind == "ident":
             self.take()
             m = self.monomials.get(tok.text)
             if m is None:
                 raise UnknownVariable(f"unknown variable {tok.text!r}", tok.pos)
-            return 1, m
+            return Polynomial._raw(self.ring, self.vars, {m: 1})
         if tok.kind == "(":
             self.take()
             self.depth += 1
@@ -312,9 +277,7 @@ class _Parser:
             terms = self.parse_sum()
             self.take(")")
             self.depth -= 1
-            if len(terms) > 1:
-                return Polynomial._raw(self.ring, self.vars, terms)
-            return next(((c, m) for m, c in terms.items()), _ZERO)
+            return Polynomial._raw(self.ring, self.vars, terms)
         raise RingSyntaxError(f"unexpected {tok.text or 'end'!r}", tok.pos)
 
     def take_int(self):
@@ -446,15 +409,9 @@ def parse_polynomial(text, ring, vars):
 
 def _check_power(poly, e):
     """Refuse poly^e, with the RingSyntaxError that the text "(poly)^e" would
-    raise, before any of it is computed: past the degree bound, past 4,300
-    digits for a single term, or past one text's expansion budget for a sum.
-    A sum is charged, never expanded."""
-    parser = _Parser("", poly.ring, poly.vars)
-    tok = _Token("^", "^", None)
-    if len(poly.terms) > 1:
-        parser._charge_power(poly, e, tok)
-    else:
-        parser._power(next(((c, m) for m, c in poly.terms.items()), _ZERO), e, tok)
+    raise, before it is expanded: past the degree bound, past 4,300 digits
+    for a single term, or past one text's expansion budget for a sum."""
+    _Parser("", poly.ring, poly.vars)._check_power(poly, e, _Token("^", "^", None))
 
 
 def parse_ring(text):

@@ -591,8 +591,8 @@ def delayer_from_spec(spec, ring, x):
             raise UnknownAgentSpec(f"{spec!r} allows replies of more than {_RANDOM_MAX_MONOMIALS} terms")
         return RandomDelayer(ring, seed, deg, bound)
     if spec == "refuterZ":
-        value = x.poly.constant_value() if not x.poly.is_zero() else 0
-        return DiagonalRefuterZ(ring, value)
+        # x is a constant on the plain integers; other rings are refused first
+        return DiagonalRefuterZ(ring, 0 if ring.vars else x.poly.constant_value())
     if spec == "refuterPoly":
         return DiagonalRefuterPoly(ring)
     if spec == "echo":
@@ -609,11 +609,18 @@ def delayer_from_spec(spec, ring, x):
 def _factory_from_spec(spec, ring):
     """The factory of a prover spec: the spec is read in full before any
     coefficient ring is taken, so unknown text is refused on every ring."""
-    core, lifts = spec.strip(), 0
-    while core.startswith("polyLift(") and core.endswith(")"):
-        core, lifts = core[len("polyLift(") : -1].strip(), lifts + 1
+    spec = spec.strip()
+    # peel "polyLift(" and ")" off spec[start:end] in place, one pair a pass
+    start, end, lifts = 0, len(spec), 0
+    while spec.startswith("polyLift(", start, end) and spec.endswith(")", start, end):
+        start, end, lifts = start + len("polyLift("), end - 1, lifts + 1
+        while start < end and spec[start].isspace():
+            start += 1
+        while start < end and spec[end - 1].isspace():
+            end -= 1
+    core = spec[start:end]
     if core != "auto" and core not in _LEAVES:
-        raise UnknownAgentSpec(f"unknown prover spec {spec.strip()!r}")
+        raise UnknownAgentSpec(f"unknown prover spec {spec!r}")
     rings = [ring]
     for _ in range(lifts):
         rings.append(coefficient_ring(rings[-1]))

@@ -494,6 +494,91 @@ def test_term_scanner_leaves_other_text_to_the_parser(p, kind, r):
     assert _outcome(parse_polynomial, text, p.ring, p.vars) == expected, (kind, text)
 
 
+# Expression text outside the printed form, read by the parser alone, with
+# the terms, coefficient types and errors (message and position) it gives.
+_SUM49 = "+".join(f"x^{i}" for i in range(1, 50)) + "+10^4000/3"
+PARSER_PINS = [
+    ("sum-no-spaces", ZZ, "x+2*y-3", {(0, 0): -3, (1, 0): 1, (0, 1): 2}),
+    ("fractions-no-spaces", QQ, "1/2*x-y/3+5/6",
+     {(0, 0): Fraction(5, 6), (1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3)}),
+    ("nested", ZZ, "((x+(y-1))*(x-(y+1)))", {(0, 0): 1, (1, 0): -2, (2, 0): 1, (0, 2): -1}),
+    ("nested-singles", ZZ, "(((x)))-((y))", {(1, 0): 1, (0, 1): -1}),
+    ("sign-run", ZZ, "--x+-+-y", {(1, 0): 1, (0, 1): 1}),
+    ("sign-run-in-product", GF(7), "x*-+-x-(-(-y))*-3", {(0, 1): 3, (2, 0): 1}),
+    ("negated-power-of-sum", ZZ, "-(x-y)^2", {(2, 0): -1, (1, 1): 2, (0, 2): -1}),
+    ("zero-times-x", ZZ, "0*x+y", {(0, 1): 1}),
+    ("x-to-zero", ZZ, "x^0+y^0", {(0, 0): 2}),
+    ("zero-to-n", ZZ, "0^5+x", {(1, 0): 1}),
+    ("zero-to-zero", ZZ, "0^0", {(0, 0): 1}),
+    ("zero-sum-to-zero", QQ, "(x-x)^0", {(0, 0): 1}),
+    ("one-to-n", ZZ, "1^4000000000*x", {(1, 0): 1}),
+    ("minus-one-to-n", ZZ, "(-1)^3*x+(-1)^4000000000", {(0, 0): 1, (1, 0): -1}),
+    ("fraction-power", QQ, "(-1/2)^3*y", {(0, 1): Fraction(-1, 8)}),
+    ("divide-zz", ZZ, "(2*x+4)/2", {(0, 0): 2, (1, 0): 1}),
+    ("divide-qq", QQ, "(x+1)/3/2", {(0, 0): Fraction(1, 6), (1, 0): Fraction(1, 6)}),
+    ("divide-qq-integral", QQ, "x/2*2+4/2+2/4", {(0, 0): Fraction(5, 2), (1, 0): 1}),
+    ("divide-gf", GF(7), "x/3+1/2", {(0, 0): 4, (1, 0): 5}),
+    ("divide-power-qq", QQ, "(x/2)^3", {(3, 0): Fraction(1, 8)}),
+    ("multiple-of-p", GF(7), "14*x+7+(x+1)^7", {(0, 0): 1, (7, 0): 1}),
+    ("inexact-zz", ZZ, "(x+3)/2",
+     (RingSyntaxError, "1 is not divisible by 2 over ZZ (at position 5)")),
+    ("degree-product", ZZ, "x^2147483647*y",
+     (RingSyntaxError, "total degree 2147483648 is not below 2147483648 (at position 12)")),
+    ("degree-power", ZZ, "x^2147483648",
+     (RingSyntaxError, "total degree 2147483648 is not below 2147483648 (at position 2)")),
+    ("degree-power-of-sum", ZZ, "(x+y)^2147483648",
+     (RingSyntaxError, "total degree 2147483648 is not below 2147483648 (at position 6)")),
+    ("digits-product", ZZ, "10^4000*10^4000",
+     (RingSyntaxError, "a product's coefficient would pass 4300 digits (at position 7)")),
+    ("digits-quotient", QQ, "1/10^3000/10^3000",
+     (RingSyntaxError, "a quotient's coefficient would pass 4300 digits (at position 9)")),
+    ("digits-sum", ZZ, "9" * 4300 + "*x+x",
+     (RingSyntaxError, "a sum's coefficient would pass 4300 digits (at position 4302)")),
+    ("digits-power", ZZ, "10^4300",
+     (RingSyntaxError, "a power's coefficient would pass 4300 digits (at position 3)")),
+    ("digits-power-precheck", ZZ, "2^14285",
+     (RingSyntaxError, "a power's coefficient would pass 4300 digits (at position 2)")),
+    ("digits-power-denominator", QQ, "(1/3)^9100",
+     (RingSyntaxError, "a power's coefficient would pass 4300 digits (at position 6)")),
+    ("digits-power-of-sum", ZZ, "(x+10^3000)^2",
+     (RingSyntaxError, "a power's coefficient would pass 4300 digits (at position 12)")),
+    ("power-of-a-sum", ZZ, "(x+1)^100000",
+     (RingSyntaxError, "a power of a sum is too large to expand:"
+      " up to 100001 terms of 200000-bit coefficients (at position 6)")),
+    ("product-of-sums", QQ, f"({_SUM49})*({_SUM49})",
+     (RingSyntaxError, "a product of sums is too large to expand:"
+      " up to 2500 terms of 26576-bit coefficients (at position 247)")),
+    ("nesting", ZZ, "(" * 101 + "x" + ")" * 101,
+     (RingSyntaxError, "parentheses nest deeper than 100 (at position 100)")),
+    ("unknown-name", ZZ, "x+w", (UnknownVariable, "unknown variable 'w' (at position 2)")),
+    ("divisor-sum", QQ, "x/(x+1)",
+     (RingSyntaxError, "divisor must be a nonzero constant (at position 1)")),
+    ("divisor-variable", ZZ, "x/y",
+     (RingSyntaxError, "divisor must be a nonzero constant (at position 1)")),
+    ("divisor-zero", ZZ, "x/0",
+     (RingSyntaxError, "divisor must be a nonzero constant (at position 1)")),
+    ("divisor-zero-sum", QQ, "x/(x-x)",
+     (RingSyntaxError, "divisor must be a nonzero constant (at position 1)")),
+    ("missing-operand", ZZ, "1+*2", (RingSyntaxError, "unexpected '*' (at position 2)")),
+    ("exponent-not-integer", ZZ, "x^y",
+     (RingSyntaxError, "expected 'int', found 'y' (at position 2)")),
+    ("unclosed", ZZ, "(x+1", (RingSyntaxError, "expected ')', found 'end' (at position 4)")),
+]
+
+
+@pytest.mark.parametrize(
+    "ring, text, expected", [pin[1:] for pin in PARSER_PINS], ids=[pin[0] for pin in PARSER_PINS]
+)
+def test_parser_reads_text_outside_the_printed_form_as_pinned(ring, text, expected):
+    vars = ("x", "y")
+    assert _scan(text, ring, vars) is None
+    outcome = _outcome(parse_polynomial, text, ring, vars)
+    if isinstance(expected, tuple):
+        assert outcome == (expected[0], expected[1])
+    else:
+        assert outcome == {pack(e, 2): (c, type(c)) for e, c in expected.items()}
+
+
 def test_polynomials_over_different_variable_lists_are_unequal():
     short = Polynomial.variable(QQ, "x", ("x",))
     long = Polynomial.variable(QQ, "x", ("x", "y"))

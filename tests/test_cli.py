@@ -52,6 +52,17 @@ def test_play_refuted_exit_one(capsys):
     assert json.loads(out)["winner"] == "delayer"
 
 
+@pytest.mark.parametrize("x", ["X", "3"])
+def test_refuter_z_refuses_another_ring_before_reading_x(capsys, x):
+    code, out, err = run(
+        ["play", "--ring", "ZZ[X]", "--x", x, "--budget", "1", "--prover", "polyLift(zeroDim)",
+         "--delayer", "refuterZ"],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert err == "engine error: refuterZ plays on the plain integers\n"
+
+
 def test_play_config_error(capsys):
     code, _, err = run(["play", "--ring", "WAT[", "--x", "1", "--budget", "1"], capsys)
     assert code == 2
@@ -270,6 +281,26 @@ def test_replay_with_too_large_random_replies_is_invalid(tmp_path, capsys):
         assert (code, err) == (1, "")
         assert out.count("\n") == 1 and out.startswith("invalid: cannot reconstruct agents: ")
         assert out.endswith(reason + "\n")
+
+
+@pytest.mark.parametrize(
+    "core, message",
+    [("auto", "QQ has no polynomial variable"), ("nope", "unknown prover spec 'polyLift(polyLift(")],
+    ids=["ring-error", "unknown-spec"],
+)
+def test_replay_reads_a_deeply_nested_prover_spec_in_linear_time(tmp_path, capsys, core, message):
+    path = tmp_path / "t.json"
+    code, _, _ = run(["play", "--ring", "QQ[X]", "--x", "X", "--budget", "2", "--out", str(path)], capsys)
+    assert code == 0
+    obj = json.loads(path.read_text())
+    # 2 MB of nesting: an unknown core is refused before the ring runs out of variables
+    obj["prover"] = "polyLift(" * 200000 + core + ")" * 200000
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, out, err = run(["verify", str(path), "--replay"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (1, "")
+    assert out.count("\n") == 1 and out.startswith(f"invalid: cannot reconstruct agents: {message}")
 
 
 def test_jac_witness_delayer_spec_plays_and_replays(tmp_path, capsys):
