@@ -37,6 +37,7 @@ numerators that ``_cleared`` gives, with one division per result term.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .errors import DegreeOverflow, IncompatibleRings
@@ -498,45 +499,39 @@ class Polynomial:
         """Render in the expression grammar; ``parse`` round-trips this.
 
         Terms come by total degree, then by exponent vector, largest first.
+        Each monomial's sort key and text come from ``_monomial_text``, a
+        cache of the 4,096 (variable list, monomial) pairs used last, shared
+        by every polynomial, so a print is one sort and one join.
         """
         if not self.terms:
             return "0"
-        n = len(self.vars)
-        shift = n * _W
-        ordered = sorted(
-            ((m >> shift, exponents(m, n), c) for m, c in self.terms.items()),
-            reverse=True,
-        )
+        vars = self.vars
         pieces = []
-        for _, exps, coeff in ordered:
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(self.vars[i])
-                elif e > 1:
-                    factors.append(f"{self.vars[i]}^{e}")
-            body = "*".join(factors)
-            neg, mag = _coeff_text(coeff)
-            if body and mag == "1":
-                text = body
-            elif body:
-                text = f"{mag}*{body}"
+        for (_, body), c in sorted(
+            [(_monomial_text(vars, m), c) for m, c in self.terms.items()], reverse=True
+        ):
+            if c < 0:
+                pieces.append(" - ")
+                c = -c
             else:
-                text = mag
-            if not pieces:
-                pieces.append(f"-{text}" if neg else text)
-            else:
-                pieces.append(f" - {text}" if neg else f" + {text}")
-        return "".join(pieces)
+                pieces.append(" + ")
+            # an integral Fraction prints as its int, any other as n/d
+            mag = str(c)
+            pieces.append((body if mag == "1" else f"{mag}*{body}") if body else mag)
+        text = "".join(pieces)
+        return f"-{text[3:]}" if text[1] == "-" else text[3:]
 
 
-def _coeff_text(coeff):
-    if isinstance(coeff, Fraction):
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        return neg, (str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}")
-    neg = coeff < 0
-    return neg, str(-coeff if neg else coeff)
+@lru_cache(maxsize=4096)
+def _monomial_text(vars, m):
+    """(sort key, text) of packed monomial m over vars, as ``to_text`` prints
+    it: the key orders by total degree, then by exponent vector from the first
+    variable; the text is ``X^2*Y``, empty for 1.  The printing twin of
+    ``parsing._variable_monomials``."""
+    n = len(vars)
+    exps = exponents(m, n)
+    text = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(vars, exps) if e)
+    return _pack(exps[::-1], n), text
 
 
 def _check_compatible(a, b):

@@ -20,6 +20,7 @@ from .errors import DegreeOverflow, EngineError, IllegalMove, MalformedTranscrip
 from .ideals import NilCertificate
 from .parsing import _check_power, parse_polynomial, parse_ring
 from .rings import is_nil, nil_member
+from .strategies import JacWitnessDelayer, delayer_from_spec, prover_from_spec
 
 
 @dataclass(frozen=True)
@@ -342,8 +343,6 @@ def verify_transcript(transcript, replay=False):
             problems.append("certificate identity fails")
 
     if replay and not problems:
-        from .strategies import delayer_from_spec, prover_from_spec
-
         try:
             prover = prover_from_spec(transcript.prover_name, ring, x, xprime, transcript.budget)
             delayer = delayer_from_spec(transcript.delayer_name, ring, x)
@@ -368,8 +367,6 @@ def extract_nil_from_jac(strategy, base_constraints):
     base set, so the leaf certificate rewrites exactly onto relations plus
     base constraints.
     """
-    from .strategies import JacWitnessDelayer
-
     ring = strategy.ring
     x = strategy.x
     base_constraints = [ring.element(u) for u in base_constraints]

@@ -415,8 +415,23 @@ def _check_power(poly, e):
 
 
 def parse_ring(text):
-    """Parse a ring presentation such as ``ZZ[x,y]/(x^2+1)``, ``GF(5)[x]`` or ``ZZ/4``."""
-    from .rings import RingPresentation
+    """Parse a ring presentation such as ``ZZ[x,y]/(x^2+1)``, ``GF(5)[x]`` or ``ZZ/4``.
+
+    The presentations of the 64 texts used last are kept in a cache keyed
+    by the text, so equal texts give one presentation, shared between
+    callers together with the basis it completes on first use; callers must
+    not change it.  A refusal is never cached: it is raised again on every
+    call, with its message and position.  A text that is not a ``str`` is
+    refused with RingSyntaxError.
+    """
+    if not isinstance(text, str):  # no cache key, like the [] argparse gives for "--ring=--"
+        raise RingSyntaxError(f"a ring text must be a string, not {type(text).__name__}")
+    return _parse_ring(text)
+
+
+@lru_cache(maxsize=64)
+def _parse_ring(text):
+    from .rings import RingPresentation  # rings imports this module
 
     parser = _Parser(text, None, ())
     base = parser.parse_base()

@@ -25,6 +25,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .ideals import NilCertificate, groebner
+from .parsing import parse_polynomial
 
 
 class RingPresentation:
@@ -76,8 +77,6 @@ class RingPresentation:
                 )
             return value.poly
         if isinstance(value, str):
-            from .parsing import parse_polynomial
-
             return parse_polynomial(value, self.base, self.vars)
         if isinstance(value, Polynomial):
             if value.ring != self.base:
@@ -506,8 +505,6 @@ def _modular_witness(x):
     Once gcd(x^e, n) stops growing, n splits as g * m2 with g | x^e and x
     invertible modulo m2, so a := x^(-1) mod m2 gives x^e(1 - a*x) = 0.
     """
-    import math
-
     ring = x.ring
     torsion = None
     for lm, lc in ring.gb.lead_terms():
@@ -518,10 +515,10 @@ def _modular_witness(x):
         raise NotZeroDimensional(f"{ring.to_text()} has no integer torsion")
     n = torsion
     x_val = x.poly.constant_value() if not x.poly.is_zero() else 0
-    prev = math.gcd(1, n)
+    prev = gcd(1, n)
     e = 0
     while True:
-        nxt = math.gcd(pow(x_val, e + 1, n) if n > 1 else 0, n)
+        nxt = gcd(pow(x_val, e + 1, n) if n > 1 else 0, n)
         if nxt == prev:
             break
         prev = nxt

@@ -15,8 +15,10 @@ strategy plays on and simply loses.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
+from math import gcd
 
 from .algebra import Polynomial
 from .errors import (
@@ -384,14 +386,13 @@ class RandomDelayer(DelayerStrategy):
         self.abs_le = abs_le
         self.rng = random.Random(seed)
         self.name = f"random(seed={seed},degLE={deg_le},absLE={abs_le})"
+        # every exponent vector of degree at most deg_le in each variable,
+        # the last variable's exponent changing fastest: the draw order
+        self.monomials = list(itertools.product(range(deg_le + 1), repeat=len(ring.vars)))
 
     def _random_element(self):
-        nvars = len(self.ring.vars)
-        monos = [()]
-        for _ in range(nvars):
-            monos = [m + (e,) for m in monos for e in range(self.deg_le + 1)]
         terms = {}
-        for exps in monos:
+        for exps in self.monomials:
             c = self.rng.randint(-self.abs_le, self.abs_le)
             if c:
                 terms[exps] = c
@@ -514,11 +515,9 @@ class DiagonalRefuterZ(DelayerStrategy):
     @staticmethod
     def check_not_nil(c, n_value):
         """Repeated gcd stripping: True iff some prime of c misses N."""
-        import math
-
         c0 = abs(c)
         while True:
-            g = math.gcd(c0, abs(n_value))
+            g = gcd(c0, abs(n_value))
             if g == 1:
                 break
             while c0 % g == 0:

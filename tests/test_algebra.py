@@ -16,6 +16,7 @@ from jacarena.algebra import (
     MonomialOrder,
     Polynomial,
     _is_prime,
+    _monomial_text,
     exponents,
     pack,
 )
@@ -302,6 +303,25 @@ def test_ring_text_round_trip():
         assert again == ring
 
 
+def test_parse_ring_gives_one_presentation_per_text():
+    text = "GF(7)[a,b]/(a^2 + b, 3)"
+    ring = parse_ring(text)
+    assert parse_ring(text) is ring
+    assert parse_ring("ZZ[X]") is not parse_ring("ZZ[Y]")
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [("ZZ[X,X]", "duplicate variable 'X'", 5), ("GF(4)[X]", "GF modulus must be a prime, got 4", 3)],
+)
+def test_parse_ring_refuses_a_text_again_on_every_call(text, message, position):
+    for _ in range(3):
+        with pytest.raises(RingSyntaxError) as info:
+            parse_ring(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+
 # -- randomized properties ---------------------------------------------------
 
 RINGS = st.sampled_from([ZZ, QQ, GF(5), GF(2)])
@@ -425,10 +445,10 @@ SCAN_VARS = st.sampled_from([("x",), ("X", "Y"), ("x", "y", "z"), ("X1", "_t", "
 
 
 @st.composite
-def printed_polynomials(draw):
+def printed_polynomials(draw, rings=SCAN_RINGS):
     """A polynomial over 1-3 variables, with coefficients up to 60 digits,
     fractions over QQ, and exponents small or near the degree bound."""
-    ring, vars = draw(SCAN_RINGS), draw(SCAN_VARS)
+    ring, vars = draw(rings), draw(SCAN_VARS)
     coeffs = st.one_of(st.integers(-9, 9), st.integers(-10**60, 10**60))
     if ring == QQ:
         coeffs = st.builds(Fraction, coeffs, st.integers(1, 10**20))
@@ -730,6 +750,45 @@ def test_to_text_orders_terms_by_degree_then_exponents(data):
     seen = [exponents(next(iter(t.terms)), n) for t in shown]
     expected = sorted((exponents(m, n) for m in p.terms), key=lambda e: (sum(e), e), reverse=True)
     assert seen == expected
+
+
+def _reference_text(p):
+    """``to_text`` by unpacking every monomial into its exponent tuple on
+    each call, sorting by (degree, exponents) and rendering term by term."""
+    if not p.terms:
+        return "0"
+    n = len(p.vars)
+    ordered = sorted(
+        ((sum(exponents(m, n)), exponents(m, n), c) for m, c in p.terms.items()), reverse=True
+    )
+    pieces = []
+    for _, exps, coeff in ordered:
+        body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(p.vars, exps) if e)
+        neg = coeff < 0
+        mag = -coeff if neg else coeff
+        mag = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        text = body if body and mag == "1" else f"{mag}*{body}" if body else mag
+        if not pieces:
+            pieces.append(f"-{text}" if neg else text)
+        else:
+            pieces.append(f" - {text}" if neg else f" + {text}")
+    return "".join(pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(printed_polynomials(rings=st.sampled_from([ZZ, QQ, GF(2), GF(32003)])))
+def test_to_text_matches_the_reference_renderer(p):
+    expected = _reference_text(p)
+    _monomial_text.cache_clear()
+    assert p.to_text() == expected  # every monomial text computed
+    assert p.to_text() == expected  # every monomial text from the cache
+
+
+def test_monomial_text_is_keyed_by_the_variable_list():
+    m, one = pack((2, 1), 2), pack((0, 1), 2)
+    _monomial_text.cache_clear()
+    assert Polynomial._raw(ZZ, ("X", "Y"), {m: 3, one: -1}).to_text() == "3*X^2*Y - Y"
+    assert Polynomial._raw(ZZ, ("Y", "X"), {m: 3, one: -1}).to_text() == "3*Y^2*X - X"
 
 
 @pytest.mark.parametrize("value", [0, 3, -7, Fraction(1, 2)])

@@ -69,6 +69,16 @@ def test_play_config_error(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["play", "--ring=--", "--x", "1", "--budget", "0"],
+     ["refute", "poly", "--ring=--", "--max-moves", "1", "--bound", "1"]],
+)
+def test_ring_option_read_as_a_list_is_a_configuration_error(argv, capsys):
+    # argparse takes "--" as the end of options and gives the option []
+    assert run(argv, capsys) == (2, "", "configuration error: a ring text must be a string, not list\n")
+
+
 def test_play_with_a_large_gf_modulus_is_fast(capsys):
     start = time.perf_counter()
     code, out, _ = run(

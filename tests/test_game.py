@@ -157,6 +157,22 @@ def test_transcript_text_survives_a_read_and_a_write(ring_text, x, budget, prove
     assert verify_transcript(again)
 
 
+def test_transcripts_over_one_ring_share_its_presentation():
+    R = parse_ring("QQ[X,Y]/(X^2, Y^3)")
+    texts = []
+    for x, delayer in [("X+Y", "random:4:1:3"), ("X*Y", "random:5:1:2")]:
+        x = R.element(x)
+        t = referee_play(R, x, x, 1, prover_from_spec("zeroDim", R, x, x, 1),
+                         delayer_from_spec(delayer, R, x))
+        texts.append(t.to_json())
+    first, second = (Transcript.from_json(text) for text in texts)
+    assert first.ring is second.ring is parse_ring(R.to_text())
+    for t, text in zip((first, second), texts):
+        assert t.to_json() == text
+        assert verify_transcript(t)
+        assert verify_transcript(t, replay=True)
+
+
 @pytest.mark.parametrize(
     "ring_text, x, xprime, winner",
     [
