@@ -29,7 +29,6 @@ from .rings import (
 from .game import (
     GamePosition,
     Transcript,
-    extract_nil_from_jac,
     referee_play,
     verify_transcript,
 )
@@ -49,11 +48,9 @@ from .strategies import (
     EchoDelayer,
     EuclideanDim1Strategy,
     FixedMovesProver,
-    ImmediateWinStrategy,
     JacWitnessDelayer,
     PolyLiftStrategy,
     RandomDelayer,
-    ScriptedDelayer,
     ZeroDimStrategy,
     loc_integral_strategy,
     quotient_push,

@@ -301,6 +301,10 @@ def cmd_verify(args):
     return 1
 
 
+# argparse reads "--opt=--" as the end of options and gives the option []
+_TEXT_OPTIONS = ("ring", "x", "xprime", "prover", "delayer", "N", "out")
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -312,6 +316,10 @@ def main(argv=None):
         "verify": cmd_verify,
     }
     try:
+        for name in _TEXT_OPTIONS:
+            value = getattr(args, name, None)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"--{name} must be a string, not {type(value).__name__}")
         return handlers[args.command](args)
     except (RingSyntaxError, UnknownAgentSpec, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -64,10 +64,6 @@ class UnknownAgentSpec(EngineError):
     asks a known one for more than the engine bounds."""
 
 
-class BudgetOverflow(EngineError):
-    """A combinator would declare a budget not strictly below the current one."""
-
-
 class WrongBudget(EngineError):
     """A refuting Delayer was invoked at a budget its argument does not cover."""
 

@@ -1,4 +1,4 @@
-"""Referee, transcripts, and certificate extraction for the budgeted radical game.
+"""Referee and transcripts for the budgeted radical game.
 
 A match on (ring, x, x') with budget b runs rounds while the budget is
 positive: Prover declares elements a_1..a_n, Delayer answers b_1..b_n, the
@@ -16,11 +16,11 @@ import sys
 from dataclasses import dataclass
 
 from .algebra import Polynomial
-from .errors import DegreeOverflow, EngineError, IllegalMove, MalformedTranscript, NotInJacobsonRadical
+from .errors import DegreeOverflow, EngineError, IllegalMove, MalformedTranscript
 from .ideals import NilCertificate
 from .parsing import _check_power, parse_polynomial, parse_ring
 from .rings import is_nil, nil_member
-from .strategies import JacWitnessDelayer, delayer_from_spec, prover_from_spec
+from .strategies import delayer_from_spec, prover_from_spec
 
 
 @dataclass(frozen=True)
@@ -354,39 +354,3 @@ def verify_transcript(transcript, replay=False):
                 problems.append("replay with the recorded agents diverges from the transcript")
 
     return VerificationResult(problems)
-
-
-def extract_nil_from_jac(strategy, base_constraints):
-    """Run a winning strategy on the diagonal match (ring, x, x) against the
-    radical-witness Delayer and rewrite the final certificate over the
-    initial constraint set.
-
-    Requires x in Jac of the base set along every Prover move; the witness
-    Delayer raises NotInJacobsonRadical at the first move where 1 is not in
-    the extended ideal.  Each game constraint then lies in the ideal of the
-    base set, so the leaf certificate rewrites exactly onto relations plus
-    base constraints.
-    """
-    ring = strategy.ring
-    x = strategy.x
-    base_constraints = [ring.element(u) for u in base_constraints]
-    delayer = JacWitnessDelayer(ring, x, base_constraints)
-    transcript = referee_play(ring, x, x, strategy.budget, strategy, delayer)
-    if transcript.winner != "prover":
-        raise EngineError("strategy failed to win against the witness delayer")
-
-    cert = transcript.certificate
-    n_rel = len(ring.relations)
-    base_polys = [u.poly for u in base_constraints]
-    gens_out = list(ring.relations) + base_polys
-    out = [Polynomial.zero(ring.base, ring.vars) for _ in gens_out]
-    for j in range(n_rel):
-        out[j] = out[j] + cert.cofactors[j]
-    for cof, witness in zip(cert.cofactors[n_rel:], delayer.witnesses):
-        for j, w in enumerate(witness):
-            if not w.is_zero():
-                out[j] = out[j] + cof * w
-    rewritten = NilCertificate(
-        cert.element, cert.exponent, tuple(gens_out), tuple(out)
-    )
-    return rewritten.require_valid()

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import Polynomial, exponents
-from .rings import finite_enumeration_data, nil_member
+from .rings import finite_enumeration_data
 
 
 class FiniteRingTable:
@@ -182,10 +182,3 @@ def minimal_alpha_ring(table):
             raise AssertionError("a diagonal triple on a finite ring must have finite budget")
         worst = max(worst, alpha)
     return worst
-
-
-def oracle_nil_agrees(table, x, constraints=()):
-    """Cross-check helper: brute_nil against the certificate engine."""
-    brute = brute_nil(table, x, constraints)
-    cert = nil_member(table.ring.element(x), list(constraints))
-    return brute == (cert is not None)

@@ -22,7 +22,6 @@ from math import gcd
 
 from .algebra import Polynomial
 from .errors import (
-    BudgetOverflow,
     NotInJacobsonRadical,
     UnknownAgentSpec,
     UnsupportedRing,
@@ -61,13 +60,6 @@ class ProverStrategy:
         return f"<strategy {self.name} on {self.ring.to_text()}>"
 
 
-class ImmediateWinStrategy(ProverStrategy):
-    """Never moves; relies on the leaf check already holding."""
-
-    def __init__(self, ring):
-        super().__init__(ring, 0, "immediate")
-
-
 class ZeroDimStrategy(ProverStrategy):
     """One-round strategy from a witness x^e(1 - a*x) = 0.
 
@@ -84,7 +76,7 @@ class ZeroDimStrategy(ProverStrategy):
         return [self.move]
 
     def receive(self, pos, moves, replies):
-        return self._declare(pos, 0), ImmediateWinStrategy(self.ring)
+        return self._declare(pos, 0), CutStrategy(self.ring, [])
 
 
 class EuclideanDim1Strategy(ProverStrategy):
@@ -122,7 +114,7 @@ class EuclideanDim1Strategy(ProverStrategy):
 
     def receive(self, pos, moves, replies):
         if self.move is None:
-            return self._declare(pos, 0), ImmediateWinStrategy(self.ring)
+            return self._declare(pos, 0), self
         b = replies[0]
         m = self.ring.one() - b * (self.ring.one() - self.move * self.x)
         inner = ZeroDimStrategy(self.ring.quotient_extend([m]), self.x.poly)
@@ -168,7 +160,8 @@ class CutStrategy(ProverStrategy):
     hands each part its own moves and its replies read into its own ring.
     A normal form modulo a larger ideal is already reduced modulo a smaller
     one, so a move crosses up unchanged.  The declared budget is the
-    largest any part declares.
+    largest any part declares; the referee refuses one that is not below
+    the position's budget.
     """
 
     def __init__(self, ring, parts):
@@ -187,10 +180,6 @@ class CutStrategy(ProverStrategy):
             budget, cont = s.receive(pos, own, mine)
             declared = max(declared, budget)
             conts.append(cont)
-        if declared >= pos.tau:
-            raise BudgetOverflow(
-                f"cut continuation needs budget {declared} at position {pos.tau}"
-            )
         return declared, CutStrategy(self.ring, conts)
 
 
@@ -277,7 +266,7 @@ class PolyLiftStrategy(ProverStrategy):
 
     def receive(self, pos, moves, replies):
         if self.x.is_zero():
-            return self._declare(pos, 0), ImmediateWinStrategy(self.ring)
+            return self._declare(pos, 0), self
         g = replies[0]
         h = self.ring.one() - g * (self.ring.one() - moves[0] * self.x)
         return self._declare(pos, self.factory.budget), CutStrategy(self.ring, self._chain_for(h))
@@ -402,25 +391,6 @@ class RandomDelayer(DelayerStrategy):
         return [self._random_element() for _ in moves]
 
 
-class ScriptedDelayer(DelayerStrategy):
-    """Fixed replies per round; cycles its last entry if the match runs longer."""
-
-    def __init__(self, ring, rounds):
-        self.ring = ring
-        self.rounds = [list(r) for r in rounds]
-        self.index = 0
-        self.name = "scripted"
-
-    def reply(self, pos, moves):
-        script = self.rounds[min(self.index, len(self.rounds) - 1)] if self.rounds else []
-        self.index += 1
-        out = []
-        for i in range(len(moves)):
-            value = script[i] if i < len(script) else 0
-            out.append(self.ring.element(value))
-        return out
-
-
 class ConstantDelayer(DelayerStrategy):
     def __init__(self, ring, value):
         self.ring = ring
@@ -446,16 +416,15 @@ class EchoDelayer(DelayerStrategy):
 class JacWitnessDelayer(DelayerStrategy):
     """Answers each move a with the cofactor of 1 - a*x in 1 = sum c_i u_i + q(1 - a*x).
 
-    The resulting constraint then lies in the ideal of the base set, which
-    is what certificate extraction rewrites along.  Raises
-    NotInJacobsonRadical at the first move where no witness exists.
+    The resulting constraint 1 - q(1 - a*x) = sum c_i u_i then lies in the
+    ideal of the base set.  Raises NotInJacobsonRadical at the first move
+    where no witness exists.
     """
 
     def __init__(self, ring, x, base_constraints):
         self.ring = ring
         self.x = ring.element(x)
         self.base = [ring.element(u) for u in base_constraints]
-        self.witnesses = []
         self.name = "jacWitness(" + ";".join(u.to_text() for u in self.base) + ")"
 
     def reply(self, pos, moves):
@@ -466,13 +435,7 @@ class JacWitnessDelayer(DelayerStrategy):
             cofs = member_in(self.ring, one, self.base + [probe])
             if cofs is None:
                 raise NotInJacobsonRadical(a)
-            b = self.ring.element(cofs[-1])
-            constraint = one - b * probe
-            witness = member_in(self.ring, constraint, self.base)
-            if witness is None:
-                raise AssertionError("witness constraint escaped the base ideal")
-            self.witnesses.append(witness)
-            out.append(b)
+            out.append(self.ring.element(cofs[-1]))
         return out
 
 

@@ -70,13 +70,26 @@ def test_play_config_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["play", "--ring=--", "--x", "1", "--budget", "0"],
-     ["refute", "poly", "--ring=--", "--max-moves", "1", "--bound", "1"]],
+    "argv, option",
+    [
+        (["play", "--ring=--", "--x", "1", "--budget", "0"], "ring"),
+        (["refute", "poly", "--ring=--", "--max-moves", "1", "--bound", "1"], "ring"),
+        (["play", "--ring", "ZZ", "--x=--", "--budget", "0"], "x"),
+        (["play", "--ring", "ZZ", "--x", "2", "--xprime=--", "--budget", "0"], "xprime"),
+        (["play", "--ring", "ZZ", "--x", "2", "--budget", "0", "--prover=--"], "prover"),
+        (["play", "--ring", "ZZ", "--x", "2", "--budget", "0", "--delayer=--"], "delayer"),
+        (["play", "--ring", "ZZ", "--x", "2", "--budget", "0", "--out=--"], "out"),
+        (["refute", "z", "--N=--"], "N"),
+        (["repl", "--ring", "ZZ", "--x=--", "--budget", "0"], "x"),
+    ],
+    ids=["play-ring", "refute-ring", "play-x", "play-xprime", "play-prover", "play-delayer",
+         "play-out", "refute-N", "repl-x"],
 )
-def test_ring_option_read_as_a_list_is_a_configuration_error(argv, capsys):
-    # argparse takes "--" as the end of options and gives the option []
-    assert run(argv, capsys) == (2, "", "configuration error: a ring text must be a string, not list\n")
+def test_text_option_read_as_a_list_is_a_configuration_error(argv, option, capsys, monkeypatch):
+    # argparse takes "--" as the end of options and gives the option [];
+    # --out=-- must not fall back to stdout
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert run(argv, capsys) == (2, "", f"configuration error: --{option} must be a string, not list\n")
 
 
 def test_play_with_a_large_gf_modulus_is_fast(capsys):

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,3 +170,94 @@ def test_exponents_around_the_degree_bound(degree, cut, shape):
     else:
         _assert_one_error_line(code, out, err)
         assert "total degree" in err
+
+
+# -- argv fuzz ---------------------------------------------------------------
+
+ARGV_RINGS = ["ZZ", "ZZ/6", "GF(2)[X]", "QQ[X]"]
+# "--opt=--" reaches a command as [], "--opt=" as empty text
+JUNK = ["--", "", "7" * 5000]
+PROVER_SPECS = ["auto", "zeroDim", "euclideanDim1", "polyLift(zeroDim)", "polyLift(euclideanDim1)",
+                "polyLift(auto)", "polyLift(polyLift(zeroDim))"]
+SMALL = st.integers(0, 2)
+
+
+def _junk_or(strategy):
+    """strategy, or about one time in eight a junk token."""
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(JUNK) if i == 3 else strategy)
+
+
+@st.composite
+def _element_text(draw, ring_text):
+    """An element of degree at most 2 in the ring's one variable, if any."""
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3 if "X" in ring_text else 1))
+    return "+".join(f"({c})*X^{i}" if i else f"({c})" for i, c in enumerate(coeffs))
+
+
+@st.composite
+def _delayer_spec(draw, ring_text):
+    seed = draw(st.integers(-5, 5))
+    element = _element_text(ring_text)
+    return draw(st.sampled_from([
+        f"random:{seed}",
+        f"random:{seed}:{draw(SMALL)}:{draw(SMALL)}",
+        f"random(seed={seed},degLE={draw(SMALL)},absLE={draw(SMALL)})",
+        "refuterZ",
+        "refuterPoly",
+        "echo",
+        f"constant({draw(_junk_or(element))})",
+        f"jacWitness({draw(_junk_or(element))};{draw(_junk_or(element))})",
+    ]))
+
+
+def _option(name, value):
+    return [] if value is None else [f"--{name}={value}"]
+
+
+@st.composite
+def _argv(draw, paths):
+    command = draw(st.sampled_from(["play", "refute", "alpha", "verify"]))
+    ring = draw(st.sampled_from(ARGV_RINGS))
+    if command == "play":
+        argv = [command, f"--ring={draw(_junk_or(st.just(ring)))}", f"--budget={draw(SMALL)}"]
+        argv += _option("x", draw(_junk_or(_element_text(ring))))
+        argv += _option("xprime", draw(st.none() | _junk_or(_element_text(ring))))
+        argv += _option("prover", draw(st.none() | _junk_or(st.sampled_from(PROVER_SPECS))))
+        argv += _option("delayer", draw(st.none() | _junk_or(_delayer_spec(ring))))
+        argv += _option("out", draw(st.none() | _junk_or(st.just(paths["out"]))))
+        return argv
+    if command == "refute":
+        # A QQ[X] sweep at 2 moves of degree 2 and bound 2 checks 15,751 move
+        # lists, 18.5 s on a 2-core host: a valid input, but not a cheap one
+        moves, bound, deg = draw(st.tuples(SMALL, SMALL, SMALL).filter(lambda t: t != (2, 2, 2)))
+        argv = [command, f"--max-moves={moves}", f"--bound={bound}", f"--deg={deg}"]
+        argv += _option("ring", draw(st.none() | _junk_or(st.just(ring))))
+        argv += _option("N", draw(st.none() | _junk_or(st.sampled_from(["2", "-6,3", "0", "1,10"]))))
+        return argv + ["--", draw(_junk_or(st.sampled_from(["z", "poly"])))]
+    if command == "alpha":
+        flags = draw(st.sampled_from([[], ["--per-element"]]))
+        rings = draw(st.lists(_junk_or(st.sampled_from(ARGV_RINGS)), min_size=1, max_size=2))
+        return [command, *flags, "--", *rings]
+    flags = draw(st.sampled_from([[], ["--replay"]]))
+    path = draw(_junk_or(st.sampled_from(["valid", "malformed", "missing", "directory"]).map(paths.get)))
+    return [command, *flags, "--", path]
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    paths = {name: str(root / name) for name in ("valid", "malformed", "missing", "out")}
+    paths["directory"] = str(root)
+    assert _main(["play", "--ring=ZZ", "--x=6", "--budget=2", f"--out={paths['valid']}"])[0] == 0
+    Path(paths["malformed"]).write_text("{")
+    return paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_argv_exits_with_a_code_and_at_most_one_line(argv_paths, data):
+    argv = data.draw(_argv(argv_paths))
+    code, out, err = _main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    assert code == 0 or err.count("\n") <= 1, (argv, err)

@@ -5,25 +5,27 @@ import json
 import pytest
 
 from jacarena.errors import IllegalMove, NotInJacobsonRadical
-from jacarena.game import Transcript, extract_nil_from_jac, referee_play, verify_transcript
+from jacarena.game import Transcript, referee_play, verify_transcript
 from jacarena.parsing import parse_ring
 from jacarena.strategies import (
     ConstantDelayer,
+    CutStrategy,
     FixedMovesProver,
     DiagonalRefuterZ,
     EuclideanDim1Strategy,
-    ImmediateWinStrategy,
     ProverStrategy,
     RandomDelayer,
     delayer_from_spec,
     prover_from_spec,
 )
 
+from support import extract_nil_from_jac
+
 
 def test_budget_zero_with_nilpotent_target():
     R = parse_ring("QQ[x]")
     t = referee_play(R, R.element(0), R.element(0), 0,
-                     ImmediateWinStrategy(R),
+                     CutStrategy(R, []),
                      ConstantDelayer(R, 0))
     assert t.winner == "prover"
     assert t.rounds == []
@@ -115,6 +117,23 @@ def test_illegal_move_budget_not_decreasing():
     with pytest.raises(IllegalMove) as info:
         referee_play(Z, Z.element(6), Z.element(6), 2, BadProver(), ConstantDelayer(Z, 0))
     assert info.value.agent == "prover"
+
+
+def test_a_cut_part_declaring_the_position_budget_is_an_illegal_prover_move():
+    Z = parse_ring("ZZ")
+
+    class OverDeclaring(ProverStrategy):
+        def __init__(self):
+            super().__init__(Z, 2, "overDeclaring")
+
+        def receive(self, pos, moves, replies):
+            return pos.tau, self
+
+    with pytest.raises(IllegalMove) as info:
+        referee_play(Z, Z.element(6), Z.element(6), 2, CutStrategy(Z, [OverDeclaring()]),
+                     ConstantDelayer(Z, 0))
+    assert info.value.agent == "prover"
+    assert str(info.value) == "prover: declared budget 2 at position budget 2"
 
 
 def test_transcript_json_round_trip_and_field_order():

@@ -1,4 +1,5 @@
-"""The engine's modules import at module level, except across a real cycle."""
+"""The engine's modules import at module level, except across a real cycle,
+and every name the package exports is read outside the tests."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,27 @@ def test_the_check_sees_imports_in_functions_and_methods():
 def test_no_import_inside_a_function(module):
     found = {(module, fn, name) for fn, name in function_imports((SRC / f"{module}.py").read_text())}
     assert found - ALLOWED == set()
+
+
+# reference implementations that tests compare the engine against
+TEST_ONLY = {"brute_nil", "brute_jac", "nil_exponent_search"}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """Each name the package exports is read, as a name or an attribute, by
+    an engine module or a non-test benchmark script; an import, a def or a
+    class statement is not a read."""
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    bench = SRC.parents[1] / "perfbench"
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    paths += [p for p in bench.glob("*.py") if not p.name.startswith("test_")]
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert exported - read - TEST_ONLY == set()

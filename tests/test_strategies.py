@@ -17,13 +17,11 @@ from jacarena.strategies import (
     EchoDelayer,
     EuclideanDim1Strategy,
     FixedMovesProver,
-    ImmediateWinStrategy,
     IntegralTransportStrategy,
     JacWitnessDelayer,
     PolyLiftStrategy,
     ProverStrategy,
     RandomDelayer,
-    ScriptedDelayer,
     ZeroDimStrategy,
     delayer_from_spec,
     loc_integral_strategy,
@@ -31,6 +29,8 @@ from jacarena.strategies import (
     quotient_push,
     ring_strategy_factory,
 )
+
+from support import ScriptedDelayer
 
 
 def play(ring, x, budget, prover, delayer, xprime=None):
@@ -115,14 +115,14 @@ def test_cut_strategy_z12():
     # (Z/12, 2, 6) is immediate (6^2 = 0) and (Z/12 / <3>, 2, 2) is one round;
     # the cut on 3 wins (Z/12, 2, 2) at the oracle's exact budget.
     Z12 = parse_ring("ZZ/12")
-    s1 = ImmediateWinStrategy(Z12)
+    s1 = CutStrategy(Z12, [])
     inner_ring = Z12.quotient_extend([Z12.element(3)])
     s2 = ZeroDimStrategy(inner_ring, 2)
     combined = CutStrategy(Z12, [s1, s2])
     assert combined.budget == 1
     for d in (RandomDelayer(Z12, 1, 0, 11), EchoDelayer(Z12), ConstantDelayer(Z12, 5)):
         t = play(Z12, Z12.element(2), 1, CutStrategy(
-            Z12, [ImmediateWinStrategy(Z12), ZeroDimStrategy(inner_ring, 2)]), d)
+            Z12, [CutStrategy(Z12, []), ZeroDimStrategy(inner_ring, 2)]), d)
         assert t.winner == "prover"
     table = enumerate_finite(Z12)
     assert minimal_alpha(table, Z12.element(2), Z12.element(2)) == combined.budget
@@ -131,7 +131,7 @@ def test_cut_strategy_z12():
 def test_cut_budget_law():
     Z12 = parse_ring("ZZ/12")
     inner_ring = Z12.quotient_extend([Z12.element(3)])
-    s1 = ImmediateWinStrategy(Z12)
+    s1 = CutStrategy(Z12, [])
     s2 = ZeroDimStrategy(inner_ring, 2)
     combined = CutStrategy(Z12, [s1, s2])
     pos = GamePosition(Z12, 2, ())
@@ -548,6 +548,10 @@ PINNED_TRANSCRIPTS = [
      "637136ff4f4031726e8209b79c175997d11e48e843c800b09ebd1525ad158955"),
     ("ZZ[X,Y]", "X+Y+1", 4, "auto", "random:4:0:2",
      "fd26369c94364b67766333f026f16d088aab2e7dd48c0dedef6d35bc1b62d134"),
+    # the radical-witness Delayer, which no benchmark workload plays:
+    # X*Y+1 is nilpotent modulo its square
+    ("QQ[X,Y]", "X*Y+1", 3, "auto", "jacWitness(X^2*Y^2+2*X*Y+1)",
+     "b938e03c92c935bada5851c9f29e6c89664e7985ecd89704da3fe68299ae2d85"),
 ]
 
 
