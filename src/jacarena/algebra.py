@@ -375,7 +375,12 @@ class Polynomial:
         return Polynomial._raw(self.ring, new_vars, terms)
 
     def _coerce(self, other):
+        """other as a Polynomial checked compatible with self, or None for an
+        operand that is neither a Polynomial nor an int or Fraction."""
+        if type(other) is Polynomial and other.ring is self.ring and other.vars is self.vars:
+            return other
         if isinstance(other, Polynomial):
+            _check_compatible(self, other)
             return other
         if isinstance(other, (int, Fraction)):
             return Polynomial.constant(self.ring, other, self.vars)
@@ -387,7 +392,6 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        _check_compatible(self, other)
         ring = self.ring
         op = ring.sub if negate else ring.add
         terms = dict(self.terms)
@@ -422,7 +426,6 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        _check_compatible(self, other)
         ring = self.ring
         if not self.terms or not other.terms:
             return Polynomial._raw(ring, self.vars, {})
@@ -444,6 +447,10 @@ class Polynomial:
             return self
         _check_degree((max(self.terms) >> (len(self.vars) * _W)) * e)
         ring = self.ring
+        if len(self.terms) == 1:
+            # c*m to the e is c^e times m with every exponent field times e
+            ((m, c),) = self.terms.items()
+            return Polynomial._raw(ring, self.vars, {m * e: pow(c, e, ring.p) if ring.p else c**e})
         den, base = _cleared(self.terms) if ring.kind == "QQ" else (1, self.terms)
         return Polynomial._raw(ring, self.vars, _over(_power(base, e, ring.p), den**e))
 

@@ -27,8 +27,16 @@ from .strategies import (
 )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose refusal of an argv reaches ``main`` as a ValueError, to
+    be printed as one line; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="jacarena",
         description="Budgeted Prover-Delayer games certifying radical membership on exact rings.",
     )
@@ -82,7 +90,7 @@ def _load_match(args):
 def _check_out(path):
     """Refuse an --out path that cannot be written before any play; the
     probe leaves the file system as it found it."""
-    if path:
+    if path is not None:
         new = not os.path.lexists(path)
         open(path, "a").close()
         if new:
@@ -93,7 +101,7 @@ def _write_out(path, transcript):
     """Serialize the transcript, then write it to the --out path or stdout:
     a transcript that cannot be serialized leaves an old file as it was."""
     text = transcript.to_json(indent=2) + "\n"
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(text)
 
 
@@ -193,7 +201,7 @@ def cmd_repl(args):
     transcript = referee_play(ring, x, xprime, args.budget, _Announcer(), human)
     transcript.prover_name = prover.name
     transcript.delayer_name = "human"
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, transcript)
     print(f"\nWinner: {transcript.winner}")
     if transcript.certificate is not None:
@@ -204,7 +212,7 @@ def cmd_repl(args):
                   for c, g in zip(cert.cofactors, cert.generators)
                   if not c.is_zero()
               ))
-    if args.out:
+    if args.out is not None:
         print(f"Transcript written to {args.out}")
     return 0 if transcript.winner == "prover" else 1
 
@@ -213,12 +221,27 @@ def _int_range(bound):
     return range(-bound, bound + 1)
 
 
+def _move_lists(pool, max_moves):
+    """(count, lists): the number of ordered lists of up to max_moves moves
+    from pool, and one non-decreasing list per multiset of moves.
+
+    The forced constant or constraint is a product over the moves, so each
+    multiset is checked once.  The first failing list in ``product`` order is
+    its own sorted form, so it is also the first failing multiset here.
+    """
+    count = sum(len(pool) ** n for n in range(max_moves + 1))
+    lists = (
+        moves for n in range(max_moves + 1)
+        for moves in itertools.combinations_with_replacement(pool, n)
+    )
+    return count, lists
+
+
 def cmd_refute(args):
     flags = {"--max-moves": args.max_moves, "--bound": args.bound, "--deg": args.deg}
     for flag, value in flags.items():
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
-    checked = 0
     if args.kind == "z":
         ring = parse_ring("ZZ")
         targets = [int(s) for s in args.N.split(",")]
@@ -226,14 +249,15 @@ def cmd_refute(args):
             if abs(n_value) <= 1:
                 # 0 is nilpotent and +-1 are units: there is nothing to refute
                 raise ValueError(f"--N must not be 0, 1 or -1, got {n_value}")
+        checked = 0
         for n_value in targets:
-            for n_moves in range(args.max_moves + 1):
-                for moves in itertools.product(_int_range(args.bound), repeat=n_moves):
-                    c = DiagonalRefuterZ.forced_constant(n_value, list(moves))
-                    if not DiagonalRefuterZ.check_not_nil(c, n_value):
-                        print(f"FAILED at N={n_value}, moves={list(moves)}")
-                        return 1
-                    checked += 1
+            count, move_lists = _move_lists(_int_range(args.bound), args.max_moves)
+            for moves in move_lists:
+                c = DiagonalRefuterZ.forced_constant(n_value, list(moves))
+                if not DiagonalRefuterZ.check_not_nil(c, n_value):
+                    print(f"FAILED at N={n_value}, moves={list(moves)}")
+                    return 1
+            checked += count
         print(f"refuted all {checked} one-round move lists for N in {targets}")
         return 0
 
@@ -252,16 +276,12 @@ def cmd_refute(args):
             poly = poly + ring.element(cval) * xe ** j
         moves_pool.append(poly)
     seen = {m.poly: m for m in moves_pool}
-    moves_pool = list(seen.values())
-    for n_moves in range(args.max_moves + 1):
-        for combo in itertools.product(range(len(moves_pool)), repeat=n_moves):
-            moves = [moves_pool[i] for i in combo]
-            refuter = DiagonalRefuterPoly(ring)
-            h = refuter.forced_constraint(moves)
-            if is_nil(x, [h]):
-                print(f"FAILED on {args.ring} at moves={[m.to_text() for m in moves]}")
-                return 1
-            checked += 1
+    refuter = DiagonalRefuterPoly(ring)
+    checked, move_lists = _move_lists(list(seen.values()), args.max_moves)
+    for moves in move_lists:
+        if is_nil(x, [refuter.forced_constraint(moves)]):
+            print(f"FAILED on {args.ring} at moves={[m.to_text() for m in moves]}")
+            return 1
     print(f"refuted all {checked} one-round move lists on {args.ring}")
     return 0
 
@@ -306,8 +326,6 @@ _TEXT_OPTIONS = ("ring", "x", "xprime", "prover", "delayer", "N", "out")
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "play": cmd_play,
         "repl": cmd_repl,
@@ -316,6 +334,7 @@ def main(argv=None):
         "verify": cmd_verify,
     }
     try:
+        args = _build_parser().parse_args(argv)
         for name in _TEXT_OPTIONS:
             value = getattr(args, name, None)
             if value is not None and not isinstance(value, str):

@@ -182,8 +182,16 @@ class GroebnerBasis:
         self.cofactors = tuple(tuple(r.cof) for r in rows) if tracked else None
 
     def normal_form(self, p):
-        nf, _ = _reduce_full(p.remap(self.order.vars), self._rows, self.order, False)
-        return nf
+        """p reduced by the basis; p itself when no leading monomial divides
+        any of its terms."""
+        p = p.remap(self.order.vars)
+        g = self.order.guards
+        for m in p.terms:
+            mg = m | g
+            for row in self._rows:
+                if (mg - row.lm) & g == g:
+                    return _reduce_full(p, self._rows, self.order, False)[0]
+        return p
 
     def reduce_tracked(self, p):
         return _reduce_full(p.remap(self.order.vars), self._rows, self.order, True)
@@ -313,7 +321,8 @@ def groebner(gens, order, ring, track=True):
     for j, g in enumerate(todo):
         if g.is_zero():
             continue
-        nf, quots = _reduce_full(g, rows, order, track)
+        # the first row is the first nonzero input, as no row reduces it
+        nf, quots = _reduce_full(g, rows, order, track) if rows else (g, [])
         if nf.is_zero():
             continue
         if track:
@@ -374,7 +383,8 @@ def groebner(gens, order, ring, track=True):
         if not dominated:
             kept.append(row)
 
-    changed = True
+    # a single row has nothing to be reduced by
+    changed = len(kept) > 1
     while changed:
         changed = False
         for idx, row in enumerate(kept):

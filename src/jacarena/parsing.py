@@ -213,8 +213,9 @@ class _Parser:
 
     def _check_power(self, base, e, tok):
         """Refuse base^e at tok before it is expanded: past the degree bound,
-        past _MAX_DIGITS digits for a single term, or past the text's
-        expansion budget for a sum."""
+        past _LIMIT_BITS bits for a single term, or past the text's expansion
+        budget for a sum.  A single term's power is then cheap to build; its
+        digits are checked on the power itself, which ``_power`` builds."""
         if not (base.terms and e):
             return
         # the largest packed monomial has the largest degree
@@ -228,7 +229,6 @@ class _Parser:
             (c,) = base.terms.values()
             if any((x.bit_length() - 1) * e > _LIMIT_BITS for x in (c.numerator, c.denominator)):
                 raise RingSyntaxError(f"a power's coefficient would pass {_MAX_DIGITS} digits", tok.pos)
-            self._check_digits((c**e,), tok, "power")
 
     def _charge(self, what, terms, pairs, bits, den, tok):
         """Add an expansion of ``pairs`` term products, up to ``terms`` terms
@@ -409,9 +409,12 @@ def parse_polynomial(text, ring, vars):
 
 def _check_power(poly, e):
     """Refuse poly^e, with the RingSyntaxError that the text "(poly)^e" would
-    raise, before it is expanded: past the degree bound, past 4,300 digits
+    raise, before a sum is expanded: past the degree bound, past 4,300 digits
     for a single term, or past one text's expansion budget for a sum."""
-    _Parser("", poly.ring, poly.vars)._check_power(poly, e, _Token("^", "^", None))
+    parser, tok = _Parser("", poly.ring, poly.vars), _Token("^", "^", None)
+    parser._check_power(poly, e, tok)
+    if len(poly.terms) == 1:
+        parser._check_digits((poly**e).terms.values(), tok, "power")
 
 
 def parse_ring(text):

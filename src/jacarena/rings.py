@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .algebra import MonomialOrder, Polynomial, _cleared, _over, exponents
 from .errors import (
@@ -86,6 +86,8 @@ class RingPresentation:
 
     def element(self, value):
         """value as an element of this ring, in normal form; see ``_representative``."""
+        if type(value) is Polynomial and value.ring is self.base and value.vars is self.vars:
+            return RingElement(self, self.normal_form(value))
         poly = self._representative(value)
         if isinstance(value, RingElement):
             return value
@@ -153,8 +155,16 @@ class RingElement:
     def is_one(self):
         return self.poly.is_constant() and self.poly.constant_value() == self.ring.base.one()
 
+    def _operand(self, other):
+        """other's polynomial over this element's presentation: at once for an
+        element of the same presentation object, else through ``element``."""
+        if type(other) is RingElement and other.ring is self.ring:
+            return other.poly
+        return self.ring.element(other).poly
+
     def __add__(self, other):
-        return self.ring.element(self.poly + self.ring.element(other).poly)
+        ring = self.ring
+        return RingElement(ring, ring.normal_form(self.poly + self._operand(other)))
 
     __radd__ = __add__
 
@@ -162,13 +172,15 @@ class RingElement:
         return self.ring.element(-self.poly)
 
     def __sub__(self, other):
-        return self.ring.element(self.poly - self.ring.element(other).poly)
+        ring = self.ring
+        return RingElement(ring, ring.normal_form(self.poly - self._operand(other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        return self.ring.element(self.poly * self.ring.element(other).poly)
+        ring = self.ring
+        return RingElement(ring, ring.normal_form(self.poly * self._operand(other)))
 
     __rmul__ = __mul__
 
@@ -653,12 +665,25 @@ def integral_dependence(b, ext):
     ideal contains the relation; so l is exact and c_j is minus its T^j
     coefficient.  For k = 0 the relation is a, so a = 0 in B: l = 1, or 0
     when B is trivial.
+
+    A b that does not involve X is an element b' of A, its normal form
+    there, and the matrix is b'*I with every e_i = 0: the determinant is
+    (T - b')^k, so l = 0 and c_j is the normal form in A of
+    -C(k, j) * (-b')^(k-j), with no matrix built.
     """
     base, ring, k = ext.base, ext.ring, ext.k
     a = ext.lead
 
     if k == 0:
         return IntegralRelation(b, a, 0 if ring.is_trivial() else 1, 0, ()).require_valid()
+
+    if b.poly.degree_in(ext.var) <= 0:
+        neg_b = base.element(-b.poly.remap(base.vars))
+        power, coeffs = base.one(), []
+        for j in range(k - 1, -1, -1):
+            power = power * neg_b
+            coeffs.append(base.element(power.poly.scale(-comb(k, j))))
+        return IntegralRelation(b, a, 0, k, tuple(reversed(coeffs))).require_valid()
 
     tvar = _fresh_var(ext.ring.vars)
     cvars = base.vars + (tvar,)

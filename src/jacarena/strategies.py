@@ -201,10 +201,10 @@ class IntegralTransportStrategy(ProverStrategy):
 
     def propose(self, pos):
         self.inner_moves = self.sub.propose(pos)
-        return [
-            self.ring.element((a1 * self.ext.lead).poly) * self.factor
-            for a1 in self.inner_moves
-        ]
+        # A's relations hold in B, so each move is one normal form in B
+        ring, vars = self.ring, self.ring.vars
+        lead = self.ext.lead.poly.remap(vars)
+        return [ring.element(a1.poly.remap(vars) * lead * self.factor.poly) for a1 in self.inner_moves]
 
     def receive(self, pos, moves, replies):
         inner_replies = [
@@ -253,7 +253,9 @@ class PolyLiftStrategy(ProverStrategy):
     """
 
     def __init__(self, ring, f, factory):
-        self.coeff_ring = coefficient_ring(ring)
+        base = coefficient_ring(ring)
+        # the factory's own presentation, with any basis it has completed
+        self.coeff_ring = factory.ring if factory.ring == base else base
         super().__init__(ring, factory.budget + 1, f"polyLift({factory.name})")
         self.x = ring.element(f)
         self.var = ring.vars[-1]

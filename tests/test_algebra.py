@@ -456,6 +456,25 @@ def printed_polynomials(draw, rings=SCAN_RINGS):
     return Polynomial(ring, vars, {e: draw(coeffs) for e in vectors})
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), e=st.integers(0, 7))
+def test_power_of_one_term_is_the_repeated_product(data, e):
+    # the one-term branch of __pow__ against products, term by term and as printed
+    p = data.draw(printed_polynomials())
+    term = dict(list(p.terms.items())[:1])
+    one = Polynomial._raw(p.ring, p.vars, term)
+    product = Polynomial.constant(p.ring, 1, p.vars)
+    try:
+        for _ in range(e):
+            product = product * one
+    except DegreeOverflow:
+        with pytest.raises(DegreeOverflow):
+            one**e
+        return
+    assert (one**e).terms == product.terms
+    assert (one**e).to_text() == product.to_text()
+
+
 def _outcome(read, text, ring, vars):
     """The terms and coefficient types read, or the error's class and message
     (which carries the position)."""

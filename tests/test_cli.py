@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, transcripts on disk, CSV, REPL, verification."""
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from jacarena import cli
 from jacarena.cli import main
+from jacarena.parsing import parse_ring
+from jacarena.strategies import DiagonalRefuterPoly, DiagonalRefuterZ
 
 
 def run(argv, capsys):
@@ -90,6 +94,41 @@ def test_text_option_read_as_a_list_is_a_configuration_error(argv, option, capsy
     # --out=-- must not fall back to stdout
     monkeypatch.setattr(sys, "stdin", io.StringIO(""))
     assert run(argv, capsys) == (2, "", f"configuration error: --{option} must be a string, not list\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--"],
+        ["play", "--ring", "ZZ", "--budget", "1"],
+        ["alpha", "--ring=--"],
+        ["play", "--ring", "ZZ", "--x", "2", "--budget", "two"],
+        ["refute"],
+        ["nope"],
+        [],
+    ],
+    ids=["verify-no-path", "play-no-x", "alpha-unknown-option", "play-budget-text", "refute-no-kind",
+         "unknown-command", "no-command"],
+)
+def test_argv_that_argparse_refuses_is_one_configuration_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("configuration error: "), err
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["play", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: jacarena play")
+
+
+@pytest.mark.parametrize("command", ["play", "repl"])
+def test_empty_out_is_a_path_that_cannot_be_written(command, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code, out, err = run([command, "--ring", "ZZ", "--x", "6", "--budget", "2", "--out="], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("configuration error: "), err
 
 
 def test_play_with_a_large_gf_modulus_is_fast(capsys):
@@ -642,6 +681,65 @@ def test_refute_z_refuses_a_nilpotent_or_unit_n(n_value, capsys):
     code, out, err = run(["refute", "z", f"--N={n_value}", "--max-moves", "1", "--bound", "1"], capsys)
     assert (code, out) == (2, "")
     assert err == f"configuration error: --N must not be 0, 1 or -1, got {n_value}\n"
+
+
+# stdout of each sweep as printed when every ordered move list was checked
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["refute", "z"], "refuted all 171 one-round move lists for N in [2, 3, 10]\n"),
+        (["refute", "z", "--N", "6,-35", "--max-moves", "3", "--bound", "4"],
+         "refuted all 1640 one-round move lists for N in [6, -35]\n"),
+        (["refute", "poly", "--ring", "ZZ[Y,X]/(Y^2)", "--max-moves", "2", "--bound", "1", "--deg", "1"],
+         "refuted all 91 one-round move lists on ZZ[Y,X]/(Y^2)\n"),
+    ],
+)
+def test_refute_prints_the_count_of_ordered_move_lists(argv, stdout, capsys):
+    assert run(argv, capsys) == (0, stdout, "")
+
+
+def test_refute_poly_checks_each_multiset_of_moves_once(capsys, monkeypatch):
+    checked = []
+    monkeypatch.setattr(cli, "is_nil", lambda x, constraints: checked.append(constraints[0]) and False)
+    argv = ["refute", "poly", "--ring", "GF(5)[X]", "--max-moves", "2", "--bound", "1", "--deg", "1"]
+    assert run(argv, capsys) == (0, "refuted all 91 one-round move lists on GF(5)[X]\n", "")
+    # 9 moves: 1 + 9 + 9*9 ordered lists, and 1 + 9 + 45 multisets
+    assert len(checked) == 55
+
+
+def _first_failing_list(pool, max_moves, fails):
+    """The first failing move list in the order of every ordered list."""
+    for n in range(max_moves + 1):
+        for moves in itertools.product(pool, repeat=n):
+            if fails(list(moves)):
+                return list(moves)
+
+
+def test_refute_z_failure_names_the_first_failing_ordered_list(capsys, monkeypatch):
+    def fails(moves):
+        return DiagonalRefuterZ.forced_constant(3, moves) % 7 == 0
+
+    monkeypatch.setattr(cli.DiagonalRefuterZ, "check_not_nil", staticmethod(lambda c, n: c % 7 != 0))
+    first = _first_failing_list(range(-3, 4), 3, fails)
+    assert first is not None
+    code, out, _ = run(["refute", "z", "--N", "3", "--max-moves", "3", "--bound", "3"], capsys)
+    assert (code, out) == (1, f"FAILED at N=3, moves={first}\n")
+
+
+def test_refute_poly_failure_names_the_first_failing_ordered_list(capsys, monkeypatch):
+    ring = parse_ring("GF(5)[X]")
+    pool = [ring.element(f"{c0} + {c1}*X") for c0, c1 in itertools.product(range(-1, 2), repeat=2)]
+    refuter = DiagonalRefuterPoly(ring)
+
+    def fails(moves):
+        return len(refuter.forced_constraint(moves).poly.terms) == 3
+
+    monkeypatch.setattr(cli, "is_nil", lambda x, constraints: len(constraints[0].poly.terms) == 3)
+    first = _first_failing_list(pool, 2, fails)
+    assert first is not None
+    argv = ["refute", "poly", "--ring", "GF(5)[X]", "--max-moves", "2", "--bound", "1", "--deg", "1"]
+    code, out, _ = run(argv, capsys)
+    assert (code, out) == (1, f"FAILED on GF(5)[X] at moves={[m.to_text() for m in first]}\n")
 
 
 def test_python_dash_m_runs_the_cli():

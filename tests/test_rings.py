@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jacarena.algebra import GF, QQ, ZZ, Polynomial
 from jacarena.errors import (
@@ -162,6 +162,27 @@ def test_element_of_another_presentation_is_refused():
     # the representative crosses explicitly, and a base polynomial is remapped
     assert Q.element(R.element("X^3 + 1").poly) == Q.one()
     assert S.element(R.element("X").poly) == S.element("X")
+
+
+def test_arithmetic_refuses_another_presentation_and_takes_an_equal_one():
+    R = parse_ring("QQ[X]/(X^2)")
+    other = parse_ring("QQ[X]/(X^3)").element("X")
+    mine = R.element("X + 1")
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(IncompatibleRings):
+            op(mine, other)
+    with pytest.raises(IncompatibleRings):
+        R.element(other)
+    with pytest.raises(IncompatibleRings):
+        R.element(parse_polynomial("X", ZZ, ("X",)))
+    # an equal presentation that is another object: its elements combine
+    twin = RingPresentation(QQ, ("X",), [parse_polynomial("X^2", QQ, ("X",))])
+    assert twin is not R and twin == R
+    x = twin.element("X")
+    assert mine + x == R.element("2*X + 1")
+    assert mine - x == R.one()
+    assert mine * x == R.element("X")
+    assert R.element(x) is x
 
 
 @settings(max_examples=60, deadline=None)
@@ -505,6 +526,61 @@ def test_integral_dependence_pinned(base_text, ring_text, b_text, l, d, coeffs):
     dep = integral_dependence(B.element(b_text), MonogenicExtension(base, B, "X", relation))
     assert (dep.l, dep.d) == (l, d)
     assert tuple(c.to_text() for c in dep.coeffs) == coeffs
+
+
+def _relation_from_det(b, ext):
+    """The dependence of b read off the determinant of T*diag(a^(e_i)) minus
+    the multiplication-by-b matrix, built here column by column."""
+    base, k = ext.base, ext.k
+    cvars = base.vars + ("T",)
+    t = Polynomial.variable(base.base, "T", cvars)
+    a_poly = ext.rel_coeffs[k].remap(cvars)
+    x = Polynomial.variable(base.base, ext.var, ext.ring.vars)
+    columns = [rings._reduce_in_extension(b.poly * x**i, ext) for i in range(k)]
+    zero = Polynomial.zero(base.base, cvars)
+    matrix = [
+        [(t * a_poly**e if i == j else zero) - v[j].remap(cvars) for i, (v, e) in enumerate(columns)]
+        for j in range(k)
+    ]
+    by_t = rings._det(matrix).coefficients_in("T")
+    l = 0 if ext.lead.is_one() else sum(e for _, e in columns)
+    coeffs = tuple(
+        base.element(-by_t.get(j, Polynomial.zero(base.base, base.vars)).remap(base.vars))
+        for j in range(k)
+    )
+    return IntegralRelation(b, ext.lead, l, k, coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base_kind=st.sampled_from(["QQ", "GF(7)", "ZZ"]),
+    base_relation=st.sampled_from([None, "Y^2 - 2", "3*Y^2 + Y"]),
+    lead=st.sampled_from(["1", "2", "Y + 3"]),
+    lower=st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    b=st.lists(st.integers(-4, 4), max_size=3),
+)
+def test_integral_dependence_of_a_base_element_matches_the_determinant(
+    base_kind, base_relation, lead, lower, b
+):
+    # b in A: the closed form (T - b)^k against the T-matrix's determinant
+    quotient = f"/({base_relation})" if base_relation else ""
+    base = parse_ring(f"{base_kind}[Y]{quotient}")
+    relation_text = f"({lead})*X^{len(lower)} + " + " + ".join(
+        f"({c})*X^{j}" for j, c in enumerate(lower)
+    )
+    relations = ([base_relation] if base_relation else []) + [relation_text]
+    B = parse_ring(f"{base_kind}[Y,X]/({', '.join(relations)})")
+    relation = parse_polynomial(relation_text, B.base, B.vars)
+    try:
+        ext = MonogenicExtension(base, B, "X", relation)
+    except LeadingCoefficientZero:
+        return
+    y = B.element(" + ".join(f"({c})*Y^{j}" for j, c in enumerate(b)) or "0")
+    # B's basis may rewrite Y through X, when the leading coefficient is not a unit
+    assume(y.poly.degree_in("X") <= 0)
+    dep = integral_dependence(y, ext)
+    assert dep == _relation_from_det(y, ext)
+    assert dep.l == 0 and dep.d == len(lower)
 
 
 def test_integral_relation_validates_at_construction():

@@ -548,6 +548,13 @@ PINNED_TRANSCRIPTS = [
      "637136ff4f4031726e8209b79c175997d11e48e843c800b09ebd1525ad158955"),
     ("ZZ[X,Y]", "X+Y+1", 4, "auto", "random:4:0:2",
      "fd26369c94364b67766333f026f16d088aab2e7dd48c0dedef6d35bc1b62d134"),
+    # constant replies, whose dependences take the closed form (T - b)^k:
+    # over QQ[X,Y,Z] as in the benchmark's median stratum, and over ZZ[X,Y]
+    # where two of them are taken over a coefficient ring that is a quotient
+    ("QQ[X,Y,Z]", "-7*Y", 4, "auto", "random:438542:0:1000",
+     "99aac2e226299a052bb9dc9c156cdecb96cac31eb1136b46a51b17721689ed24"),
+    ("ZZ[X,Y]", "-Y", 4, "auto", "random:2:0:2",
+     "5998d003c2e49b7e1fdc18ee3c22bf700a0af56a026584f61bf30cf4b8e738d1"),
     # the radical-witness Delayer, which no benchmark workload plays:
     # X*Y+1 is nilpotent modulo its square
     ("QQ[X,Y]", "X*Y+1", 3, "auto", "jacWitness(X^2*Y^2+2*X*Y+1)",
