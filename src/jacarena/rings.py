@@ -746,6 +746,10 @@ def key_elementary_transfer(a0, a1, b2, ext):
 
         1 - a2*w = q * (1 - b2*w),   q = (a1*a0)^l * Q.
 
+    A b2 that does not involve X is an element b of A with the dependence
+    (T - b)^k, l = 0 (see ``integral_dependence``): then a2 = a2dd =
+    (1 - (1 - b*w)^k)/w and q = (1 - t)^(k-1), with no dependence built.
+
     q is built on unreduced polynomials from the dependence alone, not from
     a2, and one normal form of 1 - a2*w - q*(1 - t) in B checks the identity
     before a2 is returned.
@@ -755,24 +759,32 @@ def key_elementary_transfer(a0, a1, b2, ext):
     a = ext.lead
     a1a0 = a1 * a0
     w = base.one() - a1a0 * a
-    dep = integral_dependence(b2, ext)
-
-    a2dd = sum((c * w ** (dep.d - 1 - j) for j, c in enumerate(dep.coeffs)), base.zero())
-    a2 = loc_key_clear(a, a1a0, a2dd, dep.l)
-
-    # Q by Horner's rule in t: its t^i coefficient is a^l - sum_(j>i) c_j w^(d-j)
     vars_b = ring_b.vars
     one = Polynomial.constant(ring_b.base, 1, vars_b)
     w_b = w.poly.remap(vars_b)
     t = b2.poly * w_b
-    coeff = a.poly.remap(vars_b) ** dep.l
-    w_pow = one
-    q = Polynomial.zero(ring_b.base, vars_b)
-    for c in reversed(dep.coeffs):
-        q = q * t + coeff
-        w_pow = w_pow * w_b
-        coeff = coeff - c.poly.remap(vars_b) * w_pow
-    q = q * a1a0.poly.remap(vars_b) ** dep.l
+    if ext.k and b2.poly.degree_in(ext.var) <= 0:
+        # a2 = sum_(i=1..k) (-1)^(i+1) C(k, i) b^i w^(i-1), by Horner's rule in b*w
+        b = b2.poly.remap(base.vars)
+        u = b * w.poly
+        a2 = Polynomial.zero(base.base, base.vars)
+        for i in range(ext.k, 0, -1):
+            a2 = a2 * u + (comb(ext.k, i) if i % 2 else -comb(ext.k, i))
+        a2 = base.element(a2 * b)
+        q = (one - t) ** (ext.k - 1)
+    else:
+        dep = integral_dependence(b2, ext)
+        a2dd = sum((c * w ** (dep.d - 1 - j) for j, c in enumerate(dep.coeffs)), base.zero())
+        a2 = loc_key_clear(a, a1a0, a2dd, dep.l)
+        # Q by Horner's rule in t: its t^i coefficient is a^l - sum_(j>i) c_j w^(d-j)
+        coeff = a.poly.remap(vars_b) ** dep.l
+        w_pow = one
+        q = Polynomial.zero(ring_b.base, vars_b)
+        for c in reversed(dep.coeffs):
+            q = q * t + coeff
+            w_pow = w_pow * w_b
+            coeff = coeff - c.poly.remap(vars_b) * w_pow
+        q = q * a1a0.poly.remap(vars_b) ** dep.l
     if not ring_b.normal_form(one - a2.poly.remap(vars_b) * w_b - q * (one - t)).is_zero():
         raise InvalidCertificate("transfer output failed its cofactor check")
     return a2

@@ -20,7 +20,7 @@ import random
 import re
 from math import gcd
 
-from .algebra import Polynomial
+from .algebra import Polynomial, pack
 from .errors import (
     NotInJacobsonRadical,
     UnknownAgentSpec,
@@ -231,7 +231,7 @@ def loc_integral_strategy(ring, y, rel, sub_factory, ext):
         fs.append(fs[-1] * y.poly - cs[d - k].poly.remap(ring.vars))
     parts, ring_k = [], ring
     for k in range(d, 0, -1):
-        ext_k = MonogenicExtension(base, ring_k, ext.var, ext.relation)
+        ext_k = ext if ring_k is ring else MonogenicExtension(base, ring_k, ext.var, ext.relation)
         f_prev = ring_k.element(fs[k - 1])
         sub = sub_factory(d - k)
         parts.append(IntegralTransportStrategy(ring_k, sub, cs[d - k], ext_k, f_prev))
@@ -247,9 +247,9 @@ class PolyLiftStrategy(ProverStrategy):
     Round one declares the single move X; the reply g pins the constraint
     h = 1 - g(1 - X f), and the continuation walks the chain
     C_k = A[X]/<h, a_{k+1}, ..., a_d> over the X-coefficients a_j of h,
-    adding for each nonzero a_k the parts of an integral-transport strategy
-    for (C_k, f, a_k f) to one cut; a level whose a_k already vanishes adds
-    nothing.
+    adding for each nonzero a_k, k >= 1, the parts of an integral-transport
+    strategy for (C_k, f, a_k f) to one cut; a level whose a_k already
+    vanishes adds nothing, and neither does level 0.
     """
 
     def __init__(self, ring, f, factory):
@@ -279,7 +279,7 @@ class PolyLiftStrategy(ProverStrategy):
         split = h.poly.coefficients_in(self.var)
         xvar = Polynomial.variable(ring.base, self.var, ring.vars)
         parts, ring_k, base_k = [], ring.quotient_extend([h]), base
-        for k in sorted(split, reverse=True):
+        for k in sorted(split.keys() - {0}, reverse=True):
             a_k = base_k.element(split[k])
             if a_k.is_zero():
                 continue
@@ -377,17 +377,18 @@ class RandomDelayer(DelayerStrategy):
         self.abs_le = abs_le
         self.rng = random.Random(seed)
         self.name = f"random(seed={seed},degLE={deg_le},absLE={abs_le})"
-        # every exponent vector of degree at most deg_le in each variable,
-        # the last variable's exponent changing fastest: the draw order
-        self.monomials = list(itertools.product(range(deg_le + 1), repeat=len(ring.vars)))
+        # the packed monomial of every exponent vector of degree at most
+        # deg_le in each variable, the last variable's exponent changing
+        # fastest: the draw order
+        n = len(ring.vars)
+        self.monomials = [pack(e, n) for e in itertools.product(range(deg_le + 1), repeat=n)]
 
     def _random_element(self):
-        terms = {}
-        for exps in self.monomials:
-            c = self.rng.randint(-self.abs_le, self.abs_le)
-            if c:
-                terms[exps] = c
-        return self.ring.element(Polynomial(self.ring.base, self.ring.vars, terms))
+        base, terms = self.ring.base, {}
+        for mono in self.monomials:
+            if c := base.normalize(self.rng.randint(-self.abs_le, self.abs_le)):
+                terms[mono] = c
+        return self.ring.element(Polynomial._raw(base, self.ring.vars, terms))
 
     def reply(self, pos, moves):
         return [self._random_element() for _ in moves]

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -551,18 +552,17 @@ def _relation_from_det(b, ext):
     return IntegralRelation(b, ext.lead, l, k, coeffs)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
+# A = K[Y] or K[Y]/(relation) and B = A[X]/(lead*X^k + lower), k = 1..3
+_BASE_EXTENSIONS = dict(
     base_kind=st.sampled_from(["QQ", "GF(7)", "ZZ"]),
     base_relation=st.sampled_from([None, "Y^2 - 2", "3*Y^2 + Y"]),
     lead=st.sampled_from(["1", "2", "Y + 3"]),
     lower=st.lists(st.integers(-3, 3), min_size=1, max_size=3),
-    b=st.lists(st.integers(-4, 4), max_size=3),
 )
-def test_integral_dependence_of_a_base_element_matches_the_determinant(
-    base_kind, base_relation, lead, lower, b
-):
-    # b in A: the closed form (T - b)^k against the T-matrix's determinant
+
+
+def _base_extension(base_kind, base_relation, lead, lower):
+    """The extension B of A, or None when lead vanishes in A."""
     quotient = f"/({base_relation})" if base_relation else ""
     base = parse_ring(f"{base_kind}[Y]{quotient}")
     relation_text = f"({lead})*X^{len(lower)} + " + " + ".join(
@@ -572,10 +572,24 @@ def test_integral_dependence_of_a_base_element_matches_the_determinant(
     B = parse_ring(f"{base_kind}[Y,X]/({', '.join(relations)})")
     relation = parse_polynomial(relation_text, B.base, B.vars)
     try:
-        ext = MonogenicExtension(base, B, "X", relation)
+        return MonogenicExtension(base, B, "X", relation)
     except LeadingCoefficientZero:
-        return
-    y = B.element(" + ".join(f"({c})*Y^{j}" for j, c in enumerate(b)) or "0")
+        return None
+
+
+def _in_y(ring, cs):
+    return ring.element(" + ".join(f"({c})*Y^{j}" for j, c in enumerate(cs)) or "0")
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_BASE_EXTENSIONS, b=st.lists(st.integers(-4, 4), max_size=3))
+def test_integral_dependence_of_a_base_element_matches_the_determinant(
+    base_kind, base_relation, lead, lower, b
+):
+    # b in A: the closed form (T - b)^k against the T-matrix's determinant
+    ext = _base_extension(base_kind, base_relation, lead, lower)
+    assume(ext is not None)
+    y = _in_y(ext.ring, b)
     # B's basis may rewrite Y through X, when the leading coefficient is not a unit
     assume(y.poly.degree_in("X") <= 0)
     dep = integral_dependence(y, ext)
@@ -718,6 +732,52 @@ def test_key_elementary_transfer_refuses_a_wrong_output(monkeypatch):
     ext = MonogenicExtension(Zb, B, "Y", B.relations[0])
     with pytest.raises(InvalidCertificate, match="cofactor check"):
         key_elementary_transfer(Zb.element(-1), Zb.element(1), B.element("Y"), ext)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    **_BASE_EXTENSIONS,
+    a0=st.lists(st.integers(-3, 3), max_size=2),
+    a1=st.lists(st.integers(-3, 3), max_size=2),
+    b=st.lists(st.integers(-4, 4), max_size=3),
+)
+def test_key_elementary_transfer_of_a_base_element_is_the_generic_sum(
+    base_kind, base_relation, lead, lower, a0, a1, b
+):
+    # b2 = b in A takes the closed form: the generic a2 = sum c_j w^(d-1-j)
+    # over b's dependence (l = 0), with no dependence built
+    ext = _base_extension(base_kind, base_relation, lead, lower)
+    assume(ext is not None)
+    base, B = ext.base, ext.ring
+    b2 = _in_y(B, b)
+    assume(b2.poly.degree_in("X") <= 0)
+    a0, a1 = _in_y(base, a0), _in_y(base, a1)
+    w = base.one() - a1 * ext.lead * a0
+    dep = integral_dependence(b2, ext)
+    generic = sum((c * w ** (dep.d - 1 - j) for j, c in enumerate(dep.coeffs)), base.zero())
+
+    def no_dependence(*args):
+        raise AssertionError("the closed form built a dependence")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rings, "integral_dependence", no_dependence)
+        a2 = key_elementary_transfer(a0, a1, b2, ext)
+    assert a2 == generic
+    w_b = B.element(w.poly)
+    assert member_in(B, B.one() - B.element(a2.poly) * w_b, [B.one() - b2 * w_b]) is not None
+
+
+def test_key_elementary_transfer_closed_form_refuses_a_wrong_output(monkeypatch):
+    # b2 = 3, k = 2, w = 2: a2 = 2*3 - 3^2*2 = -12 gives 1 - a2*w = 25 =
+    # (1 - 6)^2; a wrong binomial gives 3*3 - 2*3^2*2 = -27 and 55
+    Zb = parse_ring("ZZ")
+    B = parse_ring("ZZ[Y]/(Y^2+1)")
+    ext = MonogenicExtension(Zb, B, "Y", B.relations[0])
+    a0, a1, b2 = Zb.element(-1), Zb.element(1), B.element(3)
+    assert key_elementary_transfer(a0, a1, b2, ext) == Zb.element(-12)
+    monkeypatch.setattr(rings, "comb", lambda k, i: comb(k, i) + 1)
+    with pytest.raises(InvalidCertificate, match="cofactor check"):
+        key_elementary_transfer(a0, a1, b2, ext)
 
 
 @st.composite

@@ -7,7 +7,8 @@ import pytest
 from jacarena.errors import UnknownAgentSpec, UnsupportedRing, WrongBudget
 from jacarena.game import GamePosition, Transcript, referee_play, verify_transcript
 from jacarena.parsing import parse_ring
-from jacarena.rings import MonogenicExtension, integral_dependence, nil_member
+from jacarena import strategies
+from jacarena.rings import MonogenicExtension, coefficient_ring, integral_dependence, nil_member
 from jacarena.oracle import enumerate_finite, minimal_alpha
 from jacarena.strategies import (
     ConstantDelayer,
@@ -335,6 +336,49 @@ def test_poly_lift_zz():
         assert t.rounds[0].moves[0] == Zx.element("X")
 
 
+# (ring, x, reply g): h = 1 - g*(1 - Y*x), Y the lifted variable
+_LIFT_CHAINS = [
+    ("QQ[X,Y]", "X*Y+X", "2"),  # a_1 = 2*X dies modulo a_2 = 2*X
+    ("ZZ[X,Y]", "Y^2+X", "2"),  # a_1 = 2*X dies modulo a_3 = 2
+    ("QQ[X,Y]", "X*Y^2+Y", "2"),  # a_3 = 2*X, a_2 = 2: two levels, then A is trivial
+    ("GF(3)[X,Y]", "Y^2+X*Y+1", "X+1"),
+]
+
+
+@pytest.mark.parametrize("ring_text,x_text,g_text", _LIFT_CHAINS)
+def test_lift_cut_has_a_part_per_degree_of_each_level_above_zero(
+    ring_text, x_text, g_text, monkeypatch
+):
+    ring = parse_ring(ring_text)
+    var = ring.vars[-1]
+    lift = PolyLiftStrategy(ring, x_text, ring_strategy_factory(coefficient_ring(ring)))
+    pos = GamePosition(ring, lift.budget, ())
+    moves = lift.propose(pos)
+    h = ring.one() - ring.element(g_text) * (ring.one() - moves[0] * ring.element(x_text))
+    # level k of the chain has a dependence of degree k, so k parts
+    split, base_k, expected = h.poly.coefficients_in(var), lift.coeff_ring, 0
+    for k in sorted(split, reverse=True):
+        a_k = base_k.element(split[k])
+        if k and not a_k.is_zero():
+            expected += k
+            base_k = base_k.quotient_extend([a_k])
+    assert expected and 0 in split
+
+    built = []
+
+    class Recording(MonogenicExtension):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.k)
+
+    monkeypatch.setattr(strategies, "MonogenicExtension", Recording)
+    _, cut = lift.receive(pos, moves, [ring.element(g_text)])
+    assert isinstance(cut, CutStrategy) and len(cut.parts) == expected
+    assert built and 0 not in built
+
+
 def test_ring_strategy_factory_budgets():
     assert ring_strategy_factory(parse_ring("QQ")).budget == 1
     assert ring_strategy_factory(parse_ring("GF(5)")).budget == 1
@@ -555,6 +599,16 @@ PINNED_TRANSCRIPTS = [
      "99aac2e226299a052bb9dc9c156cdecb96cac31eb1136b46a51b17721689ed24"),
     ("ZZ[X,Y]", "-Y", 4, "auto", "random:2:0:2",
      "5998d003c2e49b7e1fdc18ee3c22bf700a0af56a026584f61bf30cf4b8e738d1"),
+    # constant replies whose transfers have k = 2 or 3, the last three with
+    # a constraint whose constant coefficient is nonzero
+    ("GF(2)[X,Y,Z]", "Z^2+X", 4, "auto", "constant(1)",
+     "eab4693f2fe4f8f8326ea7bb460d431fe4af30db87289db4fcfa6bd85d8a08fe"),
+    ("QQ[X,Y,Z]", "X*Y+Z", 4, "auto", "constant(2)",
+     "0b757d09d3c3cb102c404f77ced5f5a950413239eee3d95e36b2dd79e68c4e9d"),
+    ("GF(3)[X,Y,Z]", "Z^2+X", 4, "auto", "constant(2)",
+     "1e0120e0684de4ce601c1496999ca294815b6227675c8ded01db72ab682a1ca8"),
+    ("ZZ[X,Y]", "Y^2+X", 4, "auto", "constant(2)",
+     "28225b9519e9cfaac8be0da41c4f659a7f0371cd92de47832996765e2278a440"),
     # the radical-witness Delayer, which no benchmark workload plays:
     # X*Y+1 is nilpotent modulo its square
     ("QQ[X,Y]", "X*Y+1", 3, "auto", "jacWitness(X^2*Y^2+2*X*Y+1)",
