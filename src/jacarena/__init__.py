@@ -53,7 +53,6 @@ from .strategies import (
     RandomDelayer,
     ZeroDimStrategy,
     loc_integral_strategy,
-    quotient_push,
     ring_strategy_factory,
 )
 

@@ -546,8 +546,9 @@ class MonogenicExtension:
     ``ring`` may be a further quotient of the monogenic cover, but its ideal
     must contain the relation (NotMonogenic otherwise): the integral
     dependence and the transfer hold in B only then.  The defining relation
-    is all the reduction machinery uses, and memberships are tested in
-    ``ring`` itself.
+    is all the reduction machinery uses.  Both work in their element's
+    ring, ``ring`` or any quotient of it, and refuse with InvalidCertificate
+    an element of a ring where the relation fails.
     """
 
     __slots__ = ("base", "ring", "var", "relation", "k", "rel_coeffs", "lead")
@@ -655,7 +656,8 @@ def _det(matrix):
 
 def integral_dependence(b, ext):
     """Dependence a^l * b^d = sum c_j b^j, a = ext.lead, from the
-    multiplication-by-b matrix; d is the relation's X-degree k.
+    multiplication-by-b matrix; d is the relation's X-degree k.  It is
+    computed and checked in b's ring, ext.ring or a quotient of it.
 
     Column i holds the coordinates of a^(e_i) * b * X^i on 1, X, ...,
     X^(k-1), with X^k rewritten by the relation.  The determinant of
@@ -671,7 +673,7 @@ def integral_dependence(b, ext):
     (T - b')^k, so l = 0 and c_j is the normal form in A of
     -C(k, j) * (-b')^(k-j), with no matrix built.
     """
-    base, ring, k = ext.base, ext.ring, ext.k
+    base, ring, k = ext.base, b.ring, ext.k
     a = ext.lead
 
     if k == 0:
@@ -685,7 +687,7 @@ def integral_dependence(b, ext):
             coeffs.append(base.element(power.poly.scale(-comb(k, j))))
         return IntegralRelation(b, a, 0, k, tuple(reversed(coeffs))).require_valid()
 
-    tvar = _fresh_var(ext.ring.vars)
+    tvar = _fresh_var(ring.vars)
     cvars = base.vars + (tvar,)
     a_poly = ext.rel_coeffs[k].remap(cvars)
     tpoly = Polynomial.variable(base.base, tvar, cvars)
@@ -735,8 +737,8 @@ def loc_key_clear(a, a1, a2p, e):
 
 
 def key_elementary_transfer(a0, a1, b2, ext):
-    """a2 in A with 1 - a2*w in <1 - b2*w> of B = ext.ring, where
-    w = 1 - a1*a*a0 and a = ext.lead.
+    """a2 in A with 1 - a2*w in <1 - b2*w> of B, b2's ring (ext.ring or a
+    quotient of it), where w = 1 - a1*a*a0 and a = ext.lead.
 
     Let t = b2*w and S_j = 1 + t + ... + t^(j-1).  The dependence
     a^l * b2^d = sum c_j b2^j, times w^d, gives a^l - w*a2dd = (1 - t)*Q in
@@ -755,7 +757,7 @@ def key_elementary_transfer(a0, a1, b2, ext):
     before a2 is returned.
     """
     base = ext.base
-    ring_b = ext.ring
+    ring_b = b2.ring
     a = ext.lead
     a1a0 = a1 * a0
     w = base.one() - a1a0 * a

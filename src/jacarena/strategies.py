@@ -5,7 +5,8 @@ round's elements, ``receive`` consumes the Delayer's replies and returns the
 declared next budget together with a continuation strategy.  A strategy's
 ``receive`` is called only after its ``propose``, at the same position, so a
 combinator keeps the sub-moves its ``propose`` got and hands exactly those to
-the sub's ``receive``; no ``receive`` proposes again.  The referee never
+the sub's ``receive`` (the integral transport hands back the moves it read
+into its base ring); no ``receive`` proposes again.  The referee never
 calls ``receive`` at budget 1, where 0 is the only legal declaration.
 Correctness is enforced semantically by the referee's leaf check, so
 combinators only have to produce the right moves.  Declared budgets are
@@ -121,36 +122,6 @@ class EuclideanDim1Strategy(ProverStrategy):
         return self._declare(pos, 1), CutStrategy(self.ring, [inner])
 
 
-class _Bridge(ProverStrategy):
-    """Play a strategy over a quotient of its ring: moves cross down, by
-    representative, into the larger relation ideal.
-
-    Only ``quotient_push`` makes one.  Unlike a cut, whose parts get back
-    their own moves, a bridge hands its sub the crossed moves, which is the
-    tower fault (ROADMAP item 1); a one-part cut would mend it.
-    """
-
-    def __init__(self, ring, budget, sub, name):
-        super().__init__(ring, budget, name)
-        self.sub = sub
-
-    def propose(self, pos):
-        return [self.ring.element(m.poly) for m in self.sub.propose(pos)]
-
-    def receive(self, pos, moves, replies):
-        # Crossed moves, not the sub's own: the tower fault (ROADMAP item 1).
-        sub_moves = [self.sub.ring.element(m.poly) for m in moves]
-        sub_replies = [self.sub.ring.element(b.poly) for b in replies]
-        declared, cont = self.sub.receive(pos, sub_moves, sub_replies)
-        return self._declare(pos, declared), _Bridge(self.ring, declared, cont, self.name)
-
-
-def quotient_push(strategy, ring):
-    """Transport a strategy to ring, a quotient of its own: same moves,
-    larger relation ideal."""
-    return _Bridge(ring, strategy.budget, strategy, strategy.name)
-
-
 class CutStrategy(ProverStrategy):
     """Play parts side by side, each over ring or a quotient of it.
 
@@ -184,9 +155,10 @@ class CutStrategy(ProverStrategy):
 
 
 class IntegralTransportStrategy(ProverStrategy):
-    """Play a base-ring strategy inside a monogenic extension, rescaled.
+    """Play a strategy for A, or for a ring A is a quotient of, inside a
+    monogenic extension B of A, rescaled.
 
-    A declared base move a1 becomes the extension move a1*a*factor, a the
+    A sub move, read into A, becomes the extension move a1*a*factor, a the
     leading coefficient of ext; each extension reply b2 is converted back
     into a base reply via the localization transfer, whose output
     constraint lies in the ideal of the extension constraint.
@@ -200,30 +172,36 @@ class IntegralTransportStrategy(ProverStrategy):
         self.factor = factor
 
     def propose(self, pos):
-        self.inner_moves = self.sub.propose(pos)
+        base = self.ext.base
+        self.inner_moves = [base.element(m.poly) for m in self.sub.propose(pos)]
         # A's relations hold in B, so each move is one normal form in B
         ring, vars = self.ring, self.ring.vars
         lead = self.ext.lead.poly.remap(vars)
         return [ring.element(a1.poly.remap(vars) * lead * self.factor.poly) for a1 in self.inner_moves]
 
     def receive(self, pos, moves, replies):
+        read = self.sub.ring.element
         inner_replies = [
-            key_elementary_transfer(self.a0, a1, b2, self.ext)
+            read(key_elementary_transfer(self.a0, a1, b2, self.ext).poly)
             for a1, b2 in zip(self.inner_moves, replies)
         ]
-        declared, cont = self.sub.receive(pos, self.inner_moves, inner_replies)
+        # crossed moves, not the sub's own: the tower fault (ROADMAP item 1)
+        crossed = [read(a1.poly) for a1 in self.inner_moves]
+        declared, cont = self.sub.receive(pos, crossed, inner_replies)
         return declared, IntegralTransportStrategy(self.ring, cont, self.a0, self.ext, self.factor)
 
 
-def loc_integral_strategy(ring, y, rel, sub_factory, ext):
-    """Strategy for (B, y, a*y) from a dependence a^l y^d = sum c_j y^j.
+def loc_integral_strategy(rel, sub_factory, ext):
+    """Strategy for (B, y, a*y) from a dependence a^l y^d = sum c_j y^j,
+    with y = rel.y and B its ring, a quotient of ext.ring.
 
     Walks the chain B = B_d, B_{k-1} = B_k / <f_{k-1}> with f_0 = a^l and
     f_k = f_{k-1} y - c_{d-k}: the cut has one part per level k >= 1, which
-    transports the base strategy for a*c_{d-k} into B_k and rescales its
-    moves by f_{k-1}.  B_0 needs no part, since f_0 = a^l dies there.
+    transports the base strategy for a*c_{d-k} into B_k over ext and
+    rescales its moves by f_{k-1}.  B_0 needs no part, since f_0 = a^l
+    dies there.
     """
-    base = ext.base
+    y, ring = rel.y, rel.y.ring
     a, l, d, cs = rel.a, rel.l, rel.d, rel.coeffs
     # a and the c_j live in the base, y in B: bring them to B's variables
     fs = [a.poly.remap(ring.vars) ** l]
@@ -231,10 +209,8 @@ def loc_integral_strategy(ring, y, rel, sub_factory, ext):
         fs.append(fs[-1] * y.poly - cs[d - k].poly.remap(ring.vars))
     parts, ring_k = [], ring
     for k in range(d, 0, -1):
-        ext_k = ext if ring_k is ring else MonogenicExtension(base, ring_k, ext.var, ext.relation)
         f_prev = ring_k.element(fs[k - 1])
-        sub = sub_factory(d - k)
-        parts.append(IntegralTransportStrategy(ring_k, sub, cs[d - k], ext_k, f_prev))
+        parts.append(IntegralTransportStrategy(ring_k, sub_factory(d - k), cs[d - k], ext, f_prev))
         if k > 1:
             ring_k = ring_k.quotient_extend([f_prev])
     return CutStrategy(ring, parts)
@@ -278,8 +254,9 @@ class PolyLiftStrategy(ProverStrategy):
         ring, base = self.ring, self.coeff_ring
         split = h.poly.coefficients_in(self.var)
         xvar = Polynomial.variable(ring.base, self.var, ring.vars)
+        levels = sorted(split.keys() - {0}, reverse=True)
         parts, ring_k, base_k = [], ring.quotient_extend([h]), base
-        for k in sorted(split.keys() - {0}, reverse=True):
+        for k in levels:
             a_k = base_k.element(split[k])
             if a_k.is_zero():
                 continue
@@ -288,16 +265,15 @@ class PolyLiftStrategy(ProverStrategy):
                 if j in split:
                     rel_poly = rel_poly + base_k.element(split[j]).poly.remap(ring.vars) * xvar ** j
             ext_k = MonogenicExtension(base_k, ring_k, self.var, rel_poly)
-            f_k = ring_k.element(self.x.poly)
-            dep = integral_dependence(f_k, ext_k)
+            dep = integral_dependence(ring_k.element(self.x.poly), ext_k)
 
-            def sub_factory(idx, base_k=base_k, dep=dep):
-                target = base.element((dep.a * dep.coeffs[idx]).poly)
-                return quotient_push(self.factory(target), base_k)
+            def sub_factory(idx, dep=dep):
+                return self.factory(base.element((dep.a * dep.coeffs[idx]).poly))
 
-            parts += loc_integral_strategy(ring_k, f_k, dep, sub_factory, ext_k).parts
-            ring_k = ring_k.quotient_extend([ring_k.element(split[k].remap(ring.vars))])
-            base_k = base_k.quotient_extend([a_k])
+            parts += loc_integral_strategy(dep, sub_factory, ext_k).parts
+            if k != levels[-1]:
+                ring_k = ring_k.quotient_extend([ring_k.element(split[k].remap(ring.vars))])
+                base_k = base_k.quotient_extend([a_k])
         return parts
 
 

@@ -1,7 +1,12 @@
 """The engine's modules import at module level, except across a real cycle,
-and every name the package exports is read outside the tests."""
+every name the package exports is read outside the tests, and every name the
+README gives in code exists."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -68,3 +73,36 @@ def test_every_export_has_a_caller_outside_the_tests():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert exported - read - TEST_ONLY == set()
+
+
+# names in the README's code spans that are agent specs or mathematics
+README_NOT_CODE = {
+    "zeroDim", "euclideanDim1", "polyLift", "jacWitness", "refuterZ", "refuterPoly",
+    "J_b", "c_j", "sum_",
+}
+
+# a code span that is a name, dotted or not, or begins with a call of one
+README_NAME = re.compile(r"`(_*[A-Za-z][\w.]*)[`(]")
+
+
+def readme_code_names(text):
+    """The snake_case and camelCase names of README_NAME spans in text, each
+    part of a dotted name on its own."""
+    parts = (part for m in README_NAME.finditer(text) for part in m.group(1).split("."))
+    return {p for p in parts if "_" in p or (p[:1].islower() and not p.islower())}
+
+
+def test_the_readme_check_reads_names_and_calls():
+    text = "`a_b` and `f_g(x, y)`, `mod.h_i`, `camelCase`, `plain`, `x = y_z`"
+    assert readme_code_names(text) == {"a_b", "f_g", "h_i", "camelCase"}
+
+
+def test_every_name_in_the_readme_exists():
+    known = set()
+    for info in pkgutil.iter_modules(jacarena.__path__):
+        module = importlib.import_module(f"jacarena.{info.name}")
+        known.update(dir(module))
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            known.update(dir(cls))
+    names = readme_code_names((SRC.parents[1] / "README.md").read_text())
+    assert names - known - README_NOT_CODE == set()

@@ -780,6 +780,35 @@ def test_key_elementary_transfer_closed_form_refuses_a_wrong_output(monkeypatch)
         key_elementary_transfer(a0, a1, b2, ext)
 
 
+@pytest.mark.parametrize("b_text", ["Y", "2*Y+3", "Y+1", "3"])
+def test_dependence_and_transfer_work_in_the_elements_ring(b_text):
+    # B' = B/(5) is a quotient of B = ZZ[Y]/(Y^2-6): an element of B' gets
+    # from the extension over B what an extension over B' gives it
+    Zb = parse_ring("ZZ")
+    B = parse_ring("ZZ[Y]/(Y^2-6)")
+    Bq = B.quotient_extend([B.element(5)])
+    ext = MonogenicExtension(Zb, B, "Y", B.relations[0])
+    ext_q = MonogenicExtension(Zb, Bq, "Y", B.relations[0])
+    b = Bq.element(b_text)
+    assert integral_dependence(b, ext) == integral_dependence(b, ext_q)
+    a0, a1 = Zb.element(2), Zb.element(3)
+    a2 = key_elementary_transfer(a0, a1, b, ext)
+    assert a2 == key_elementary_transfer(a0, a1, b, ext_q)
+    w = Bq.element((Zb.one() - a1 * a0).poly)
+    assert member_in(Bq, Bq.one() - Bq.element(a2.poly) * w, [Bq.one() - b * w]) is not None
+
+
+def test_dependence_and_transfer_refuse_an_element_where_the_relation_fails():
+    Zb = parse_ring("ZZ")
+    B = parse_ring("ZZ[Y]/(Y^2-6)")
+    ext = MonogenicExtension(Zb, B, "Y", B.relations[0])
+    y = parse_ring("ZZ[Y]").element("Y")
+    with pytest.raises(InvalidCertificate):
+        integral_dependence(y, ext)
+    with pytest.raises(InvalidCertificate):
+        key_elementary_transfer(Zb.element(2), Zb.element(3), y, ext)
+
+
 @st.composite
 def _transfer_inputs(draw):
     """(a0, a1, b2, ext) over B = A[X]/(relation), A one of ZZ, GF(3), QQ[Y]

@@ -8,7 +8,13 @@ from jacarena.errors import UnknownAgentSpec, UnsupportedRing, WrongBudget
 from jacarena.game import GamePosition, Transcript, referee_play, verify_transcript
 from jacarena.parsing import parse_ring
 from jacarena import strategies
-from jacarena.rings import MonogenicExtension, coefficient_ring, integral_dependence, nil_member
+from jacarena.rings import (
+    MonogenicExtension,
+    RingPresentation,
+    coefficient_ring,
+    integral_dependence,
+    nil_member,
+)
 from jacarena.oracle import enumerate_finite, minimal_alpha
 from jacarena.strategies import (
     ConstantDelayer,
@@ -27,7 +33,6 @@ from jacarena.strategies import (
     delayer_from_spec,
     loc_integral_strategy,
     prover_from_spec,
-    quotient_push,
     ring_strategy_factory,
 )
 
@@ -159,24 +164,33 @@ def test_cut_trivial_x_cases():
     assert t.winner == "prover"
 
 
-def test_quotient_push_behaviour():
+def _transport_over_z30():
+    # ZZ's strategies played in B = ZZ[Y]/(Y^2-6, 30) over A = ZZ/(30), a
+    # proper quotient of their own ring
     Z = parse_ring("ZZ")
-    base = EuclideanDim1Strategy(Z, Z.element(6))
-    pushed = quotient_push(base, Z.quotient_extend([]))
-    pos = GamePosition(Z, 2, ())
-    assert [m.poly for m in pushed.propose(pos)] == [m.poly for m in base.propose(pos)]
+    A = Z.quotient_extend([Z.element(30)])
+    B = parse_ring("ZZ[Y]/(Y^2-6, 30)")
+    ext = MonogenicExtension(A, B, "Y", B.relations[0])
+    dep = integral_dependence(B.element("Y"), ext)
+    fac = ring_strategy_factory(Z)
+    return B, loc_integral_strategy(dep, lambda i: fac(Z.element((dep.a * dep.coeffs[i]).poly)), ext)
 
-    pushed_trivial = quotient_push(EuclideanDim1Strategy(Z, Z.element(6)), Z.quotient_extend([Z.element(1)]))
-    ring_t = pushed_trivial.ring
-    t = play(ring_t, ring_t.element(6), 2, pushed_trivial, RandomDelayer(ring_t, 1, 0, 5))
-    assert t.winner == "prover"
 
-    pushed30 = quotient_push(EuclideanDim1Strategy(Z, Z.element(6)), Z.quotient_extend([Z.element(30)]))
-    ring30 = pushed30.ring
+def test_transport_reads_its_sub_into_a_quotient_base():
+    B, loc = _transport_over_z30()
+    pos = GamePosition(B, 2, ())
+    assert loc.propose(pos)
+    crossed = 0
+    for part in loc.parts:
+        base = part.ext.base
+        assert part.sub.ring != base
+        own = part.sub.propose(pos)
+        assert part.inner_moves == [base.element(m.poly) for m in own]
+        crossed += sum(a1.poly != m.poly for a1, m in zip(part.inner_moves, own))
+    assert crossed  # -1 in ZZ is 29 in ZZ/(30)
     for seed in (1, 2, 3):
-        t = play(ring30, ring30.element(6), 2,
-                 quotient_push(EuclideanDim1Strategy(Z, Z.element(6)), Z.quotient_extend([Z.element(30)])),
-                 RandomDelayer(ring30, seed, 0, 29))
+        B, loc = _transport_over_z30()
+        t = play(B, B.element("Y"), 2, loc, RandomDelayer(B, seed, 1, 29))
         assert t.winner == "prover"
 
 
@@ -192,7 +206,7 @@ def _loc_strategy(ring_text, y_text):
     def sub_factory(idx):
         return fac(Zb.element((dep.a * dep.coeffs[idx]).poly))
 
-    return B, loc_integral_strategy(B, B.element(y_text), dep, sub_factory, ext)
+    return B, loc_integral_strategy(dep, sub_factory, ext)
 
 
 def test_loc_integral_sqrt6():
@@ -287,7 +301,7 @@ def test_loc_integral_proposes_each_sub_once_per_round():
         def sub_factory(idx):
             return _Spy(fac(Zb.element((dep.a * dep.coeffs[idx]).poly)), log)
 
-        s = loc_integral_strategy(B, B.element("Y"), dep, sub_factory, ext)
+        s = loc_integral_strategy(dep, sub_factory, ext)
         t = play(B, B.element("Y"), 2, s, RandomDelayer(B, seed, 1, 3))
         assert t.winner == "prover"
         _assert_asked_once_per_round(log)
@@ -301,7 +315,7 @@ def test_loc_integral_degenerate_immediate():
     dep = integral_dependence(B.element("Y"), ext)
     assert (dep.l, dep.d) == (1, 0)
     fac = ring_strategy_factory(Zb)
-    s = loc_integral_strategy(B, B.element("Y"), dep, lambda i: fac(Zb.element(0)), ext)
+    s = loc_integral_strategy(dep, lambda i: fac(Zb.element(0)), ext)
     t = play(B, B.element("Y"), 1, s, EchoDelayer(B), xprime=B.element("2*Y"))
     assert t.winner == "prover"
 
@@ -356,15 +370,20 @@ def test_lift_cut_has_a_part_per_degree_of_each_level_above_zero(
     moves = lift.propose(pos)
     h = ring.one() - ring.element(g_text) * (ring.one() - moves[0] * ring.element(x_text))
     # level k of the chain has a dependence of degree k, so k parts
-    split, base_k, expected = h.poly.coefficients_in(var), lift.coeff_ring, 0
+    split, base_k, expected, played = h.poly.coefficients_in(var), lift.coeff_ring, 0, []
     for k in sorted(split, reverse=True):
         a_k = base_k.element(split[k])
         if k and not a_k.is_zero():
             expected += k
+            played.append(k)
             base_k = base_k.quotient_extend([a_k])
     assert expected and 0 in split
+    # one quotient for h, k - 1 in level k's own chain, and two (ring and
+    # coefficient ring) to pass to the next level, but none after the lowest
+    lowest = min(set(split) - {0})
+    extends = 1 + sum(k - 1 + 2 * (k != lowest) for k in played)
 
-    built = []
+    built, calls = [], []
 
     class Recording(MonogenicExtension):
         __slots__ = ()
@@ -373,10 +392,19 @@ def test_lift_cut_has_a_part_per_degree_of_each_level_above_zero(
             super().__init__(*args)
             built.append(self.k)
 
+    quotient_extend = RingPresentation.quotient_extend
+
+    def counting(self, extra):
+        calls.append(self)
+        return quotient_extend(self, extra)
+
     monkeypatch.setattr(strategies, "MonogenicExtension", Recording)
+    monkeypatch.setattr(RingPresentation, "quotient_extend", counting)
     _, cut = lift.receive(pos, moves, [ring.element(g_text)])
     assert isinstance(cut, CutStrategy) and len(cut.parts) == expected
-    assert built and 0 not in built
+    # one extension per level played, of the level's degree
+    assert built == played
+    assert len(calls) == extends
 
 
 def test_ring_strategy_factory_budgets():
