@@ -54,7 +54,7 @@ class _Row:
         self.ints = _cleared(poly.terms) if poly.ring.kind == "QQ" else (1, poly.terms)
 
 
-def _combine_cofs(ring, vars, base, quots, rows):
+def _combine_cofs(base, quots, rows):
     """cof vector of (base - sum quots[i]*rows[i]) given base's cof vector."""
     out = list(base)
     for q, row in zip(quots, rows):
@@ -69,10 +69,11 @@ def _combine_cofs(ring, vars, base, quots, rows):
 def _reduce_full(p, rows, order, track):
     """Fully reduce p by the rows; returns (normal form, quotient polys).
 
-    Over a field every row is monic (``groebner`` normalizes each row it
-    keeps), so the quotient of a term c*m is c itself.  Over ZZ a term c*m
-    is rewritten to its canonical residue modulo the smallest applicable
-    leading coefficient; a term survives only when no row can shrink it.
+    A term c*m is reduced by the first row whose leading monomial divides m
+    in one scan order: over ZZ the rows stably sorted by leading coefficient,
+    and c becomes its canonical residue modulo that row's, so a term survives
+    only when no row can shrink it; over a field the row order, and as every
+    row is monic (``groebner`` normalizes each row it keeps) the quotient is c.
     Terms are visited largest first through a lazy min-heap of negated
     DEGREVLEX keys, so reductions only ever touch strictly smaller monomials.
 
@@ -96,7 +97,9 @@ def _reduce_full(p, rows, order, track):
     remainder = {}
     quots = [{} for _ in rows] if track else None
     guards = order.guards
-    lms = [row.lm for row in rows]
+    scan = [(i, row.lm) for i, row in enumerate(rows)]
+    if integer:
+        scan.sort(key=lambda e: rows[e[0]].lc)
     # The negated key of m is h = m - (deg(m) << (s + 1)); the same map takes
     # h back to m, so the heap holds plain ints.
     s = order.shift
@@ -110,22 +113,16 @@ def _reduce_full(p, rows, order, track):
         c = work.get(m)
         if c is None:
             continue
-        best = None
         mg = m | guards
-        for idx, lm in enumerate(lms):
+        for idx, lm in scan:
             if (mg - lm) & guards == guards:
-                if not integer:
-                    best = idx
-                    break
-                if best is None or rows[idx].lc < rows[best].lc:
-                    best = idx
-        if best is None:
+                break
+        else:
             remainder[m] = c
             del work[m]
             continue
-        idx = best
         row = rows[idx]
-        shift = m - lms[idx]
+        shift = m - lm
         den, terms = row.ints
         r = 0
         if integer:
@@ -328,7 +325,7 @@ def groebner(gens, order, ring, track=True):
         if track:
             base = [zero] * len(inputs)
             base[j] = Polynomial.constant(ring, 1, vars)
-            unit = push(nf, _combine_cofs(ring, vars, base, quots, rows))
+            unit = push(nf, _combine_cofs(base, quots, rows))
         else:
             unit = push(nf, None)
         if unit:
@@ -368,7 +365,7 @@ def groebner(gens, order, ring, track=True):
         nf, quots = _reduce_full(cand, rows, order, track)
         if nf.is_zero():
             continue
-        unit = push(nf, _combine_cofs(ring, vars, cof, quots, rows) if track else None)
+        unit = push(nf, _combine_cofs(cof, quots, rows) if track else None)
         if unit:
             return GroebnerBasis(ring, order, inputs, [unit], tracked=track)
 
@@ -383,21 +380,15 @@ def groebner(gens, order, ring, track=True):
         if not dominated:
             kept.append(row)
 
-    # a single row has nothing to be reduced by
-    changed = len(kept) > 1
-    while changed:
-        changed = False
+    # no kept leading term is reducible by the others (see the README), so
+    # reducing keeps every lead and the (key, lc) order: one pass suffices
+    if len(kept) > 1:
         for idx, row in enumerate(kept):
             others = kept[:idx] + kept[idx + 1 :]
             nf, quots = _reduce_full(row.poly, others, order, track)
-            if nf == row.poly:
-                continue
-            cof = _combine_cofs(ring, vars, row.cof, quots, others) if track else None
-            poly, cof = normalized(nf, cof)
-            kept[idx] = _Row(poly, cof, order)
-            changed = True
-
-    kept.sort(key=lambda r: (order.key(r.lm), r.lc))
+            if nf != row.poly:
+                cof = _combine_cofs(row.cof, quots, others) if track else None
+                kept[idx] = _Row(nf, cof, order)
     return GroebnerBasis(ring, order, inputs, kept, tracked=track)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from jacarena.algebra import GF, QQ, ZZ, MonomialOrder, Polynomial, exponents, pack
 from jacarena.errors import InvalidCertificate
-from jacarena.ideals import NilCertificate, groebner
+from jacarena.ideals import NilCertificate, _reduce_full, _Row, groebner
 from jacarena.parsing import parse_polynomial, parse_ring
 from jacarena.rings import is_nil, member_in, nil_exponent_search, nil_member
 
@@ -83,6 +83,17 @@ def _check_s_and_g_polys_reduce(gb):
                 assert gb.normal_form(s).is_zero()
 
 
+def _check_reduced(gb):
+    """What one inter-reduction pass must leave: each row is its own normal
+    form by the others, and the rows are sorted by (key, lc)."""
+    rows = gb._rows
+    for i, row in enumerate(rows):
+        others = rows[:i] + rows[i + 1 :]
+        assert _reduce_full(row.poly, others, gb.order, False)[0] == row.poly
+    keys = [(gb.order.key(row.lm), row.lc) for row in rows]
+    assert keys == sorted(keys)
+
+
 def _egcd(a, b):
     if b == 0:
         return (abs(a), 1 if a >= 0 else -1, 0)
@@ -103,6 +114,7 @@ def test_groebner_invariants(ring, texts, vars):
     gb = gb_of(texts, ring, vars)
     _check_transformation(gb)
     _check_s_and_g_polys_reduce(gb)
+    _check_reduced(gb)
 
 
 def test_groebner_random_transformation_invariant():
@@ -120,6 +132,7 @@ def test_groebner_random_transformation_invariant():
             gb = groebner(gens, MonomialOrder(vars), ring=ring)
             _check_transformation(gb)
             _check_s_and_g_polys_reduce(gb)
+            _check_reduced(gb)
 
 
 UNIT_IDEALS = [
@@ -363,3 +376,76 @@ def test_integer_reducer_matches_the_fraction_reducer(gen_terms, target_terms):
                 assert (nf, quots) == (ref_nf, ref_quots)
                 for q in quots:
                     _assert_canonical(q)
+
+
+def _integer_reduce(p, rows, order):
+    """Reference reducer over ZZ on plain ints: the largest term c*m first,
+    by the row of smallest leading coefficient whose leading monomial divides
+    m (the lowest index on ties), with divmod remainders."""
+    work = dict(p.terms)
+    remainder = {}
+    quots = [{} for _ in rows]
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        divisors = [i for i, row in enumerate(rows) if order.divides(row.lm, m)]
+        if not divisors:
+            remainder[m] = c
+            continue
+        idx = min(divisors, key=lambda i: rows[i].lc)
+        row = rows[idx]
+        q, r = divmod(c, row.lc)
+        if r:
+            remainder[m] = r
+        if q == 0:
+            continue
+        shift = m - row.lm
+        quots[idx][shift] = q
+        for m2, c2 in row.poly.terms.items():
+            if m2 != row.lm:
+                v = work.get(m2 + shift, 0) - q * c2
+                if v:
+                    work[m2 + shift] = v
+                else:
+                    work.pop(m2 + shift, None)
+    vars = order.vars
+    return Polynomial._raw(ZZ, vars, remainder), [Polynomial._raw(ZZ, vars, q) for q in quots]
+
+
+# rows with positive leading coefficients drawn from small pools, so that
+# several rows share a leading monomial, a leading coefficient or both; every
+# tail term has a smaller degree than the lead, so it is smaller in DEGREVLEX
+_zz_rows = st.builds(
+    lambda lead, lc, tail: {**{e: c for e, c in tail.items() if sum(e) < sum(lead)}, lead: lc},
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]),
+    st.integers(1, 3),
+    st.dictionaries(
+        st.tuples(st.integers(0, 1), st.integers(0, 1)), st.integers(-6, 6).filter(bool), max_size=3
+    ),
+)
+_zz_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-20, 20), min_size=1, max_size=5
+)
+_zz_gens = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_zz_rows, min_size=1, max_size=5),
+    st.lists(_zz_gens, min_size=1, max_size=3),
+    st.lists(_zz_polys, min_size=1, max_size=3),
+)
+def test_integer_reducer_takes_the_smallest_coefficient_with_the_lowest_index(
+    row_terms, gen_terms, target_terms
+):
+    vars = ("X", "Y")
+    order = MonomialOrder(vars)
+    rows = [_Row(Polynomial(ZZ, vars, t), None, order) for t in row_terms]
+    gb = groebner([Polynomial(ZZ, vars, t) for t in gen_terms], order, ring=ZZ)
+    for p in (Polynomial(ZZ, vars, t) for t in target_terms):
+        for reducers in (rows, gb._rows):
+            ref = _integer_reduce(p, reducers, order)
+            assert _reduce_full(p, reducers, order, True) == ref
+            assert _reduce_full(p, reducers, order, False)[0] == ref[0]
