@@ -175,9 +175,10 @@ def cmd_repl(args):
 
     class _Announcer:
         name = prover.name
+        cont = prover
 
         def propose(self, pos):
-            moves = prover_state[0].propose(pos)
+            moves = self.cont.propose(pos)
             held = ", ".join(
                 c.to_text() for c in pos.constraints
             )
@@ -189,18 +190,14 @@ def cmd_repl(args):
             return moves
 
         def receive(self, pos, moves, replies):
-            declared, cont = prover_state[0].receive(pos, moves, replies)
-            prover_state[0] = cont
+            declared, self.cont = self.cont.receive(pos, moves, replies)
             print(f"Prover declares next budget {declared}.")
             return declared, self
 
-    prover_state = [prover]
     _check_out(args.out)
     print(f"Match on {ring.to_text()}: x = {x.to_text()}, x' = {xprime.to_text()}, budget {args.budget}")
     print("You are Delayer. '?' lists the input forms.")
     transcript = referee_play(ring, x, xprime, args.budget, _Announcer(), human)
-    transcript.prover_name = prover.name
-    transcript.delayer_name = "human"
     if args.out is not None:
         _write_out(args.out, transcript)
     print(f"\nWinner: {transcript.winner}")

@@ -2,14 +2,15 @@
 
 Over QQ and GF(p) this is Buchberger's algorithm with a reduced monic output.
 Over ZZ it computes a strong basis in the Kandri-Rody--Kapur style: the pair
-queue carries both S-polynomials and gcd-completion (G-) polynomials, and
-term reduction uses canonical nonnegative remainders, which makes normal
-forms unique on cosets.  Every basis element carries cofactors expressing it
-over the input generators, exactly.
+queue carries both S-polynomials and gcd-completion (G-) polynomials, built
+by one formula from a coefficient pair each, and term reduction uses
+canonical nonnegative remainders, which makes normal forms unique on cosets.
+Every basis element carries cofactors expressing it over the input
+generators, exactly.
 
 The reduced basis of the unit ideal is [1]: a completion stops at its first
-unit row (a nonzero constant over a field, +-1 over ZZ), and an untracked one
-at a unit input, before any reduction.
+unit row (a nonzero constant over a field, +-1 over ZZ); a unit input
+becomes one before any pair is formed.
 
 Over QQ, reduction runs on ints: the polynomial being reduced is kept as
 int numerators over one running scale, and each row as int numerators over
@@ -266,106 +267,80 @@ def groebner(gens, order, ring, track=True):
     track=False the cofactor bookkeeping is skipped, which is much faster
     when only membership answers are needed.
 
+    Both pair kinds give the candidate ci*x^(lcm-lm_i)*r_i + cj*x^(lcm-lm_j)*r_j:
+    an S-pair with (l/lc_i, -l/lc_j), l = lcm(lc_i, lc_j), which is (1, -1)
+    over a field, where every row is monic; a G-pair (over ZZ) with the
+    Bezout pair of lc_i and lc_j.  Tracked, a candidate's cofactors are
+    built only when it reduces to a nonzero row.
+
     The first unit row ends the completion: every later candidate reduces
     to zero by it and it dominates every other row, so the full run would
-    return it alone, with the same cofactors.  Untracked, a unit input gives
-    [1] at once; tracked, a unit reached earlier by reduction keeps other
-    cofactors, so the inputs are not scanned for one.
+    return it alone, with the same cofactors.  A unit input is such a row
+    before any pair is formed.
     """
     vars = order.vars
     inputs = [g.remap(vars) for g in gens]
     zero = Polynomial.zero(ring, vars)
+    one = Polynomial.constant(ring, 1, vars)
     integer = ring.kind == "ZZ"
 
     rows = []
     queue = []
 
-    def normalized(poly, cof):
-        _, lc = order.leading(poly.terms)
-        if integer:
-            if lc < 0:
-                poly = -poly
-                cof = [-c for c in cof] if cof is not None else None
-        elif lc != ring.one():
-            inv = ring.invert(lc)
-            poly = poly.scale(inv)
-            cof = [c.scale(inv) for c in cof] if cof is not None else None
-        return poly, cof
-
-    def enqueue(kind, i, j):
-        # the key orders by the lcm's degree first, then by DEGREVLEX
-        lcm = order.lcm(rows[i].lm, rows[j].lm)
-        heapq.heappush(queue, ((order.key(lcm), i, j, kind), kind, i, j))
-
-    def push(poly, cof):
-        """Add a row; a unit row ends the completion and is returned."""
-        poly, cof = normalized(poly, cof)
-        row = _Row(poly, cof, order)
+    def add(cand, cof_of):
+        """Reduce cand by the rows and keep a nonzero normal form as a row,
+        scaled to a positive leading coefficient over ZZ and to 1 over a
+        field, with, when tracked, the cofactors cof_of() minus the
+        quotients' combination; a unit row ends the completion and is
+        returned."""
+        # the first row is the first nonzero input, as no row reduces it
+        nf, quots = _reduce_full(cand, rows, order, track) if rows else (cand, [])
+        if nf.is_zero():
+            return None
+        cof = _combine_cofs(cof_of(), quots, rows) if track else None
+        lc = order.leading(nf.terms)[1]
+        u = (-1 if lc < 0 else 1) if integer else ring.invert(lc)
+        if u != 1:
+            nf = nf.scale(u)
+            cof = [c.scale(u) for c in cof] if track else None
+        row = _Row(nf, cof, order)
         if row.lm == 0 and row.lc == 1:
             return row
-        new_index = len(rows)
+        j = len(rows)
         rows.append(row)
-        for i in range(new_index):
-            enqueue("s", i, new_index)
+        for i in range(j):
+            # the key orders by the lcm's degree first, then by DEGREVLEX;
+            # (i, j, kind) is unique, so the lcm is never compared
+            lcm = order.lcm(rows[i].lm, row.lm)
+            key = order.key(lcm)
+            heapq.heappush(queue, (key, i, j, "s", lcm))
             if integer:
-                enqueue("g", i, new_index)
+                heapq.heappush(queue, (key, i, j, "g", lcm))
 
-    def is_unit(g):
-        return list(g.terms) == [0] and (not integer or abs(g.terms[0]) == 1)
-
-    # Untracked, a unit input settles the ideal before any reduction.
-    todo = inputs if track else [g for g in inputs if is_unit(g)][:1] or inputs
-    for j, g in enumerate(todo):
-        if g.is_zero():
-            continue
-        # the first row is the first nonzero input, as no row reduces it
-        nf, quots = _reduce_full(g, rows, order, track) if rows else (g, [])
-        if nf.is_zero():
-            continue
-        if track:
-            base = [zero] * len(inputs)
-            base[j] = Polynomial.constant(ring, 1, vars)
-            unit = push(nf, _combine_cofs(base, quots, rows))
-        else:
-            unit = push(nf, None)
+    for j, g in enumerate(inputs):
+        unit = add(g, lambda: [one if k == j else zero for k in range(len(inputs))])
         if unit:
             return GroebnerBasis(ring, order, inputs, [unit], tracked=track)
 
     while queue:
-        _, kind, i, j = heapq.heappop(queue)
+        _, i, j, kind, lcm = heapq.heappop(queue)
         ri, rj = rows[i], rows[j]
-        lcm = order.lcm(ri.lm, rj.lm)
         if kind == "s":
-            coprime_monos = lcm == ri.lm + rj.lm
-            if coprime_monos and (not integer or math.gcd(ri.lc, rj.lc) == 1):
+            # rows are monic over a field; Buchberger's criterion asks over
+            # ZZ for coprime leading coefficients too
+            l = math.lcm(ri.lc, rj.lc) if integer else 1
+            if lcm == ri.lm + rj.lm and l == ri.lc * rj.lc:
                 continue
-            si, sj = lcm - ri.lm, lcm - rj.lm
-            if integer:
-                l = ri.lc * rj.lc // math.gcd(ri.lc, rj.lc)
-                ui, uj = l // ri.lc, l // rj.lc
-            else:
-                ui = uj = ring.one()
-            cand = ri.poly.mul_term(si, ui) - rj.poly.mul_term(sj, uj)
-            cof = (
-                [a.mul_term(si, ui) - b.mul_term(sj, uj) for a, b in zip(ri.cof, rj.cof)]
-                if track
-                else None
-            )
+            ci, cj = l // ri.lc, -(l // rj.lc)
         else:
             if ri.lc % rj.lc == 0 or rj.lc % ri.lc == 0:
                 continue
-            g, s, t = _egcd(ri.lc, rj.lc)
-            si, sj = lcm - ri.lm, lcm - rj.lm
-            cand = ri.poly.mul_term(si, s) + rj.poly.mul_term(sj, t)
-            cof = (
-                [a.mul_term(si, s) + b.mul_term(sj, t) for a, b in zip(ri.cof, rj.cof)]
-                if track
-                else None
-            )
-        nf, quots = _reduce_full(cand, rows, order, track)
-        if nf.is_zero():
-            continue
-        unit = push(nf, _combine_cofs(cof, quots, rows) if track else None)
+            _, ci, cj = _egcd(ri.lc, rj.lc)
+        si, sj = lcm - ri.lm, lcm - rj.lm
+        unit = add(
+            ri.poly.mul_term(si, ci) + rj.poly.mul_term(sj, cj),
+            lambda: [a.mul_term(si, ci) + b.mul_term(sj, cj) for a, b in zip(ri.cof, rj.cof)],
+        )
         if unit:
             return GroebnerBasis(ring, order, inputs, [unit], tracked=track)
 

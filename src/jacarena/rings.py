@@ -667,25 +667,12 @@ def integral_dependence(b, ext):
     ideal contains the relation; so l is exact and c_j is minus its T^j
     coefficient.  For k = 0 the relation is a, so a = 0 in B: l = 1, or 0
     when B is trivial.
-
-    A b that does not involve X is an element b' of A, its normal form
-    there, and the matrix is b'*I with every e_i = 0: the determinant is
-    (T - b')^k, so l = 0 and c_j is the normal form in A of
-    -C(k, j) * (-b')^(k-j), with no matrix built.
     """
     base, ring, k = ext.base, b.ring, ext.k
     a = ext.lead
 
     if k == 0:
         return IntegralRelation(b, a, 0 if ring.is_trivial() else 1, 0, ()).require_valid()
-
-    if b.poly.degree_in(ext.var) <= 0:
-        neg_b = base.element(-b.poly.remap(base.vars))
-        power, coeffs = base.one(), []
-        for j in range(k - 1, -1, -1):
-            power = power * neg_b
-            coeffs.append(base.element(power.poly.scale(-comb(k, j))))
-        return IntegralRelation(b, a, 0, k, tuple(reversed(coeffs))).require_valid()
 
     tvar = _fresh_var(ring.vars)
     cvars = base.vars + (tvar,)
@@ -748,8 +735,8 @@ def key_elementary_transfer(a0, a1, b2, ext):
 
         1 - a2*w = q * (1 - b2*w),   q = (a1*a0)^l * Q.
 
-    A b2 that does not involve X is an element b of A with the dependence
-    (T - b)^k, l = 0 (see ``integral_dependence``): then a2 = a2dd =
+    A b2 that does not involve X is an element b of A, whose dependence is
+    the determinant of (T - b)*I, (T - b)^k with l = 0: then a2 = a2dd =
     (1 - (1 - b*w)^k)/w and q = (1 - t)^(k-1), with no dependence built.
 
     q is built on unreduced polynomials from the dependence alone, not from

@@ -225,13 +225,17 @@ class PolyLiftStrategy(ProverStrategy):
     C_k = A[X]/<h, a_{k+1}, ..., a_d> over the X-coefficients a_j of h,
     adding for each nonzero a_k, k >= 1, the parts of an integral-transport
     strategy for (C_k, f, a_k f) to one cut; a level whose a_k already
-    vanishes adds nothing, and neither does level 0.
+    vanishes adds nothing, and neither does level 0.  A factory over
+    another ring than A is refused with UnsupportedRing.
     """
 
     def __init__(self, ring, f, factory):
-        base = coefficient_ring(ring)
+        if factory.ring != coefficient_ring(ring):
+            raise UnsupportedRing(
+                f"a {factory.ring.to_text()} strategy does not lift to {ring.to_text()}"
+            )
         # the factory's own presentation, with any basis it has completed
-        self.coeff_ring = factory.ring if factory.ring == base else base
+        self.coeff_ring = factory.ring
         super().__init__(ring, factory.budget + 1, f"polyLift({factory.name})")
         self.x = ring.element(f)
         self.var = ring.vars[-1]

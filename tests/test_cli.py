@@ -576,7 +576,7 @@ def test_repl_scripted_session(tmp_path, capsys, monkeypatch):
     assert "Prover declares next budget 1." in text
     assert "next budget 0" not in text
     obj = json.loads(out.read_text())
-    assert obj["delayer"] == "human"
+    assert (obj["prover"], obj["delayer"]) == ("euclideanDim1", "human")
     code, text, _ = run(["verify", str(out)], capsys)
     assert code == 0
 

@@ -586,15 +586,20 @@ def _in_y(ring, cs):
 def test_integral_dependence_of_a_base_element_matches_the_determinant(
     base_kind, base_relation, lead, lower, b
 ):
-    # b in A: the closed form (T - b)^k against the T-matrix's determinant
+    # b in A: the T-matrix is b*I, so the determinant is the closed form
+    # (T - b)^k: l = 0 and c_j the normal form in A of -C(k, j) * (-b)^(k-j)
     ext = _base_extension(base_kind, base_relation, lead, lower)
     assume(ext is not None)
     y = _in_y(ext.ring, b)
     # B's basis may rewrite Y through X, when the leading coefficient is not a unit
     assume(y.poly.degree_in("X") <= 0)
+    base, k = ext.base, ext.k
+    neg_b = base.element(-y.poly.remap(base.vars))
+    coeffs = tuple(base.element((neg_b ** (k - j)).poly.scale(-comb(k, j))) for j in range(k))
     dep = integral_dependence(y, ext)
+    assert dep == IntegralRelation(y, ext.lead, 0, k, coeffs)
     assert dep == _relation_from_det(y, ext)
-    assert dep.l == 0 and dep.d == len(lower)
+    assert dep.d == len(lower)
 
 
 def test_integral_relation_validates_at_construction():

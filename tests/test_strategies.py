@@ -350,6 +350,13 @@ def test_poly_lift_zz():
         assert t.rounds[0].moves[0] == Zx.element("X")
 
 
+@pytest.mark.parametrize("factory_ring", ["GF(7)", "QQ", "GF(5)[Y]"])
+def test_poly_lift_refuses_a_factory_over_another_ring(factory_ring):
+    fac = ring_strategy_factory(parse_ring(factory_ring))
+    with pytest.raises(UnsupportedRing, match="does not lift"):
+        PolyLiftStrategy(parse_ring("GF(5)[X]"), "X", fac)
+
+
 # (ring, x, reply g): h = 1 - g*(1 - Y*x), Y the lifted variable
 _LIFT_CHAINS = [
     ("QQ[X,Y]", "X*Y+X", "2"),  # a_1 = 2*X dies modulo a_2 = 2*X
