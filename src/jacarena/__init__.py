@@ -21,7 +21,6 @@ from .rings import (
     loc_key_clear,
     member_in,
     minimal_polynomial,
-    nil_exponent_search,
     nil_member,
     zero_dim_witness,
 )
@@ -34,8 +33,6 @@ from .game import (
 )
 from .oracle import (
     FiniteRingTable,
-    brute_jac,
-    brute_nil,
     enumerate_finite,
     minimal_alpha,
     minimal_alpha_ring,

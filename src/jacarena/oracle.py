@@ -98,24 +98,6 @@ def enumerate_finite(ring):
     return FiniteRingTable(ring, elements)
 
 
-def brute_nil(table, x, constraints=()):
-    """Exhaustive check: some power of x lies in the ideal of the constraints."""
-    ideal = table.ideal_closure([table.idx(u) for u in constraints])
-    return _nil_from_ideal(table, table.idx(x), ideal)
-
-
-def brute_jac(table, x, constraints=()):
-    """Full quantifier: for every a, 1 lies in the ideal of constraints + (1 - a*x)."""
-    one = table.idx(table.ring.one())
-    xi = table.idx(x)
-    base = [table.idx(u) for u in constraints]
-    for a in range(len(table.elements)):
-        probe = table.idx(table.ring.one() - table.elements[a] * table.elements[xi])
-        if one not in table.ideal_closure(base + [probe]):
-            return False
-    return True
-
-
 def _nil_from_ideal(table, xi, ideal):
     power = table.idx(table.ring.one())
     seen = set()

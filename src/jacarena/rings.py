@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from .algebra import MonomialOrder, Polynomial, _cleared, _over, exponents
 from .errors import (
@@ -294,19 +294,6 @@ def nil_member(x, constraints=()):
     return cert.require_valid()
 
 
-def nil_exponent_search(x, constraints=(), cap=12):
-    """Independent oracle: smallest e <= cap with x^e in the ideal, else None."""
-    ring = x.ring
-    gens = list(ring.relations) + [ring._representative(c) for c in constraints]
-    power = Polynomial.constant(ring.base, 1, ring.vars)
-    for e in range(cap + 1):
-        cofs = member_in(ring, power, constraints)
-        if cofs is not None:
-            return e, NilCertificate(x.poly, e, tuple(gens), tuple(cofs)).require_valid()
-        power = power * x.poly
-    return None
-
-
 def finite_enumeration_data(ring):
     """(staircase monomials, per-monomial residue counts) for a finite ring.
 
@@ -340,6 +327,8 @@ def finite_enumeration_data(ring):
 def minimal_polynomial(x):
     """(monic minimal polynomial of x in T, normal forms of 1, x, ..., x^(d-1)),
     d its degree, for x in a finite-dimensional algebra over QQ or GF(p).
+    ``zero_dim_witness`` calls it for a non-unit only; a unit's witness is
+    its inverse, from one membership.
 
     A Krylov scan on the staircase basis.  Column j of the matrix M of
     multiplication by x holds the coordinates of the normal form of x times
@@ -444,71 +433,83 @@ def minimal_polynomial(x):
 def zero_dim_witness(x):
     """Witness (e, a) with x^e * (1 - a*x) = 0 in the ring.
 
-    Field algebras factor the minimal polynomial as T^e * g(T) with
-    g(0) != 0 and return a = -g(0)^(-1) * r(x) for g = g(0) + T*r(T).
-    r has degree below that of the minimal polynomial, so a is summed from
-    the normal forms of the powers of x that the minimal polynomial scan
-    kept; a linear combination of normal forms over a field is a normal form.
-    The sum runs on the powers' int numerators over one common denominator
-    (over GF(p), on residues), with one division (or one reduction mod p)
-    per coefficient.
-    ZZ/n takes ``_modular_witness``.  Other finite ZZ-based rings take the
-    first e with x^e*R = x^(e+1)*R, where the powers of x turn periodic, and
-    a from x^e = a*x^(e+1).  Each strict step of that chain at least halves
-    the ideal, so e stays below log2|R| + 1.
+    ZZ/n takes ``_modular_witness``.  Any other ring is refused unless it
+    is finite (over ZZ) or has a finite staircase (over a field); then one
+    tracked membership of 1 in (relations, x) decides whether x is a unit.
+    A unit's witness is forced: e = 0 and a = x^(-1), the cofactor of x.
+    A non-unit over a field takes ``_minpoly_witness``.  A non-unit in
+    another finite ZZ-based ring takes the first e with x^e*R = x^(e+1)*R,
+    where the powers of x turn periodic, and a from x^e = a*x^(e+1).  Each
+    strict step of that chain at least halves the ideal, so e stays below
+    log2|R| + 1.
     """
     ring = x.ring
     base = ring.base
-    if base.kind in ("QQ", "GF"):
-        try:
-            mu, powers = minimal_polynomial(x)
-        except NotFiniteDimensional as exc:
-            raise NotZeroDimensional(str(exc)) from None
-        by_deg = {exponents(m, 1)[0]: c for m, c in mu.terms.items()}
-        e = min(by_deg)
-        factor = base.neg(base.invert(by_deg[e]))
-        # a = sum of w_j * N_j / D_j over the powers' numerators N_j over D_j,
-        # with the weights w_j = factor * c_j
-        parts = []
-        for j, cj in by_deg.items():
-            if j > e:
-                w = base.mul(factor, cj)
-                den, nums = _cleared(powers[j - e - 1].terms)
-                parts.append((w.numerator, w.denominator * den, nums))
-        common = reduce(lcm, (den for _, den, _ in parts), 1)
-        sums = {}
-        for num, den, nums in parts:
-            num *= common // den
-            for m, c in nums.items():
-                sums[m] = sums.get(m, 0) + num * c
-        if base.p:
-            terms = {m: r for m, c in sums.items() if (r := c % base.p)}
-        else:
-            terms = _over({m: c for m, c in sums.items() if c}, common)
-        a = RingElement(ring, Polynomial._raw(base, ring.vars, terms))
-    elif not ring.vars:
+    if base.kind == "ZZ" and not ring.vars:
         e, a = _modular_witness(x)
     else:
-        try:
-            stair, counts = finite_enumeration_data(ring)
-        except NotFinite as exc:
-            raise NotZeroDimensional(str(exc)) from None
-        size = 1
-        for c in counts:
-            size *= c
-        power = ring.one()
-        for e in range(size.bit_length()):
-            cofs = member_in(ring, power, [power * x])
-            if cofs is not None:
-                break
+        if base.kind == "ZZ":
+            try:
+                size = prod(finite_enumeration_data(ring)[1])
+            except NotFinite as exc:
+                raise NotZeroDimensional(str(exc)) from None
+        elif ring.gb.staircase() is None:
+            raise NotZeroDimensional(f"{ring.to_text()} has an infinite staircase")
+        # e = 0 is the unit test, shared by every base
+        e, power = 0, ring.one()
+        cofs = member_in(ring, power, [x])
+        while cofs is None and base.kind == "ZZ":
+            e += 1
+            if e >= size.bit_length():
+                raise NotZeroDimensional(f"x^e*R did not stabilize while 2^e <= {size}")
             power = power * x
+            cofs = member_in(ring, power, [power * x])
+        if cofs is None:
+            e, a = _minpoly_witness(x)
         else:
-            raise NotZeroDimensional(f"x^e*R did not stabilize while 2^e <= {size}")
-        a = ring.element(cofs[-1])
+            a = ring.element(cofs[-1])
     witness = x ** e * (ring.one() - a * x)
     if not witness.is_zero():
         raise AssertionError("zero-dimensional witness identity failed")
     return e, a
+
+
+def _minpoly_witness(x):
+    """Witness for a non-unit x in a finite-dimensional algebra over a field.
+
+    Factors the minimal polynomial as T^e * g(T) with g(0) != 0 and returns
+    a = -g(0)^(-1) * r(x) for g = g(0) + T*r(T).  r has degree below that of
+    the minimal polynomial, so a is summed from the normal forms of the
+    powers of x that the minimal polynomial scan kept; a linear combination
+    of normal forms over a field is a normal form.  The sum runs on the
+    powers' int numerators over one common denominator (over GF(p), on
+    residues), with one division (or one reduction mod p) per coefficient.
+    """
+    ring = x.ring
+    base = ring.base
+    mu, powers = minimal_polynomial(x)
+    by_deg = {exponents(m, 1)[0]: c for m, c in mu.terms.items()}
+    e = min(by_deg)
+    factor = base.neg(base.invert(by_deg[e]))
+    # a = sum of w_j * N_j / D_j over the powers' numerators N_j over D_j,
+    # with the weights w_j = factor * c_j
+    parts = []
+    for j, cj in by_deg.items():
+        if j > e:
+            w = base.mul(factor, cj)
+            den, nums = _cleared(powers[j - e - 1].terms)
+            parts.append((w.numerator, w.denominator * den, nums))
+    common = reduce(lcm, (den for _, den, _ in parts), 1)
+    sums = {}
+    for num, den, nums in parts:
+        num *= common // den
+        for m, c in nums.items():
+            sums[m] = sums.get(m, 0) + num * c
+    if base.p:
+        terms = {m: r for m, c in sums.items() if (r := c % base.p)}
+    else:
+        terms = _over({m: c for m, c in sums.items() if c}, common)
+    return e, RingElement(ring, Polynomial._raw(base, ring.vars, terms))
 
 
 def _modular_witness(x):

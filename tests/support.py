@@ -1,10 +1,13 @@
-"""Test-only drivers: a scripted Delayer and nilpotency-certificate
-extraction from a winning strategy (J_alpha => nil)."""
+"""Test-only drivers and reference oracles: a scripted Delayer,
+nilpotency-certificate extraction from a winning strategy (J_alpha => nil),
+radical and Jacobson membership by enumeration of a finite ring, and a
+power-by-power nilpotency search."""
 
 from jacarena.algebra import Polynomial
 from jacarena.errors import EngineError
 from jacarena.game import referee_play
 from jacarena.ideals import NilCertificate
+from jacarena.oracle import _nil_from_ideal
 from jacarena.rings import member_in
 from jacarena.strategies import DelayerStrategy, JacWitnessDelayer
 
@@ -69,3 +72,34 @@ def extract_nil_from_jac(strategy, base_constraints):
         cert.element, cert.exponent, tuple(gens_out), tuple(out)
     )
     return rewritten.require_valid()
+
+
+def brute_nil(table, x, constraints=()):
+    """Exhaustive check: some power of x lies in the ideal of the constraints."""
+    ideal = table.ideal_closure([table.idx(u) for u in constraints])
+    return _nil_from_ideal(table, table.idx(x), ideal)
+
+
+def brute_jac(table, x, constraints=()):
+    """Full quantifier: for every a, 1 lies in the ideal of constraints + (1 - a*x)."""
+    one = table.idx(table.ring.one())
+    xi = table.idx(x)
+    base = [table.idx(u) for u in constraints]
+    for a in range(len(table.elements)):
+        probe = table.idx(table.ring.one() - table.elements[a] * table.elements[xi])
+        if one not in table.ideal_closure(base + [probe]):
+            return False
+    return True
+
+
+def nil_exponent_search(x, constraints=(), cap=12):
+    """Smallest e <= cap with x^e in the ideal, with its certificate, else None."""
+    ring = x.ring
+    gens = list(ring.relations) + [ring._representative(c) for c in constraints]
+    power = Polynomial.constant(ring.base, 1, ring.vars)
+    for e in range(cap + 1):
+        cofs = member_in(ring, power, constraints)
+        if cofs is not None:
+            return e, NilCertificate(x.poly, e, tuple(gens), tuple(cofs)).require_valid()
+        power = power * x.poly
+    return None

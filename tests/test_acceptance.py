@@ -13,7 +13,7 @@ import pytest
 
 from jacarena.errors import NotInJacobsonRadical
 from jacarena.game import Transcript, referee_play, verify_transcript
-from jacarena.oracle import brute_nil, enumerate_finite, minimal_alpha_ring
+from jacarena.oracle import enumerate_finite, minimal_alpha_ring
 from jacarena.parsing import parse_ring
 from jacarena.rings import MonogenicExtension, key_elementary_transfer, loc_key_clear, member_in, nil_member
 from jacarena.strategies import (
@@ -28,7 +28,7 @@ from jacarena.strategies import (
     ring_strategy_factory,
 )
 
-from support import extract_nil_from_jac
+from support import brute_nil, extract_nil_from_jac
 
 
 def _won(ring, x, budget, prover, delayer, xprime=None):

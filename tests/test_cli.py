@@ -160,6 +160,15 @@ def test_play_deeply_nested_relation_is_a_configuration_error(capsys):
     assert "parentheses nest deeper than" in err
 
 
+def test_zero_dim_refuses_a_unit_of_a_ring_that_is_not_zero_dimensional(capsys):
+    code, out, err = run(
+        ["play", "--ring", "QQ[X]", "--x", "2", "--budget", "1",
+         "--prover", "zeroDim", "--delayer", "echo"],
+        capsys,
+    )
+    assert (code, out, err) == (3, "", "engine error: QQ[X] has an infinite staircase\n")
+
+
 def test_play_engine_error(capsys):
     code, _, err = run(
         ["play", "--ring", "QQ[X,Y]", "--x", "X", "--budget", "2",

@@ -12,7 +12,8 @@ from jacarena.algebra import GF, QQ, ZZ, MonomialOrder, Polynomial, exponents, p
 from jacarena.errors import InvalidCertificate
 from jacarena.ideals import NilCertificate, _reduce_full, _Row, groebner
 from jacarena.parsing import parse_polynomial, parse_ring
-from jacarena.rings import is_nil, member_in, nil_exponent_search, nil_member
+from jacarena.rings import is_nil, member_in, nil_member
+from support import nil_exponent_search
 
 
 def gb_of(texts, ring, vars):

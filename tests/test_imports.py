@@ -101,10 +101,6 @@ def test_every_parameter_is_read(path):
     assert found - UNREAD_ALLOWED == set()
 
 
-# reference implementations that tests compare the engine against
-TEST_ONLY = {"brute_nil", "brute_jac", "nil_exponent_search"}
-
-
 def names_read(source):
     """The names read in source as a name or an attribute, except where the
     read is inside the def or class of that name; an import, a def or a
@@ -146,7 +142,7 @@ def test_every_export_has_a_caller_outside_the_tests():
     paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     paths += [p for p in bench.glob("*.py") if not p.name.startswith("test_")]
     read = set().union(*(names_read(path.read_text()) for path in paths))
-    assert exported - read - TEST_ONLY == set()
+    assert exported - read == set()
 
 
 # names in the README's code spans that are agent specs or mathematics

@@ -7,13 +7,7 @@ import pytest
 
 from jacarena.errors import NotFinite
 from jacarena.game import referee_play, verify_transcript
-from jacarena.oracle import (
-    brute_jac,
-    brute_nil,
-    enumerate_finite,
-    minimal_alpha,
-    minimal_alpha_ring,
-)
+from jacarena.oracle import enumerate_finite, minimal_alpha, minimal_alpha_ring
 from jacarena.parsing import parse_ring
 from jacarena.rings import member_in, nil_member
 from jacarena.strategies import (
@@ -22,6 +16,7 @@ from jacarena.strategies import (
     ZeroDimStrategy,
     ring_strategy_factory,
 )
+from support import brute_jac, brute_nil
 
 
 def test_enumerate_finite_counts():

@@ -472,6 +472,49 @@ def test_zero_dim_witness_rejects_non_zero_dimensional():
         zero_dim_witness(parse_ring("QQ[X]").element("X"))
 
 
+@pytest.mark.parametrize(
+    "ring_text,x_text,message",
+    [
+        ("QQ[X]", "2", "QQ[X] has an infinite staircase"),
+        ("GF(5)[X,Y]/(X^2)", "3", "GF(5)[X,Y]/(X^2) has an infinite staircase"),
+        ("ZZ[X]", "1", "ZZ[X] has an infinite staircase"),
+        ("ZZ[X]/(X^2)", "1", "ZZ[X]/(X^2): monomial (0,) has unbounded coefficients"),
+    ],
+)
+def test_zero_dim_witness_refuses_a_unit_of_a_ring_that_is_not_zero_dimensional(
+    ring_text, x_text, message
+):
+    # the unit test would find x^(-1) in each of these rings; the refusal comes first
+    with pytest.raises(NotZeroDimensional) as info:
+        zero_dim_witness(parse_ring(ring_text).element(x_text))
+    assert str(info.value) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_zero_dim_elements())
+def test_zero_dim_witness_matches_power_formula_property(x):
+    _assert_witness_matches_power_formula(x)
+
+
+def test_a_unit_never_reaches_the_krylov_scan(monkeypatch):
+    def scan(x):
+        raise AssertionError(f"Krylov scan on {x}")
+
+    monkeypatch.setattr(rings, "minimal_polynomial", scan)
+    for ring_text, x_text, inverse in [
+        ("QQ[X]/(X^2)", "X+1", "-X + 1"),
+        ("GF(7)[X]/(X^2+1)", "X", "6*X"),
+        ("GF(3)[X,Y]/(X^2-Y, Y^2+X)", "Y+1", None),
+        ("QQ", "4", "1/4"),
+    ]:
+        x = parse_ring(ring_text).element(x_text)
+        e, a = zero_dim_witness(x)
+        assert e == 0 and (a * x).is_one()
+        assert inverse is None or a.to_text() == inverse
+    with pytest.raises(AssertionError, match="Krylov scan"):
+        zero_dim_witness(parse_ring("QQ[X]/(X^2)").element("X"))
+
+
 def test_integral_dependence_examples():
     QQb = parse_ring("QQ")
     B = parse_ring("QQ[X]/(X^2-2)")
