@@ -19,7 +19,7 @@ from .algebra import Polynomial
 from .errors import DegreeOverflow, EngineError, IllegalMove, MalformedTranscript
 from .ideals import NilCertificate
 from .parsing import _check_power, parse_polynomial, parse_ring
-from .rings import is_nil, nil_member
+from .rings import constraint, is_nil, nil_member
 from .strategies import delayer_from_spec, prover_from_spec
 
 
@@ -192,12 +192,6 @@ def _strings(obj, key, where):
     return values
 
 
-def _constraint(ring, x, a, b):
-    """1 - b(1 - a*x), expanded as 1 - b + a*x*b with one normal form."""
-    b = b.poly
-    return ring.element(1 - b + a.poly * x.poly * b)
-
-
 def referee_play(ring, x, xprime, budget, prover, delayer):
     """Run one match to completion and return a self-verifying transcript.
 
@@ -248,7 +242,7 @@ def referee_play(ring, x, xprime, budget, prover, delayer):
             raise IllegalMove(
                 "prover", f"declared budget {declared} at position budget {pos.tau}"
             )
-        new_constraints = tuple(_constraint(ring, x, a, b) for a, b in zip(moves, replies))
+        new_constraints = tuple(constraint(x, a, b) for a, b in zip(moves, replies))
         rounds.append(Round(moves, replies, declared))
         pos = GamePosition(ring, declared, pos.constraints + new_constraints)
 
@@ -315,7 +309,7 @@ def verify_transcript(transcript, replay=False):
             problems.append(f"round {i}: budget did not decrease ({tau} -> {rnd.declared})")
             break
         try:
-            constraints.extend(_constraint(ring, x, a, b) for a, b in zip(rnd.moves, rnd.replies))
+            constraints.extend(constraint(x, a, b) for a, b in zip(rnd.moves, rnd.replies))
         except DegreeOverflow as exc:
             problems.append(f"round {i}: {exc}")
             break

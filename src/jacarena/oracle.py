@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import Polynomial, exponents
-from .rings import finite_enumeration_data
+from .rings import constraint, finite_enumeration_data
 
 
 class FiniteRingTable:
@@ -132,12 +132,9 @@ def minimal_alpha(table, x, xprime):
     if _nil_from_ideal(table, xp_i, start):
         return 0
 
-    one = table.ring.one()
     effect_sets = set()
     for a in table.elements:
-        constraints = frozenset(
-            table.idx(one - b * (one - a * x)) for b in table.elements
-        )
+        constraints = frozenset(table.idx(constraint(x, a, b)) for b in table.elements)
         effect_sets.add(constraints)
 
     frontier = [start]

@@ -202,6 +202,16 @@ class RingElement:
         return f"<{self.poly.to_text()} in {self.ring.to_text()}>"
 
 
+def constraint(x, a, b):
+    """The game constraint 1 - b(1 - a*x) in x's ring, expanded as
+    1 - b + a*x*b with one normal form.  a and b are read by
+    ``_representative``, so an element of another presentation raises
+    IncompatibleRings."""
+    ring = x.ring
+    b = ring._representative(b)
+    return RingElement(ring, ring.normal_form(1 - b + ring._representative(a) * x.poly * b))
+
+
 def coefficient_ring(ring):
     """The coefficient ring A of ring = A[var], var the last variable.
 
@@ -347,8 +357,7 @@ def minimal_polynomial(x):
     step, cross-multiplied by the pivot, it is divided by its content
     rather than by the previous pivot; without that division the entries
     grow with every pivot.  Over a field a combination of staircase
-    monomials is a normal form.  So a column x*s_j whose monomials all lie
-    in the staircase is used as it is, and the powers are built from their
+    monomials is a normal form, so the powers are built from their
     coordinates with no multiplication or reduction.
     """
     ring = x.ring
@@ -379,11 +388,8 @@ def minimal_polynomial(x):
         return [c // g for c in w], den // g
 
     def column(j):
-        # (denominator, [(i, numerator)]) of the normal form of x * stair[j];
-        # a product whose monomials all lie in the staircase is one already
-        poly = x.poly.mul_term(stair[j], 1)
-        if not all(m in index for m in poly.terms):
-            poly = ring.normal_form(poly)
+        # (denominator, [(i, numerator)]) of the normal form of x * stair[j]
+        poly = ring.normal_form(x.poly.mul_term(stair[j], 1))
         cden, terms = _cleared(poly.terms) if p is None else (1, poly.terms)
         columns[j] = col = (cden, [(index[m], c) for m, c in terms.items()])
         return col

@@ -32,6 +32,7 @@ from .parsing import _MAX_DIGITS
 from .rings import (
     MonogenicExtension,
     coefficient_ring,
+    constraint,
     integral_dependence,
     key_elementary_transfer,
     member_in,
@@ -116,8 +117,7 @@ class EuclideanDim1Strategy(ProverStrategy):
     def receive(self, pos, moves, replies):
         if self.move is None:
             return self._declare(pos, 0), self
-        b = replies[0]
-        m = self.ring.one() - b * (self.ring.one() - self.move * self.x)
+        m = constraint(self.x, self.move, replies[0])
         inner = ZeroDimStrategy(self.ring.quotient_extend([m]), self.x.poly)
         return self._declare(pos, 1), CutStrategy(self.ring, [inner])
 
@@ -159,9 +159,11 @@ class IntegralTransportStrategy(ProverStrategy):
     monogenic extension B of A, rescaled.
 
     A sub move, read into A, becomes the extension move a1*a*factor, a the
-    leading coefficient of ext; each extension reply b2 is converted back
-    into a base reply via the localization transfer, whose output
-    constraint lies in the ideal of the extension constraint.
+    leading coefficient of ext, in one normal form in ring; factor is a
+    polynomial over ring's variables, and any representative of it gives
+    the same moves.  Each extension reply b2 is converted back into a base
+    reply via the localization transfer, whose output constraint lies in
+    the ideal of the extension constraint.
     """
 
     def __init__(self, ring, sub, a0, ext, factor):
@@ -177,7 +179,7 @@ class IntegralTransportStrategy(ProverStrategy):
         # A's relations hold in B, so each move is one normal form in B
         ring, vars = self.ring, self.ring.vars
         lead = self.ext.lead.poly.remap(vars)
-        return [ring.element(a1.poly.remap(vars) * lead * self.factor.poly) for a1 in self.inner_moves]
+        return [ring.element(a1.poly.remap(vars) * lead * self.factor) for a1 in self.inner_moves]
 
     def receive(self, pos, moves, replies):
         read = self.sub.ring.element
@@ -199,7 +201,8 @@ def loc_integral_strategy(rel, sub_factory, ext):
     f_k = f_{k-1} y - c_{d-k}: the cut has one part per level k >= 1, which
     transports the base strategy for a*c_{d-k} into B_k over ext and
     rescales its moves by f_{k-1}.  B_0 needs no part, since f_0 = a^l
-    dies there.
+    dies there.  Each f_k, a part's factor and a quotient's generator,
+    stays a polynomial over B's variables: any representative plays alike.
     """
     y, ring = rel.y, rel.y.ring
     a, l, d, cs = rel.a, rel.l, rel.d, rel.coeffs
@@ -209,10 +212,9 @@ def loc_integral_strategy(rel, sub_factory, ext):
         fs.append(fs[-1] * y.poly - cs[d - k].poly.remap(ring.vars))
     parts, ring_k = [], ring
     for k in range(d, 0, -1):
-        f_prev = ring_k.element(fs[k - 1])
-        parts.append(IntegralTransportStrategy(ring_k, sub_factory(d - k), cs[d - k], ext, f_prev))
+        parts.append(IntegralTransportStrategy(ring_k, sub_factory(d - k), cs[d - k], ext, fs[k - 1]))
         if k > 1:
-            ring_k = ring_k.quotient_extend([f_prev])
+            ring_k = ring_k.quotient_extend([fs[k - 1]])
     return CutStrategy(ring, parts)
 
 
@@ -249,8 +251,7 @@ class PolyLiftStrategy(ProverStrategy):
     def receive(self, pos, moves, replies):
         if self.x.is_zero():
             return self._declare(pos, 0), self
-        g = replies[0]
-        h = self.ring.one() - g * (self.ring.one() - moves[0] * self.x)
+        h = constraint(self.x, moves[0], replies[0])
         return self._declare(pos, self.factory.budget), CutStrategy(self.ring, self._chain_for(h))
 
     def _chain_for(self, h):
@@ -260,14 +261,13 @@ class PolyLiftStrategy(ProverStrategy):
         xvar = Polynomial.variable(ring.base, self.var, ring.vars)
         levels = sorted(split.keys() - {0}, reverse=True)
         parts, ring_k, base_k = [], ring.quotient_extend([h]), base
+        zero = Polynomial.zero(ring.base, ring.vars)
         for k in levels:
             a_k = base_k.element(split[k])
             if a_k.is_zero():
                 continue
-            rel_poly = Polynomial.zero(ring.base, ring.vars)
-            for j in range(k + 1):
-                if j in split:
-                    rel_poly = rel_poly + base_k.element(split[j]).poly.remap(ring.vars) * xvar ** j
+            # h's terms of X-degree at most k
+            rel_poly = sum((c.remap(ring.vars) * xvar ** j for j, c in split.items() if j <= k), zero)
             ext_k = MonogenicExtension(base_k, ring_k, self.var, rel_poly)
             dep = integral_dependence(ring_k.element(self.x.poly), ext_k)
 
@@ -276,7 +276,7 @@ class PolyLiftStrategy(ProverStrategy):
 
             parts += loc_integral_strategy(dep, sub_factory, ext_k).parts
             if k != levels[-1]:
-                ring_k = ring_k.quotient_extend([ring_k.element(split[k].remap(ring.vars))])
+                ring_k = ring_k.quotient_extend([split[k]])
                 base_k = base_k.quotient_extend([a_k])
         return parts
 

@@ -1,13 +1,14 @@
 """Test-only drivers and reference oracles: a scripted Delayer,
 nilpotency-certificate extraction from a winning strategy (J_alpha => nil),
-radical and Jacobson membership by enumeration of a finite ring, and a
-power-by-power nilpotency search."""
+radical and Jacobson membership by enumeration of a finite ring, a
+power-by-power nilpotency search, and a log of untracked Groebner runs."""
 
 from jacarena.algebra import Polynomial
 from jacarena.errors import EngineError
 from jacarena.game import referee_play
 from jacarena.ideals import NilCertificate
 from jacarena.oracle import _nil_from_ideal
+from jacarena import rings
 from jacarena.rings import member_in
 from jacarena.strategies import DelayerStrategy, JacWitnessDelayer
 
@@ -103,3 +104,19 @@ def nil_exponent_search(x, constraints=(), cap=12):
             return e, NilCertificate(x.poly, e, tuple(gens), tuple(cofs)).require_valid()
         power = power * x.poly
     return None
+
+
+def untracked_groebner_runs(monkeypatch):
+    """A list that gets the generators of every untracked Groebner basis
+    the rings module completes (a presentation's basis or a nilpotency
+    decision) until monkeypatch is undone."""
+    runs = []
+    groebner = rings.groebner
+
+    def logging(gens, order, ring, track=True):
+        if not track:
+            runs.append(gens)
+        return groebner(gens, order, ring, track)
+
+    monkeypatch.setattr(rings, "groebner", logging)
+    return runs

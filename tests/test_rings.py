@@ -23,6 +23,7 @@ from jacarena.rings import (
     IntegralRelation,
     MonogenicExtension,
     RingPresentation,
+    constraint,
     integral_dependence,
     key_elementary_transfer,
     loc_key_clear,
@@ -206,6 +207,39 @@ def test_element_eq_and_hash_contract(ring_text, a, b, shift):
     # equal 3, 15, 27, ..., which no hash can follow
     assert u != a and a != u
     assert len({u, a}) == 2
+
+
+# a polynomial ring and a quotient over each base
+_CONSTRAINT_RINGS = [
+    "ZZ[X,Y]",
+    "ZZ[X]/(X^2-3, 6)",
+    "QQ[X,Y]",
+    "QQ[X,Y]/(X^2-Y, Y^3)",
+    "GF(5)[X,Y]",
+    "GF(5)[X]/(X^3+X+1)",
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_constraint_is_one_minus_b_times_one_minus_a_x(data):
+    ring = parse_ring(data.draw(st.sampled_from(_CONSTRAINT_RINGS)))
+    n = len(ring.vars)
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), st.integers(-4, 4), max_size=3)
+    x, a, b = (ring.element(Polynomial(ring.base, ring.vars, data.draw(terms))) for _ in range(3))
+    one = ring.one()
+    expected = one - b * (one - a * x)
+    assert constraint(x, a, b) == expected
+    # raw polynomials and an equal presentation read the same
+    assert constraint(x, a.poly, b.poly) == expected
+    twin = parse_ring(ring.to_text())
+    assert constraint(x, twin.element(a.poly), twin.element(b.poly)) == expected
+    # a move or reply from another presentation is refused
+    other = ring.quotient_extend([ring.element(Polynomial.variable(ring.base, ring.vars[0], ring.vars))])
+    with pytest.raises(IncompatibleRings):
+        constraint(x, other.element(a.poly), b)
+    with pytest.raises(IncompatibleRings):
+        constraint(x, a, other.element(b.poly))
 
 
 def test_minimal_polynomial_examples():

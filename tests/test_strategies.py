@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from jacarena.algebra import Polynomial
 from jacarena.errors import UnknownAgentSpec, UnsupportedRing, WrongBudget
 from jacarena.game import GamePosition, Transcript, referee_play, verify_transcript
 from jacarena.parsing import parse_ring
@@ -36,7 +37,7 @@ from jacarena.strategies import (
     ring_strategy_factory,
 )
 
-from support import ScriptedDelayer
+from support import ScriptedDelayer, untracked_groebner_runs
 
 
 def play(ring, x, budget, prover, delayer, xprime=None):
@@ -196,7 +197,9 @@ def test_transport_reads_its_sub_into_a_quotient_base():
 
 # -- localization-transport strategy -------------------------------------------
 
-def _loc_strategy(ring_text, y_text):
+def _loc_inputs(ring_text, y_text):
+    """(B, the dependence of y over ZZ, the factory of its sub-strategies,
+    the extension): what loc_integral_strategy takes for ring_text."""
     Zb = parse_ring("ZZ")
     B = parse_ring(ring_text)
     ext = MonogenicExtension(Zb, B, B.vars[-1], B.relations[0])
@@ -206,6 +209,11 @@ def _loc_strategy(ring_text, y_text):
     def sub_factory(idx):
         return fac(Zb.element((dep.a * dep.coeffs[idx]).poly))
 
+    return B, dep, sub_factory, ext
+
+
+def _loc_strategy(ring_text, y_text):
+    B, dep, sub_factory, ext = _loc_inputs(ring_text, y_text)
     return B, loc_integral_strategy(dep, sub_factory, ext)
 
 
@@ -239,11 +247,36 @@ def test_integral_transport_move_law():
     assert [m.poly for m in transport.propose(pos)] == expected
 
     unscaled = IntegralTransportStrategy(
-        B, transport.sub, transport.a0, transport.ext, B.one()
+        B, transport.sub, transport.a0, transport.ext, Polynomial.constant(B.base, 1, B.vars)
     )
     assert [m.poly for m in unscaled.propose(pos)] == [
         B.element((a1 * transport.ext.lead).poly).poly for a1 in transport.sub.propose(pos)
     ]
+
+
+def test_integral_transport_moves_do_not_depend_on_the_factor_representative():
+    # a factor and the same factor plus a relation of the part's ring
+    B, loc = _loc_strategy("ZZ[Y]/(Y^2-6)", "Y")
+    pos = GamePosition(B, 2, ())
+    moved = False
+    for part in loc.parts:
+        moves = part.propose(pos)
+        moved = moved or bool(moves)
+        for r in part.ring.relations:
+            shifted = IntegralTransportStrategy(part.ring, part.sub, part.a0, part.ext, part.factor + r)
+            assert shifted.factor != part.factor
+            assert shifted.propose(pos) == moves
+    assert moved
+
+
+def test_loc_integral_strategy_completes_no_quotient_basis(monkeypatch):
+    # the chain's factors and quotient generators stay polynomials, so
+    # building the strategy reduces nothing in its quotients
+    B, dep, sub_factory, ext = _loc_inputs("ZZ[Y]/(Y^2-6)", "Y")
+    runs = untracked_groebner_runs(monkeypatch)
+    s = loc_integral_strategy(dep, sub_factory, ext)
+    assert dep.d == 2 and len(s.parts) == 2
+    assert runs == []
 
 
 class _Spy(ProverStrategy):
@@ -407,11 +440,16 @@ def test_lift_cut_has_a_part_per_degree_of_each_level_above_zero(
 
     monkeypatch.setattr(strategies, "MonogenicExtension", Recording)
     monkeypatch.setattr(RingPresentation, "quotient_extend", counting)
+    runs = untracked_groebner_runs(monkeypatch)
     _, cut = lift.receive(pos, moves, [ring.element(g_text)])
     assert isinstance(cut, CutStrategy) and len(cut.parts) == expected
     # one extension per level played, of the level's degree
     assert built == played
     assert len(calls) == extends
+    # a basis for each level's quotient of ring, where its extension checks
+    # the relation, and for the coefficient quotient that the next level
+    # reads its leading coefficient in; none for the quotients of the parts
+    assert len(runs) == sum(1 + (k != lowest) for k in played)
 
 
 def test_ring_strategy_factory_budgets():
