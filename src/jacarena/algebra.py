@@ -30,9 +30,8 @@ each term of the result is divided by the product of the D's once, an
 two Fractions would take two gcds per pair of terms.  A QQ
 ``NilCertificate`` identity is checked with these products and powers, and
 ``scale`` works the same way.  Reduction over QQ (``ideals._reduce_full``)
-and the sum of powers that gives a non-unit's zero-dimensional witness
-(``rings._minpoly_witness``) also run on the numerators that ``_cleared``
-gives, with one division per result term.
+also runs on the numerators that ``_cleared`` gives, with one division per
+result term.
 """
 
 from __future__ import annotations

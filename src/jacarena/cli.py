@@ -268,9 +268,8 @@ def cmd_refute(args):
     moves_pool = []
     for coeffs in itertools.product(_int_range(args.bound), repeat=args.deg + 1):
         poly = ring.element(0)
-        xe = ring.element(ring.vars[-1])
         for j, cval in enumerate(coeffs):
-            poly = poly + ring.element(cval) * xe ** j
+            poly = poly + ring.element(cval) * x ** j
         moves_pool.append(poly)
     seen = {m.poly: m for m in moves_pool}
     refuter = DiagonalRefuterPoly(ring)

@@ -204,15 +204,8 @@ class GroebnerBasis:
         nf, quots = self.reduce_tracked(p)
         if not nf.is_zero():
             return None
-        vars = self.order.vars
-        out = [Polynomial.zero(self.ring, vars) for _ in self.gens]
-        for q, row in zip(quots, self._rows):
-            if q.is_zero():
-                continue
-            for j, c in enumerate(row.cof):
-                if not c.is_zero():
-                    out[j] = out[j] + q * c
-        return out
+        zero = [Polynomial.zero(self.ring, self.order.vars)] * len(self.gens)
+        return _combine_cofs(zero, [-q for q in quots], self._rows)
 
     def lead_terms(self):
         return [(r.lm, r.lc) for r in self._rows]

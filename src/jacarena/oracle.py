@@ -54,23 +54,16 @@ class FiniteRingTable:
     def ideal_closure(self, generators):
         """Indices of the ideal generated by the given element indices.
 
-        The additive closure of all multiples r*g is the full ideal, since
-        multiplication distributes over the spanning sums.
+        The ideal of g_1, ..., g_k is R*g_1 + ... + R*g_k, and each R*g is
+        itself an ideal, so one pass per generator takes the sums i + m of
+        the ideal I built so far and the multiples m of g.  A g already in I
+        adds nothing.
         """
-        zero = self.idx(self.ring.zero())
-        members = {zero}
+        members = {self.idx(self.ring.zero())}
         for g in generators:
-            for r in range(len(self.elements)):
-                members.add(self.mul(r, g))
-        changed = True
-        while changed:
-            changed = False
-            for a in list(members):
-                for b in list(members):
-                    t = self.add(a, b)
-                    if t not in members:
-                        members.add(t)
-                        changed = True
+            if g not in members:
+                multiples = {self.mul(r, g) for r in range(len(self.elements))}
+                members = {self.add(i, m) for i in members for m in multiples}
         return frozenset(members)
 
 

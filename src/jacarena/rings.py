@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm, prod
 
-from .algebra import MonomialOrder, Polynomial, _cleared, _over, exponents
+from .algebra import MonomialOrder, Polynomial, _cleared, exponents
 from .errors import (
     IncompatibleRings,
     InvalidCertificate,
@@ -485,11 +485,9 @@ def _minpoly_witness(x):
 
     Factors the minimal polynomial as T^e * g(T) with g(0) != 0 and returns
     a = -g(0)^(-1) * r(x) for g = g(0) + T*r(T).  r has degree below that of
-    the minimal polynomial, so a is summed from the normal forms of the
-    powers of x that the minimal polynomial scan kept; a linear combination
-    of normal forms over a field is a normal form.  The sum runs on the
-    powers' int numerators over one common denominator (over GF(p), on
-    residues), with one division (or one reduction mod p) per coefficient.
+    the minimal polynomial, so a is a combination of the normal forms of the
+    powers of x that the minimal polynomial scan kept.  Over a field such a
+    combination is a normal form, so a takes no reduction.
     """
     ring = x.ring
     base = ring.base
@@ -497,25 +495,11 @@ def _minpoly_witness(x):
     by_deg = {exponents(m, 1)[0]: c for m, c in mu.terms.items()}
     e = min(by_deg)
     factor = base.neg(base.invert(by_deg[e]))
-    # a = sum of w_j * N_j / D_j over the powers' numerators N_j over D_j,
-    # with the weights w_j = factor * c_j
-    parts = []
+    a = Polynomial.zero(base, ring.vars)
     for j, cj in by_deg.items():
         if j > e:
-            w = base.mul(factor, cj)
-            den, nums = _cleared(powers[j - e - 1].terms)
-            parts.append((w.numerator, w.denominator * den, nums))
-    common = reduce(lcm, (den for _, den, _ in parts), 1)
-    sums = {}
-    for num, den, nums in parts:
-        num *= common // den
-        for m, c in nums.items():
-            sums[m] = sums.get(m, 0) + num * c
-    if base.p:
-        terms = {m: r for m, c in sums.items() if (r := c % base.p)}
-    else:
-        terms = _over({m: c for m, c in sums.items() if c}, common)
-    return e, RingElement(ring, Polynomial._raw(base, ring.vars, terms))
+            a = a + powers[j - e - 1].scale(base.mul(factor, cj))
+    return e, RingElement(ring, a)
 
 
 def _modular_witness(x):
@@ -525,26 +509,15 @@ def _modular_witness(x):
     invertible modulo m2, so a := x^(-1) mod m2 gives x^e(1 - a*x) = 0.
     """
     ring = x.ring
-    torsion = None
-    for lm, lc in ring.gb.lead_terms():
-        if lm == 0:
-            torsion = abs(lc)
-            break
-    if torsion is None:
+    n = next((abs(lc) for lm, lc in ring.gb.lead_terms() if lm == 0), None)
+    if n is None:
         raise NotZeroDimensional(f"{ring.to_text()} has no integer torsion")
-    n = torsion
-    x_val = x.poly.constant_value() if not x.poly.is_zero() else 0
-    prev = gcd(1, n)
-    e = 0
-    while True:
-        nxt = gcd(pow(x_val, e + 1, n) if n > 1 else 0, n)
-        if nxt == prev:
-            break
+    x_val = x.poly.constant_value()
+    prev, e = 1, 0
+    while (nxt := gcd(pow(x_val, e + 1, n), n)) != prev:
         prev = nxt
         e += 1
-    m2 = n // prev
-    a = ring.element(pow(x_val, -1, m2)) if m2 > 1 else ring.zero()
-    return e, a
+    return e, ring.element(pow(x_val, -1, n // prev))
 
 
 class MonogenicExtension:

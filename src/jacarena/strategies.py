@@ -448,7 +448,7 @@ class DiagonalRefuterZ(DelayerStrategy):
     def reply(self, pos, moves):
         if pos.tau != 1:
             raise WrongBudget(f"refuterZ covers budget 1, invoked at {pos.tau}")
-        values = [m.poly.constant_value() if not m.poly.is_zero() else 0 for m in moves]
+        values = [m.poly.constant_value() for m in moves]
         c = self.forced_constant(self.n_value, values)
         out = []
         for a in values:

@@ -51,10 +51,10 @@ def extract_nil_from_jac(strategy, base_constraints):
     if transcript.winner != "prover":
         raise EngineError("strategy failed to win against the witness delayer")
 
-    one, witnesses = ring.one(), []
+    witnesses = []
     for rnd in transcript.rounds:
         for a, b in zip(rnd.moves, rnd.replies):
-            witness = member_in(ring, one - b * (one - a * x), base_constraints)
+            witness = member_in(ring, rings.constraint(x, a, b), base_constraints)
             if witness is None:
                 raise AssertionError("witness constraint escaped the base ideal")
             witnesses.append(witness)

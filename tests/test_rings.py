@@ -414,6 +414,9 @@ def test_minimal_polynomial_special_cases(base, ring_suffix, x_text, mu_text):
         ("ZZ[X]/(12, X^3)", "2+X", 4),
         ("ZZ[X,Y]/(6, X^2-Y, Y^2)", "3+X", 4),
         ("ZZ[X]/(9, X^2+1)", "3*X+1", 0),
+        # m2 = 1: x^e is already 0 (or the ring is), so a = x^(-1) mod 1 = 0
+        ("ZZ/1", "0", 0),
+        ("ZZ/6", "0", 1),
     ],
 )
 def test_zero_dim_witness_identity(ring_text, x_text, expected_e):
@@ -422,6 +425,8 @@ def test_zero_dim_witness_identity(ring_text, x_text, expected_e):
     e, a = zero_dim_witness(x)
     assert e == expected_e
     assert (x ** e * (ring.one() - a * x)).is_zero()
+    if x.is_zero():
+        assert a.is_zero()
 
 
 def _witness_by_power_formula(x):

@@ -650,6 +650,10 @@ PINNED_TRANSCRIPTS = [
      "4a175152d5407d935456af6776d1289f79b3b1215aac76668c60484becf96642"),
     ("GF(3)[X,Y]/(X^2-Y, Y^2+X)", "X", 1, "zeroDim", "random:4:0:2",
      "0c3d9cc0c76ae538c180a90b9f2dd5dbc058f6a945ff9b8bd8b5b68607668f5f"),
+    # a non-unit over QQ, whose witness a = -3/5*X + 2/5 (e = 2) is a
+    # combination of the minimal polynomial scan's powers of x
+    ("QQ[X]/(3*X^4-2*X^3+5*X^2)", "X", 1, "zeroDim", "random:3:2:5",
+     "164fe62cc69458ce109399aefbb902ba0a430b62b7222836c03fd93d89227bc3"),
     # Groebner runs over 3 and 4 variables whose bytes change when the
     # DEGREVLEX tie-break is flipped (larger exponent in the last variable
     # ranked larger): they catch a wrong packed-key layout
